@@ -1,9 +1,14 @@
 """Graded orthonormal polynomial basis on the unit ball.
 
-Monomials in graded lexicographic order are orthonormalized by modified
-Gram-Schmidt with one re-orthogonalization pass, carried out on weighted
-node-value vectors of a polynomial-exact quadrature rule while tracking the
-monomial coefficients of each basis element.
+Monomials in graded lexicographic order are orthonormalized on the weighted
+node values of a quadrature rule exact to degree 2 * max_degree.  The ball is
+symmetric under coordinate sign flips, and the rule integrates every product
+of two basis monomials exactly, so monomials whose exponent-parity vectors
+differ are exactly orthogonal.  The problem therefore splits into one block
+per parity vector.  Gram-Schmidt in a fixed order is the QR factorization with
+a positive diagonal of R, so each block is orthonormalized by one Householder
+QR, and the coefficients of its basis elements over its monomials are
+inv(R).T.  Entries between different parities are exactly zero.
 """
 
 import hashlib
@@ -113,7 +118,9 @@ def build_basis(d, s_max, rule, order="grlex"):
 
     `order` selects the monomial enumeration ("grlex" or "grlex_reversed",
     which reverses ties within each degree); any degree-graded order yields
-    the same spans and the same quasi-projection operators.
+    the same spans and the same quasi-projection operators.  Raises
+    ConditioningError when a monomial is numerically dependent on the ones
+    before it in its parity block.
     """
     if rule.domain != "ball" or rule.dim != d:
         raise ValueError("rule must be a ball rule in the same dimension")
@@ -134,27 +141,32 @@ def build_basis(d, s_max, rule, order="grlex"):
 
     values = monomial_values(exponents, rule.nodes)
     sqrt_w = np.sqrt(rule.weights)
-    vectors = values * sqrt_w  # rows live in the weighted L2 geometry
     n = len(exponents)
-    q_rows = np.zeros_like(vectors)
+    blocks = {}
+    for i, k in enumerate(exponents):
+        blocks.setdefault(tuple(e % 2 for e in k), []).append(i)
     coeffs = np.zeros((n, n))
-    for i in range(n):
-        v = vectors[i].copy()
-        c = np.zeros(n)
-        c[i] = 1.0
-        initial_norm = np.linalg.norm(v)
-        for _ in range(2):  # modified GS + one re-orthogonalization pass
-            if i:
-                proj = q_rows[:i] @ v
-                v -= proj @ q_rows[:i]
-                c -= proj @ coeffs[:i]
-        norm = np.linalg.norm(v)
-        if norm < 1e-12 * max(1.0, initial_norm):
+    node_values = np.empty_like(values)
+    for rows in blocks.values():
+        if len(rows) > rule.node_count:
             raise ConditioningError(
-                f"monomial {exponents[i]} is numerically dependent (residual {norm:.2e})")
-        q_rows[i] = v / norm
-        coeffs[i] = c / norm
-    node_values = coeffs @ values
+                f"monomial {exponents[rows[rule.node_count]]} is numerically dependent "
+                f"({len(rows)} monomials of its parity on {rule.node_count} nodes)")
+        block = values[rows]
+        weighted = (block * sqrt_w).T
+        r = np.linalg.qr(weighted, mode="r")
+        diag = np.diag(r)
+        floor = 1e-12 * np.maximum(1.0, np.linalg.norm(weighted, axis=0))
+        bad = np.flatnonzero(np.abs(diag) < floor)
+        if bad.size:
+            i = bad[0]
+            raise ConditioningError(
+                f"monomial {exponents[rows[i]]} is numerically dependent "
+                f"(residual {abs(diag[i]):.2e})")
+        r *= np.sign(diag)[:, None]
+        block_coeffs = np.linalg.inv(r).T
+        coeffs[np.ix_(rows, rows)] = block_coeffs
+        node_values[rows] = block_coeffs @ block
     basis = OrthoBasis(d, s_max, exponents, coeffs, node_values, rule)
     return basis
 

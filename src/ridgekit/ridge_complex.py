@@ -13,18 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndexPolynomial,
-                       _homogeneous_exponents, dim_complex_bihomogeneous)
-
-RANK_TOLERANCE = 1e-10
-DEFAULT_RETRIES = 50
-
-
-class SpanningError(RuntimeError):
-    pass
-
-
-class DecompositionError(RuntimeError):
-    pass
+                       _conj, _homogeneous_exponents, dim_complex_bihomogeneous)
+from .ridge_real import (DEFAULT_RETRIES, RANK_TOLERANCE, DecompositionError,
+                         SpanningError, _multinomial)
 
 
 def wirtinger_derivative(P, kind, j):
@@ -107,12 +98,6 @@ def _one_like(a):
     return ExactComplex(1, 0) if any(isinstance(x, ExactComplex) for x in a) else 1
 
 
-def _conj(c):
-    if isinstance(c, (int, float, Fraction)):
-        return c
-    return c.conjugate()
-
-
 def verify_power_identity(a, k, l, tol=1e-10):
     """Check d^k dbar^l ((a.z)^s (conj(a.z))^t) = s! t! a^k conj(a)^l with
     s = |k|, t = |l|; exact for ExactComplex/rational entries, to `tol` for
@@ -179,13 +164,6 @@ def bidegree_power_matrix(vectors, s, t):
         l_cols[:, col] = vals
     rows = np.einsum("na,nb->nab", k_cols, l_cols)
     return rows.reshape(vectors.shape[0], -1), [(k, l) for k in k_exps for l in l_exps]
-
-
-def _multinomial(total, exponents):
-    out = math.factorial(total)
-    for e in exponents:
-        out //= math.factorial(e)
-    return out
 
 
 class ComplexDirectionSet:

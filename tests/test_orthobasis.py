@@ -105,6 +105,30 @@ def test_conditioning_error_on_degenerate_rule():
         build_basis(1, 2, rule)
 
 
+@pytest.mark.parametrize("order", ["grlex", "grlex_reversed"])
+def test_cross_parity_coefficients_are_exact_zeros(order):
+    rule = build_ball_rule(3, 12)
+    basis = build_basis(3, 5, rule, order=order)
+    parity = np.array([[e % 2 for e in k] for k in basis.exponents])
+    differs = np.any(parity[:, None, :] != parity[None, :, :], axis=2)
+    assert np.all(basis.coeff_matrix[differs] == 0.0)
+
+
+@pytest.mark.parametrize("d,s_max,exactness", [(2, 15, 32), (4, 7, 16)])
+def test_gram_identity_high_degree(d, s_max, exactness):
+    basis = build_basis(d, s_max, build_ball_rule(d, exactness))
+    gram = basis.gram_matrix()
+    assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-10
+
+
+def test_conditioning_error_when_parity_block_exceeds_nodes():
+    # two nodes against the three even-parity monomials 1, x^2, y^2
+    nodes = np.array([[0.1, 0.2], [-0.3, 0.4]])
+    rule = QuadratureRule("ball", 2, nodes, np.full(2, math.pi / 2), 4)
+    with pytest.raises(ConditioningError):
+        build_basis(2, 2, rule)
+
+
 def test_insufficient_exactness_rejected():
     rule = build_ball_rule(2, 3)
     with pytest.raises(ValueError):

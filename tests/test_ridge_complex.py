@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ridgekit
 from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
                                MultiIndexPolynomial,
                                dim_complex_bihomogeneous,
@@ -137,6 +138,20 @@ def test_complex_decomposition_profiles_univariate():
     dec = complex_decompose(P, dirs)
     for prof in dec.profiles:
         assert prof.dim == 1
+
+
+def test_complex_spanning_failure_is_package_spanning_error():
+    # tol=1.0 leaves no singular value above the threshold, so no set spans
+    with pytest.raises(ridgekit.SpanningError):
+        sample_complex_directions(2, 1, 1, 4, tol=1.0, max_retries=1)
+
+
+def test_complex_residual_failure_is_package_decomposition_error():
+    d = 2
+    P = ComplexBiPolynomial(d, {((1, 0), (0, 1)): 1.0})
+    dirs = sample_complex_directions(d, 1, 1, dim_complex_bihomogeneous(d, 1, 1), seed=2)
+    with pytest.raises(ridgekit.DecompositionError):
+        complex_decompose(P, dirs, residual_tol=-1.0)
 
 
 def test_complex_json_round_trip():
