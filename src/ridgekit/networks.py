@@ -348,7 +348,7 @@ class GTNetwork:
             poly = self.dictionary.polynomial_at(unit["dict_index"]).map_coefficients(float)
             values = poly.eval_many(local)
             radii = np.linalg.norm(local, axis=1)
-            weights = np.array([_blend_weight(r) for r in radii])
+            weights = _blend_weight(radii)
             out += unit["c"] * weights * values
         return out
 
@@ -403,9 +403,7 @@ class CVNNetwork:
             local = points @ unit["alpha"] + unit["beta"]
             poly = self.dictionary.polynomial_at(unit["dict_index"])
             values = poly.eval_many(local[:, None])
-            weights = np.array([
-                _blend_weight(abs(w.real)) * _blend_weight(abs(w.imag)) for w in local
-            ])
+            weights = _blend_weight(np.abs(local.real)) * _blend_weight(np.abs(local.imag))
             out += unit["gamma"] * weights * values
         return out
 

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .polycore import MultiIndexPolynomial, dim_homogeneous, monomials_up_to
+from .polycore import (MultiIndexPolynomial, dim_homogeneous, monomial_table,
+                       monomials_up_to, point_chunks)
 from .quadrature import evaluate_on_nodes
 
 
@@ -27,20 +28,14 @@ class ConditioningError(RuntimeError):
 def monomial_values(exponents, points):
     """Matrix of monomial values: rows follow `exponents`, columns `points`.
 
-    Uses the graded recurrence x^k = x^(k - e_j) * x_j so each row costs one
-    elementwise multiply.
+    Filled one chunk of points at a time, so the only array of the full
+    size is the result.
     """
     points = np.asarray(points, dtype=float)
-    index = {k: i for i, k in enumerate(exponents)}
-    values = np.empty((len(exponents), points.shape[0]))
-    for i, k in enumerate(exponents):
-        if sum(k) == 0:
-            values[i] = 1.0
-            continue
-        j = next(pos for pos, e in enumerate(k) if e > 0)
-        parent = list(k)
-        parent[j] -= 1
-        values[i] = values[index[tuple(parent)]] * points[:, j]
+    exponents = np.array(exponents, dtype=np.intp).reshape(-1, points.shape[1])
+    values = np.empty((exponents.shape[0], points.shape[0]))
+    for chunk in point_chunks(exponents.shape[0], points.shape[0]):
+        values[:, chunk] = monomial_table(exponents, points[chunk])
     return values
 
 
@@ -139,20 +134,19 @@ def build_basis(d, s_max, rule, order="grlex"):
     else:
         raise ValueError(f"unknown order {order!r}")
 
-    values = monomial_values(exponents, rule.nodes)
     sqrt_w = np.sqrt(rule.weights)
     n = len(exponents)
     blocks = {}
     for i, k in enumerate(exponents):
         blocks.setdefault(tuple(e % 2 for e in k), []).append(i)
     coeffs = np.zeros((n, n))
-    node_values = np.empty_like(values)
+    node_values = np.empty((n, rule.node_count))
     for rows in blocks.values():
         if len(rows) > rule.node_count:
             raise ConditioningError(
                 f"monomial {exponents[rows[rule.node_count]]} is numerically dependent "
                 f"({len(rows)} monomials of its parity on {rule.node_count} nodes)")
-        block = values[rows]
+        block = monomial_values([exponents[i] for i in rows], rule.nodes)
         weighted = (block * sqrt_w).T
         r = np.linalg.qr(weighted, mode="r")
         diag = np.diag(r)

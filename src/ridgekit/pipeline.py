@@ -8,30 +8,17 @@ requested L^q norm as the ridge budget n grows.
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .orthobasis import build_basis, project_coefficients
 from .polycore import MultiIndexPolynomial, dim_homogeneous, monomials_up_to
-from .quadrature import ball_sup_grid, build_ball_rule, evaluate_on_nodes, lq_norm
+from .quadrature import _values, ball_sup_grid, build_ball_rule, lq_norm
 from .ridge_real import decompose, sample_spanning_directions
 
 CSV_HEADER = "n,s,error_lq,residual,seconds"
-
-
-def thread_count():
-    """Worker cap from the RIDGEKIT_THREADS environment variable (default 1)."""
-    raw = os.environ.get("RIDGEKIT_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError("RIDGEKIT_THREADS must be a positive integer")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +173,7 @@ def select_degree(n, d, ell, budget_factor=1, max_degree=15):
 def _lq_error(f, g, rule, q, sup_grid):
     def diff(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        fv = f.eval_many(points) if hasattr(f, "eval_many") else np.asarray(f(points), dtype=float)
-        gv = g.eval_many(points) if hasattr(g, "eval_many") else np.asarray(g(points), dtype=float)
-        return fv - gv
+        return _values(f, points) - _values(g, points)
 
     return lq_norm(diff, rule, q, sup_grid=sup_grid)
 
@@ -259,12 +244,7 @@ def rate_sweep(cfg):
         report["seconds"] = time.perf_counter() - start
         return report
 
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_point, cfg.n_list))
-    else:
-        rows = [run_point(n) for n in cfg.n_list]
+    rows = [run_point(n) for n in cfg.n_list]
 
     report = RateReport(cfg, rows, _fit_slope(rows))
     if cfg.csv_path:

@@ -14,6 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 ZERO_PRUNE_FLOAT = 1e-300
+# Element budget for the temporaries of one monomial_table call: callers pass
+# at most this many (term, point) pairs at a time.
+TABLE_ELEMENTS = 2**17
 
 
 class MultiIndex(tuple):
@@ -272,14 +275,9 @@ class MultiIndexPolynomial:
             points = points[None, :]
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
-        out = np.zeros(points.shape[0])
-        for k, c in self.terms.items():
-            term = np.full(points.shape[0], float(c))
-            for j, e in enumerate(k):
-                if e:
-                    term *= points[:, j] ** e
-            out += term
-        return out
+        exponents = np.array(list(self.terms), dtype=np.intp).reshape(-1, self.dim)
+        coeffs = np.array([float(c) for c in self.terms.values()])
+        return _eval_terms(exponents, coeffs, points)
 
     __call__ = eval_many
 
@@ -366,6 +364,45 @@ class MultiIndexPolynomial:
     def __repr__(self):
         body = " + ".join(f"{c}*x^{tuple(k)}" for k, c in self.terms.items()) or "0"
         return f"MultiIndexPolynomial(dim={self.dim}: {body})"
+
+
+def monomial_table(exponents, points):
+    """(T, N) array whose entry (t, i) is prod_j points[i, j] ** exponents[t, j].
+
+    `exponents` is an int array of shape (T, k), `points` a real or complex
+    array of shape (N, k).  Each variable gets a table of its powers built by
+    repeated multiplication, whose rows are gathered into the product.
+    """
+    exponents = np.asarray(exponents, dtype=np.intp)
+    points = np.asarray(points)
+    count = points.shape[0]
+    table = np.ones((exponents.shape[0], count), dtype=points.dtype)
+    for j in range(exponents.shape[1]):
+        column = exponents[:, j]
+        top = int(column.max(initial=0))
+        if top == 0:
+            continue
+        powers = np.empty((top + 1, count), dtype=points.dtype)
+        powers[0] = 1
+        powers[1] = points[:, j]
+        for e in range(2, top + 1):
+            np.multiply(powers[e - 1], points[:, j], out=powers[e])
+        table *= powers[column]
+    return table
+
+
+def point_chunks(terms, count):
+    """Slices of range(count) so that a (terms, chunk) table fits TABLE_ELEMENTS."""
+    step = max(1, TABLE_ELEMENTS // max(1, terms))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _eval_terms(exponents, coeffs, points):
+    """sum_t coeffs[t] * points ** exponents[t], one chunk of points at a time."""
+    out = np.zeros(points.shape[0], dtype=coeffs.dtype)
+    for chunk in point_chunks(len(coeffs), points.shape[0]):
+        out[chunk] = coeffs @ monomial_table(exponents, points[chunk])
+    return out
 
 
 def _degree_for_length(dim, length):
@@ -479,18 +516,12 @@ class ComplexBiPolynomial:
         points = np.asarray(points, dtype=complex)
         if points.ndim == 1:
             points = points[None, :]
-        out = np.zeros(points.shape[0], dtype=complex)
-        conj = np.conj(points)
-        for (k, l), c in self.terms.items():
-            term = np.full(points.shape[0], complex(c))
-            for j, e in enumerate(k):
-                if e:
-                    term *= points[:, j] ** e
-            for j, e in enumerate(l):
-                if e:
-                    term *= conj[:, j] ** e
-            out += term
-        return out
+        if points.shape[1] != self.dim:
+            raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
+        exponents = np.array([k + l for k, l in self.terms], dtype=np.intp)
+        exponents = exponents.reshape(-1, 2 * self.dim)
+        coeffs = np.array([complex(c) for c in self.terms.values()], dtype=complex)
+        return _eval_terms(exponents, coeffs, np.hstack([points, np.conj(points)]))
 
     __call__ = eval_many
 

@@ -171,16 +171,20 @@ def build_ball_rule(d, exactness_degree, node_cap=NODE_CAP):
     return QuadratureRule("ball", d, nodes, weights, exactness_degree)
 
 
+def _values(f, points):
+    """Flat float array of `f` at an (N, d) array of points: `f.eval_many` when
+    it exists, else `f` on all points at once, else `f` point by point."""
+    if hasattr(f, "eval_many"):
+        return np.asarray(f.eval_many(points), dtype=float).reshape(-1)
+    try:
+        return np.asarray(f(points), dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        return np.array([float(f(x)) for x in points])
+
+
 def evaluate_on_nodes(f, rule):
     """Evaluate `f` at the rule's nodes, accepting vectorized or scalar callables."""
-    if hasattr(f, "eval_many"):
-        values = f.eval_many(rule.nodes)
-    else:
-        try:
-            values = np.asarray(f(rule.nodes), dtype=float)
-        except (TypeError, ValueError):
-            values = np.array([float(f(x)) for x in rule.nodes])
-    values = np.asarray(values, dtype=float).reshape(-1)
+    values = _values(f, rule.nodes)
     if values.shape[0] != rule.node_count:
         raise ValueError("function did not return one value per node")
     bad = np.flatnonzero(~np.isfinite(values))
@@ -202,14 +206,7 @@ def lq_norm(f, rule, q, sup_grid=None):
     (the rule's nodes as a fallback)."""
     if q == math.inf or q == "inf":
         points = rule.nodes if sup_grid is None else np.asarray(sup_grid, dtype=float)
-        if hasattr(f, "eval_many"):
-            values = np.asarray(f.eval_many(points), dtype=float)
-        else:
-            try:
-                values = np.asarray(f(points), dtype=float).reshape(-1)
-            except (TypeError, ValueError):
-                values = np.array([float(f(x)) for x in points])
-        return float(np.max(np.abs(values)))
+        return float(np.max(np.abs(_values(f, points))))
     if q < 1:
         raise ValueError("q must be >= 1 or inf")
     values = evaluate_on_nodes(f, rule)

@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndexPolynomial,
-                       _conj, _homogeneous_exponents, dim_complex_bihomogeneous)
+                       _conj, _homogeneous_exponents, dim_complex_bihomogeneous,
+                       monomial_table)
 from .ridge_real import (DEFAULT_RETRIES, RANK_TOLERANCE, DecompositionError,
                          SpanningError, _multinomial)
 
@@ -147,21 +148,10 @@ def bidegree_power_matrix(vectors, s, t):
     d = vectors.shape[1]
     k_exps = _homogeneous_exponents(d, s)
     l_exps = _homogeneous_exponents(d, t)
-    conj = np.conj(vectors)
-    k_cols = np.empty((vectors.shape[0], len(k_exps)), dtype=complex)
-    for col, k in enumerate(k_exps):
-        vals = np.full(vectors.shape[0], complex(_multinomial(s, k)))
-        for pos, e in enumerate(k):
-            if e:
-                vals *= vectors[:, pos] ** e
-        k_cols[:, col] = vals
-    l_cols = np.empty((vectors.shape[0], len(l_exps)), dtype=complex)
-    for col, l in enumerate(l_exps):
-        vals = np.full(vectors.shape[0], complex(_multinomial(t, l)))
-        for pos, e in enumerate(l):
-            if e:
-                vals *= conj[:, pos] ** e
-        l_cols[:, col] = vals
+    k_factors = np.array([_multinomial(s, k) for k in k_exps], dtype=float)
+    l_factors = np.array([_multinomial(t, l) for l in l_exps], dtype=float)
+    k_cols = k_factors * monomial_table(k_exps, vectors).T
+    l_cols = l_factors * monomial_table(l_exps, np.conj(vectors)).T
     rows = np.einsum("na,nb->nab", k_cols, l_cols)
     return rows.reshape(vectors.shape[0], -1), [(k, l) for k in k_exps for l in l_exps]
 

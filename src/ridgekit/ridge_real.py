@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .polycore import (MultiIndexPolynomial, dim_homogeneous,
+from .polycore import (MultiIndexPolynomial, dim_homogeneous, monomial_table,
                        monomials_up_to, _homogeneous_exponents)
 from .quadrature import ball_sup_grid
 
@@ -39,16 +39,9 @@ def lifted_power_matrix(vectors, s):
     """Rows: coefficient vectors of (a_i . x)^s over the homogeneous degree-s
     monomials of R^m (with multinomial factors)."""
     vectors = np.asarray(vectors, dtype=float)
-    m = vectors.shape[1]
-    exps = _homogeneous_exponents(m, s)
-    rows = np.empty((vectors.shape[0], len(exps)))
-    for j, k in enumerate(exps):
-        col = np.full(vectors.shape[0], float(_multinomial(s, k)))
-        for pos, e in enumerate(k):
-            if e:
-                col *= vectors[:, pos] ** e
-        rows[:, j] = col
-    return rows
+    exps = _homogeneous_exponents(vectors.shape[1], s)
+    factors = np.array([_multinomial(s, k) for k in exps], dtype=float)
+    return factors * monomial_table(exps, vectors).T
 
 
 def spanning_rank(vectors, s, tol=RANK_TOLERANCE):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from .polycore import MultiIndexPolynomial, monomials_up_to
+from .polycore import MultiIndexPolynomial, monomial_table, monomials_up_to
 from .quadrature import (ball_volume, build_sphere_rule, inner_product,
                          sphere_monomial_integral)
 from .quasiproj import smooth_step
@@ -83,10 +83,7 @@ def q_coefficient(k, d, ell, sphere_rule=None):
         sphere_rule = build_sphere_rule(d - ell - 1, max(2, sum(tail)))
     if sphere_rule.dim != d - ell or sphere_rule.exactness_degree < sum(tail):
         raise ValueError("sphere rule does not cover the tail moment")
-    vals = np.ones(sphere_rule.node_count)
-    for pos, e in enumerate(tail):
-        if e:
-            vals *= sphere_rule.nodes[:, pos] ** e
+    vals = monomial_table([tail], sphere_rule.nodes)[0]
     return sphere_rule.integrate_values(vals) / weight
 
 

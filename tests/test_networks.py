@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridgekit.networks import (CVNNetwork, ComplexPolynomialDictionary,
+from ridgekit.networks import (BLEND_OUTER, CVNNetwork, ComplexPolynomialDictionary,
                                GTNetwork, PolynomialDictionary, cantor_pair,
                                cantor_unpair, cvnn_from_decomposition,
                                decode_rational, encode_rational,
                                gtn_from_decomposition, network_eval, phi_eval,
-                               tau_eval)
+                               tau_eval, _blend_weight)
 from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
                                MultiIndexPolynomial, dim_homogeneous,
                                monomials_up_to)
@@ -196,3 +196,15 @@ def test_cvnn_json_round_trip():
                                       dictionary)
     pts = np.array([[3.0 * index + 0.4 + 0.2j]])
     assert np.array_equal(clone.eval_many(pts), net.eval_many(pts))
+
+
+def test_blend_weights_on_arrays_equal_pointwise_values():
+    rng = np.random.default_rng(11)
+    radii = np.concatenate([np.linspace(0.0, 2.0, 401), [1.0, BLEND_OUTER],
+                            rng.uniform(0.9, 1.5, 200)])
+    assert np.array_equal(_blend_weight(radii), np.array([_blend_weight(r) for r in radii]))
+    local = rng.uniform(-1.6, 1.6, 300) + 1j * rng.uniform(-1.6, 1.6, 300)
+    weights = _blend_weight(np.abs(local.real)) * _blend_weight(np.abs(local.imag))
+    pointwise = np.array([_blend_weight(abs(w.real)) * _blend_weight(abs(w.imag))
+                          for w in local])
+    assert np.array_equal(weights, pointwise)

@@ -7,8 +7,7 @@ import pytest
 
 from ridgekit.pipeline import (CSV_HEADER, ExperimentConfig, RateReport,
                                approximate_by_ridge, fit_polynomial,
-                               make_target, rate_sweep, select_degree,
-                               thread_count, verify)
+                               make_target, rate_sweep, select_degree, verify)
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
 from ridgekit.quadrature import build_ball_rule
 
@@ -140,17 +139,6 @@ def test_rate_sweep_single_point_slope_null():
     report = rate_sweep(cfg)
     assert report.slope is None
     assert report.to_json_dict()["slope"] is None
-
-
-def test_rate_sweep_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("RIDGEKIT_THREADS", "2")
-    assert thread_count() == 2
-    cfg = small_cfg()
-    report = rate_sweep(cfg)
-    assert [row["n"] for row in report.rows] == [4, 8, 16]
-    monkeypatch.setenv("RIDGEKIT_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_count()
 
 
 def test_verify_suites_pass():

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ridgekit.orthobasis import monomial_values
 from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex,
                                MultiIndexPolynomial, dim_complex_bihomogeneous,
-                               dim_homogeneous, grlex_key, monomials_up_to,
-                               rank_grlex, unrank_grlex)
+                               dim_homogeneous, grlex_key, monomial_table,
+                               monomials_up_to, point_chunks, rank_grlex,
+                               unrank_grlex)
+from ridgekit.quadrature import ball_sup_grid
 
 EVAL_TOL = 1e-12
 
@@ -162,3 +165,106 @@ def test_complex_json_round_trip():
     q = ComplexBiPolynomial.from_json(p.to_json())
     z = np.array([[0.2 + 0.4j]])
     assert abs(p.eval_many(z)[0] - q.eval_many(z)[0]) < EVAL_TOL
+
+
+def random_bipoly(dim, max_deg, rng, coeff=complex):
+    terms = {}
+    for k in monomials_up_to(dim, max_deg):
+        for l in monomials_up_to(dim, max_deg):
+            re, im = rng.integers(-4, 5, size=2)
+            terms[(k, l)] = coeff(Fraction(int(re), 3), Fraction(int(im), 5))
+    return ComplexBiPolynomial(dim, terms)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_eval_many_matches_exact_eval_fraction_coefficients(dim):
+    rng = np.random.default_rng(dim)
+    p = MultiIndexPolynomial(dim, {k: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                                   for k in monomials_up_to(dim, 5)})
+    scale = float(sum(abs(c) for c in p.terms.values()))
+    pts = ball_sup_grid(dim, 30, seed=dim)
+    vals = p.eval_many(pts)
+    for x, v in zip(pts, vals):
+        exact = p.eval([Fraction(xi) for xi in x])  # floats convert to Fractions exactly
+        assert isinstance(exact, Fraction)
+        assert abs(v - float(exact)) <= EVAL_TOL * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_complex_eval_many_matches_eval_exact_complex_coefficients(dim):
+    rng = np.random.default_rng(10 + dim)
+    p = random_bipoly(dim, 3, rng, coeff=ExactComplex)
+    pts = rng.standard_normal((25, dim)) + 1j * rng.standard_normal((25, dim))
+    pts /= 1.0 + np.abs(pts)
+    vals = p.eval_many(pts)
+    for z, v in zip(pts, vals):
+        assert abs(v - complex(p.eval(list(z)))) < EVAL_TOL
+
+
+def test_zero_polynomial_eval_many_shape_and_dtype():
+    real = MultiIndexPolynomial.zero(3).eval_many(np.ones((7, 3)))
+    assert real.shape == (7,) and real.dtype == np.float64 and not real.any()
+    cplx = ComplexBiPolynomial.zero(2).eval_many(np.ones((5, 2), dtype=complex))
+    assert cplx.shape == (5,) and cplx.dtype == np.complex128 and not cplx.any()
+
+
+def test_eval_many_accepts_one_dimensional_point():
+    p = MultiIndexPolynomial(3, {(1, 2, 0): 2.0, (0, 0, 3): -1.0, (0, 0, 0): 0.5})
+    x = np.array([0.3, -0.2, 0.7])
+    vals = p.eval_many(x)
+    assert vals.shape == (1,)
+    assert abs(vals[0] - p.eval(list(x))) < EVAL_TOL
+    q = ComplexBiPolynomial(1, {((2,), (1,)): 1 - 1j, ((0,), (0,)): 2.0})
+    z = np.array([0.4 + 0.3j])
+    cvals = q.eval_many(z)
+    assert cvals.shape == (1,)
+    assert abs(cvals[0] - complex(q.eval(list(z)))) < EVAL_TOL
+
+
+def test_eval_many_across_chunks_matches_pointwise():
+    rng = np.random.default_rng(4)
+    p = MultiIndexPolynomial(3, {k: rng.standard_normal() for k in monomials_up_to(3, 4)})
+    pts = ball_sup_grid(3, 10_000, seed=4)
+    assert len(point_chunks(len(p.terms), len(pts))) > 2
+    vals = p.eval_many(pts)
+    pointwise = np.array([p.eval(list(x)) for x in pts])
+    assert np.max(np.abs(vals - pointwise)) <= 1e-13
+
+    q = random_bipoly(1, 3, rng)
+    zs = np.exp(2j * np.pi * rng.random((20_000, 1))) * rng.random((20_000, 1))
+    assert len(point_chunks(len(q.terms), len(zs))) > 2
+    cvals = q.eval_many(zs)
+    cpointwise = np.array([q.eval(list(z)) for z in zs])
+    assert np.max(np.abs(cvals - cpointwise)) <= 1e-13
+
+
+def test_monomial_table_matches_definition():
+    rng = np.random.default_rng(5)
+    exps = np.array(monomials_up_to(3, 6))
+    pts = rng.uniform(-1.5, 1.5, size=(40, 3))
+    table = monomial_table(exps, pts)
+    expected = np.prod(pts[None, :, :] ** exps[:, None, :], axis=2)
+    assert table.shape == (len(exps), 40)
+    assert np.allclose(table, expected, rtol=1e-13, atol=0.0)
+    zs = pts[:, :2] + 1j * pts[:, 1:]
+    ctable = monomial_table(exps[:, :2], zs)
+    assert ctable.dtype == np.complex128
+    assert np.allclose(ctable, np.prod(zs[None] ** exps[:, None, :2], axis=2),
+                       rtol=1e-13, atol=0.0)
+    assert monomial_table(np.zeros((0, 3), dtype=int), pts).shape == (0, 40)
+
+
+def test_monomial_values_match_definition():
+    rng = np.random.default_rng(6)
+    exps = monomials_up_to(2, 9)
+    pts = rng.uniform(-1.0, 1.0, size=(3000, 2))
+    assert len(point_chunks(len(exps), len(pts))) > 1
+    values = monomial_values(exps, pts)
+    expected = np.array([pts[:, 0] ** a * pts[:, 1] ** b for a, b in exps])
+    assert np.allclose(values, expected, rtol=1e-13, atol=0.0)
+
+
+def test_complex_eval_many_rejects_wrong_dimension():
+    q = ComplexBiPolynomial(1, {((1,), (1,)): 1.0})
+    with pytest.raises(ValueError):
+        q.eval_many(np.ones((3, 2), dtype=complex))

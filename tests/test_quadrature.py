@@ -7,8 +7,8 @@ from scipy.special import gamma
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
 from ridgekit.quadrature import (NODE_CAP, NodeCapError, ball_sup_grid,
                                  ball_volume, build_ball_rule,
-                                 build_sphere_rule, inner_product, lq_norm,
-                                 sphere_surface)
+                                 build_sphere_rule, evaluate_on_nodes,
+                                 inner_product, lq_norm, sphere_surface)
 
 WEIGHT_SUM_TOL = 1e-12
 EXACTNESS_TOL = 1e-10
@@ -124,3 +124,20 @@ def test_rule_json_round_trip():
     assert np.array_equal(clone.nodes, rule.nodes)
     assert np.array_equal(clone.weights, rule.weights)
     assert clone.exactness_degree == rule.exactness_degree
+
+
+def test_polynomial_vectorised_and_scalar_callables_evaluate_alike():
+    rule = build_ball_rule(2, 6)
+    p = MultiIndexPolynomial(2, {(2, 0): 1.5, (0, 1): -2.0, (0, 0): 0.25})
+    vectorised = lambda pts: 1.5 * pts[:, 0] ** 2 - 2.0 * pts[:, 1] + 0.25
+
+    def scalar(x):
+        if np.ndim(x) != 1:
+            raise TypeError("one point at a time")
+        return 1.5 * x[0] ** 2 - 2.0 * x[1] + 0.25
+
+    expected = evaluate_on_nodes(p, rule)
+    assert expected.shape == (rule.node_count,)
+    for f in (vectorised, scalar):
+        assert np.allclose(evaluate_on_nodes(f, rule), expected, rtol=0, atol=1e-14)
+        assert abs(lq_norm(f, rule, math.inf) - lq_norm(p, rule, math.inf)) < 1e-14

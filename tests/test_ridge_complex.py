@@ -191,3 +191,17 @@ def test_realify_pointwise():
 def _exact_equal(a, b):
     a = a if isinstance(a, ExactComplex) else ExactComplex(Fraction(a), 0)
     return a == b
+
+
+def test_bidegree_power_matrix_rows_are_power_coefficients():
+    rng = np.random.default_rng(8)
+    d, s, t = 2, 3, 2
+    vectors = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+    mat, keys = bidegree_power_matrix(vectors, s, t)
+    assert mat.shape == (5, len(keys))
+    z = rng.standard_normal((10, d)) + 1j * rng.standard_normal((10, d))
+    for a, row in zip(vectors, mat):
+        power = ComplexBiPolynomial(d, dict(zip(keys, row)))
+        w = z @ a
+        assert np.allclose(power.eval_many(z), w ** s * np.conj(w) ** t,
+                           rtol=1e-12, atol=1e-12)

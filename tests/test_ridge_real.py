@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ridgekit.polycore import (MultiIndexPolynomial, dim_homogeneous,
-                               monomials_up_to)
+                               _homogeneous_exponents, monomials_up_to)
 from ridgekit.quadrature import ball_sup_grid
 from ridgekit.ridge_real import (DecompositionError, RidgeDecomposition,
                                  SpanningError, build_block_matrices,
@@ -123,3 +123,16 @@ def test_json_round_trip():
     clone = RidgeDecomposition.from_json_dict(json.loads(json.dumps(dec.to_json_dict())))
     grid = ball_sup_grid(d, 100, seed=7)
     assert np.max(np.abs(clone.eval_many(grid) - dec.eval_many(grid))) < 1e-12
+
+
+def test_lifted_power_matrix_rows_are_power_coefficients():
+    rng = np.random.default_rng(7)
+    m, s = 3, 5
+    vectors = rng.standard_normal((6, m))
+    mat = lifted_power_matrix(vectors, s)
+    exps = _homogeneous_exponents(m, s)
+    assert mat.shape == (6, len(exps))
+    x = rng.standard_normal((10, m))
+    for a, row in zip(vectors, mat):
+        power = MultiIndexPolynomial(m, dict(zip(exps, row)))
+        assert np.allclose(power.eval_many(x), (x @ a) ** s, rtol=1e-12, atol=1e-12)
