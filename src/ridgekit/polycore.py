@@ -7,6 +7,7 @@ complex rationals, so the same algebra serves both floating-point quadrature
 work and exact identity checking.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -402,6 +403,21 @@ def _eval_terms(exponents, coeffs, points):
     out = np.zeros(points.shape[0], dtype=coeffs.dtype)
     for chunk in point_chunks(len(coeffs), points.shape[0]):
         out[chunk] = coeffs @ monomial_table(exponents, points[chunk])
+    return out
+
+
+def _polynomials_from_rows(cls, dim, keys, rows):
+    """One `cls` polynomial per row of the 2-D array `rows`, whose column j
+    holds the coefficient of `keys[j]`.  The keys must be validated MultiIndex
+    keys, unique and in the class's term order, so no per-key checks run;
+    entries below ZERO_PRUNE_FLOAT in modulus are dropped, as the constructor
+    drops them."""
+    out = []
+    for values, keep in zip(rows.tolist(), (np.abs(rows) >= ZERO_PRUNE_FLOAT).tolist()):
+        poly = object.__new__(cls)
+        poly.dim = int(dim)
+        poly.terms = dict(itertools.compress(zip(keys, values), keep))
+        out.append(poly)
     return out
 
 

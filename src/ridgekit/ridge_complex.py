@@ -4,7 +4,11 @@ Polynomials in z and conj(z) are differentiated termwise in the (k, l)
 exponent representation, so the monomial pairing identities hold exactly in
 rational arithmetic.  The decomposition expresses every bidegree component of
 a polynomial on C^d in the span of powers (a_j . z)^s (conj(a_j . z))^t of
-certified directions, yielding univariate profiles in (w, conj(w)).
+certified directions, yielding univariate profiles in (w, conj(w)).  As in
+the real case, the direction set holds one least-norm factor per bidegree and
+the residual, the l1 norm of the coefficient mismatch plus its rounding bound,
+bounds the sup error on the unit ball of C^d because |z^k conj(z)^l| <= 1
+there.
 """
 
 import math
@@ -12,11 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndexPolynomial,
-                       _conj, _homogeneous_exponents, dim_complex_bihomogeneous,
-                       monomial_table)
-from .ridge_real import (DEFAULT_RETRIES, RANK_TOLERANCE, DecompositionError,
-                         SpanningError, _multinomial)
+from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex,
+                       _conj, _homogeneous_exponents, _polynomials_from_rows,
+                       dim_complex_bihomogeneous, monomial_table)
+from .ridge_real import (DEFAULT_RETRIES, EXTENDED, RANK_TOLERANCE, SpanningError,
+                         _multinomial, certify, factor_block, rank_and_condition,
+                         solve_power_blocks)
 
 
 def wirtinger_derivative(P, kind, j):
@@ -143,8 +148,10 @@ def apply_differential_operator(Q, P):
 
 def bidegree_power_matrix(vectors, s, t):
     """Rows: coefficient vectors of (a_j . z)^s (conj(a_j . z))^t over the
-    monomial pairs (k, l) with |k| = s, |l| = t (multinomial factors folded in)."""
-    vectors = np.asarray(vectors, dtype=complex)
+    monomial pairs (k, l) with |k| = s, |l| = t (multinomial factors folded in),
+    computed in the precision of `vectors` and at least in complex double."""
+    vectors = np.asarray(vectors)
+    vectors = vectors.astype(np.result_type(vectors.dtype, complex), copy=False)
     d = vectors.shape[1]
     k_exps = _homogeneous_exponents(d, s)
     l_exps = _homogeneous_exponents(d, t)
@@ -157,29 +164,33 @@ def bidegree_power_matrix(vectors, s, t):
 
 
 class ComplexDirectionSet:
-    def __init__(self, d, s, t, vectors, condition_number=None):
+    """Unit vectors in C^d whose powers span the bidegree-(s, t) space.
+
+    The vectors are copied and frozen, and `blocks[b]` factors the powers
+    (a_j . z)^s' (conj(a_j . z))^t' of bidegree `bidegrees[b]`, for every
+    s' <= s and t' <= t in lexicographic order."""
+
+    def __init__(self, d, s, t, vectors):
         self.d = int(d)
         self.s = int(s)
         self.t = int(t)
-        self.vectors = np.asarray(vectors, dtype=complex)
+        self.vectors = np.array(vectors, dtype=complex)
+        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.d:
+            raise ValueError(f"vectors must have shape (n, {self.d})")
         self.vectors.setflags(write=False)
-        self.condition_number = condition_number
+        self.bidegrees = tuple((sp, tp) for sp in range(self.s + 1) for tp in range(self.t + 1))
+        extended = self.vectors.astype(np.result_type(EXTENDED, complex))
+        self.blocks = tuple(factor_block(bidegree_power_matrix(extended, sp, tp)[0].T)
+                            for sp, tp in self.bidegrees)
 
     @property
     def count(self):
         return self.vectors.shape[0]
 
-
-def _realified_lstsq(A, b):
-    """Least-norm solve of complex A x = b through the doubled real system."""
-    Ar, Ai = A.real, A.imag
-    top = np.hstack([Ar, -Ai])
-    bot = np.hstack([Ai, Ar])
-    big = np.vstack([top, bot])
-    rhs = np.concatenate([b.real, b.imag], axis=0)
-    sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-    half = A.shape[1]
-    return sol[:half] + 1j * sol[half:]
+    @property
+    def condition_number(self):
+        """Condition number of the bidegree-(s, t) powers."""
+        return self.blocks[-1].condition
 
 
 def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE,
@@ -194,11 +205,9 @@ def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE,
         vectors = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         lifted, _ = bidegree_power_matrix(vectors, s, t)
-        svals = np.linalg.svd(lifted, compute_uv=False)
-        rank = int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
+        rank, _ = rank_and_condition(np.linalg.svd(lifted, compute_uv=False), tol)
         if rank == required:
-            cond = float(svals[0] / svals[required - 1])
-            return ComplexDirectionSet(d, s, t, vectors, condition_number=cond)
+            return ComplexDirectionSet(d, s, t, vectors)
     raise SpanningError(f"no spanning complex directions (d={d}, s={s}, t={t})")
 
 
@@ -260,50 +269,38 @@ def complex_sup_grid(d, count, seed=0):
 def complex_decompose(P, dirs, grid_size=512, residual_tol=1e-8):
     """Decompose P in P_s(C^d) along directions certified at bidegree (s, s).
 
-    Directions spanning at (s, s) span every lower bidegree, so each component
-    of P is solved independently by a least-norm fit in the power span.
+    Directions spanning at (s, s) span every lower bidegree, so each bidegree
+    component of P is solved independently by the set's least-norm factor.
+    `residual` is the certificate of `solve_power_blocks`, a bound on the sup
+    error over the unit ball; it must not exceed residual_tol * (1 + max|P|)
+    on a grid_size-point grid.
     """
     s = dirs.s
     if dirs.t != s:
         raise ValueError("direction set must be certified at bidegree (s, s)")
-    Pf = P.map_coefficients(complex)
-    if Pf.holomorphic_degree() > s or Pf.antiholomorphic_degree() > s:
+    if P.dim != dirs.d:
+        raise ValueError("polynomial dimension mismatch")
+    if P.holomorphic_degree() > s or P.antiholomorphic_degree() > s:
         raise ValueError("polynomial degrees exceed the certified bidegree")
     d = P.dim
-    n = dirs.count
 
-    components = {}
-    for (k, l), c in Pf.terms.items():
-        components.setdefault((sum(k), sum(l)), {})[(tuple(k), tuple(l))] = c
+    # rows: the monomial pairs of each bidegree block, stacked in block order
+    rows = {}
+    for sp, tp in dirs.bidegrees:
+        for k in _homogeneous_exponents(d, sp):
+            for l in _homogeneous_exponents(d, tp):
+                rows[(k, l)] = len(rows)
+    rhs = np.zeros((len(rows), 1), dtype=complex)
+    for key, c in P.terms.items():
+        rhs[rows[key]] = complex(c)
+    solutions, certificate = solve_power_blocks(dirs.blocks, rhs)
+    certify(certificate, P.eval_many(complex_sup_grid(d, grid_size)), residual_tol,
+            dirs.blocks, [f"bidegree {bidegree}" for bidegree in dirs.bidegrees])
 
-    profile_terms = [dict() for _ in range(n)]
-    for (sp, tp), comp in sorted(components.items()):
-        lifted, keys = bidegree_power_matrix(dirs.vectors, sp, tp)
-        rhs = np.zeros(len(keys), dtype=complex)
-        key_index = {key: i for i, key in enumerate(keys)}
-        for key, c in comp.items():
-            rhs[key_index[key]] = c
-        coeffs = _realified_lstsq(lifted.T, rhs)
-        for j in range(n):
-            if coeffs[j] != 0:
-                profile_terms[j][((sp,), (tp,))] = coeffs[j]
-
-    profiles = [ComplexBiPolynomial(1, terms) for terms in profile_terms]
+    keys = [(MultiIndex((sp,)), MultiIndex((tp,))) for sp, tp in dirs.bidegrees]
+    profiles = _polynomials_from_rows(ComplexBiPolynomial, 1, keys, np.hstack(solutions))
     decomp = ComplexRidgeDecomposition(d, dirs.vectors, profiles)
-
-    grid = complex_sup_grid(d, grid_size)
-    target = Pf.eval_many(grid)
-    residual = float(np.max(np.abs(decomp.eval_many(grid) - target)))
-    scale = 1.0 + float(np.max(np.abs(target)))
-    if residual > residual_tol * scale:
-        ranks = {}
-        for (sp, tp) in components:
-            lifted, _ = bidegree_power_matrix(dirs.vectors, sp, tp)
-            svals = np.linalg.svd(lifted, compute_uv=False)
-            ranks[(sp, tp)] = int(np.sum(svals > RANK_TOLERANCE * svals[0]))
-        raise DecompositionError(
-            f"complex ridge residual {residual:.3e}; per-bidegree ranks {ranks}")
-    decomp.residual = residual
+    decomp.residual = certificate
     return decomp
 
 

@@ -6,14 +6,22 @@ variables into a leading block of m = d - ell + 1 and a trailing block of
 ell - 1, expresses every leading-block component in the span of powers of
 certified spanning directions, and assembles block matrices whose top row is
 a direction and whose lower-right block is the identity.
+
+A direction set factors its power span once, one degree block at a time, so a
+decomposition is a scatter of P's coefficients and one matmul per block.  Its
+`residual` is the l1 norm of the coefficient mismatch plus a bound on the
+rounding in computing it, which bounds the sup error on the unit ball because
+every monomial is at most 1 in modulus there.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .polycore import (MultiIndexPolynomial, dim_homogeneous, monomial_table,
-                       monomials_up_to, _homogeneous_exponents)
+from .polycore import (MultiIndex, MultiIndexPolynomial, dim_homogeneous,
+                       grlex_key, monomial_table, monomials_up_to,
+                       _homogeneous_exponents, _polynomials_from_rows)
 from .quadrature import ball_sup_grid
 
 RANK_TOLERANCE = 1e-10
@@ -37,37 +45,132 @@ def _multinomial(total, exponents):
 
 def lifted_power_matrix(vectors, s):
     """Rows: coefficient vectors of (a_i . x)^s over the homogeneous degree-s
-    monomials of R^m (with multinomial factors)."""
-    vectors = np.asarray(vectors, dtype=float)
+    monomials of R^m (with multinomial factors), computed in the precision of
+    `vectors` and at least in double."""
+    vectors = np.asarray(vectors)
+    vectors = vectors.astype(np.result_type(vectors.dtype, float), copy=False)
     exps = _homogeneous_exponents(vectors.shape[1], s)
     factors = np.array([_multinomial(s, k) for k in exps], dtype=float)
     return factors * monomial_table(exps, vectors).T
 
 
-def spanning_rank(vectors, s, tol=RANK_TOLERANCE):
-    """Numerical rank of the lifted s-fold powers, plus the condition number."""
-    lifted = lifted_power_matrix(vectors, s)
-    svals = np.linalg.svd(lifted, compute_uv=False)
+def rank_and_condition(svals, tol=RANK_TOLERANCE):
+    """Numerical rank of a matrix from its singular values (descending), and
+    its condition number (inf when the rank is 0 or the smallest value is 0)."""
     top = svals[0] if len(svals) else 0.0
     rank = int(np.sum(svals > tol * top)) if top > 0 else 0
-    smallest = svals[min(len(svals), lifted.shape[1]) - 1] if rank else 0.0
-    cond = float(top / smallest) if smallest > 0 else math.inf
+    cond = float(top / svals[-1]) if rank and svals[-1] > 0 else math.inf
     return rank, cond
 
 
-class DirectionSet:
-    """Unit vectors in R^m whose s-fold powers span the homogeneous space."""
+def spanning_rank(vectors, s, tol=RANK_TOLERANCE):
+    """Numerical rank of the lifted s-fold powers, plus the condition number."""
+    return rank_and_condition(
+        np.linalg.svd(lifted_power_matrix(vectors, s), compute_uv=False), tol)
 
-    def __init__(self, m, s, vectors, condition_number=None):
+
+# Precision of the stored power columns and of the mismatch computed from them.
+EXTENDED = np.longdouble
+
+
+class PowerBlock(NamedTuple):
+    """One degree block of a power span, factored once.
+
+    `columns[:, i]` holds the monomial coefficients of direction i's power in
+    EXTENDED precision, `weights[i]` the l1 norm of that column, and `pinv`
+    the least-norm solver of the columns rounded to double (all read-only).
+    `rank` counts the singular values above RANK_TOLERANCE of the largest, out
+    of `columns.shape[0]` needed to span."""
+
+    columns: np.ndarray
+    weights: np.ndarray
+    pinv: np.ndarray
+    rank: int
+    condition: float
+
+
+def factor_block(columns):
+    """PowerBlock of `columns` from one SVD.  Singular values below lstsq's
+    default cut-off (eps * max(shape) of the largest) are dropped from the
+    pseudo-inverse, so `pinv @ b` is the least-norm solution lstsq returns."""
+    columns = np.array(columns)
+    rounded = columns.astype(complex if np.iscomplexobj(columns) else float)
+    u, svals, vt = np.linalg.svd(rounded, full_matrices=False)
+    keep = svals > np.finfo(float).eps * max(columns.shape) * (svals[0] if len(svals) else 0.0)
+    pinv = (vt[keep].conj().T / svals[keep]) @ u[:, keep].conj().T
+    weights = np.abs(rounded).sum(axis=0)
+    for array in (columns, weights, pinv):
+        array.setflags(write=False)
+    return PowerBlock(columns, weights, pinv, *rank_and_condition(svals))
+
+
+def solve_power_blocks(blocks, rhs):
+    """Split the 2-D `rhs` (rows stacked in block order) into the blocks and
+    solve each with its stored factor.
+
+    Returns the solutions and the certificate: the l1 norm of the coefficient
+    mismatch sum_b |columns_b @ x_b - rhs_b|, computed in EXTENDED precision,
+    plus a bound on its rounding, 2 * eps * steps * sum_b (|columns_b| @ |x_b|
+    + |rhs_b|) with the EXTENDED eps.  `steps` counts the roundings behind one
+    mismatch entry: the dot product over the directions, at most
+    len(blocks) + 2 in an entry of `columns` (its monomial degree is below
+    len(blocks)), and the subtraction; the factor 2 covers complex products
+    and the double-precision sums that form the bound.
+    """
+    bounds = np.cumsum([block.columns.shape[0] for block in blocks])[:-1]
+    solutions, mismatch, magnitude = [], 0.0, 0.0
+    for block, part in zip(blocks, np.split(rhs, bounds)):
+        x = block.pinv @ part
+        mismatch += float(np.abs(block.columns @ x - part).sum())
+        magnitude += float(block.weights @ np.abs(x).sum(axis=1) + np.abs(part).sum())
+        solutions.append(x)
+    steps = blocks[0].columns.shape[1] + len(blocks) + 3
+    return solutions, mismatch + 2 * float(np.finfo(EXTENDED).eps) * steps * magnitude
+
+
+def certify(certificate, target, residual_tol, blocks, labels):
+    """Raise DecompositionError unless the certificate is at most
+    residual_tol * (1 + max|target|); the message names the rank-deficient
+    blocks from their stored factors."""
+    scale = 1.0 + float(np.max(np.abs(target), initial=0.0))
+    if certificate <= residual_tol * scale:
+        return
+    deficient = ", ".join(
+        f"{label} rank {block.rank} of {block.columns.shape[0]}"
+        for label, block in zip(labels, blocks) if block.rank < block.columns.shape[0])
+    raise DecompositionError(
+        f"ridge coefficient mismatch {certificate:.3e} exceeds tolerance "
+        f"{residual_tol:.1e} * {scale:.3e}; direction condition number "
+        f"{blocks[-1].condition:.3e}; "
+        + (f"rank-deficient blocks: {deficient}" if deficient else "every block has full rank"))
+
+
+class DirectionSet:
+    """Unit vectors in R^m whose s-fold powers span the homogeneous space.
+
+    The vectors are copied and frozen, and `blocks[j]` factors the degree-j
+    powers (a_i . x)^j, j = 0..s: the power span is block-diagonal by degree,
+    so its least-norm solve splits into one solve per degree."""
+
+    def __init__(self, m, s, vectors):
         self.m = int(m)
         self.s = int(s)
-        self.vectors = np.asarray(vectors, dtype=float)
+        self.vectors = np.array(vectors, dtype=float)
+        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.m:
+            raise ValueError(f"vectors must have shape (n, {self.m})")
         self.vectors.setflags(write=False)
-        self.condition_number = condition_number
+        extended = self.vectors.astype(EXTENDED)
+        self.blocks = tuple(factor_block(lifted_power_matrix(extended, j).T)
+                            for j in range(self.s + 1))
 
     @property
     def count(self):
         return self.vectors.shape[0]
+
+    @property
+    def condition_number(self):
+        """Condition number of the degree-s powers."""
+        return self.blocks[-1].condition
 
 
 def sample_spanning_directions(m, s, n, seed=0, tol=RANK_TOLERANCE,
@@ -80,9 +183,9 @@ def sample_spanning_directions(m, s, n, seed=0, tol=RANK_TOLERANCE,
     for _ in range(max_retries):
         vectors = rng.standard_normal((n, m))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        rank, cond = spanning_rank(vectors, s, tol)
+        rank, _ = spanning_rank(vectors, s, tol)
         if rank == required:
-            return DirectionSet(m, s, vectors, condition_number=cond)
+            return DirectionSet(m, s, vectors)
     raise SpanningError(
         f"no spanning set of {n} directions in {max_retries} tries "
         f"(m={m}, s={s}; check the rank tolerance)")
@@ -92,15 +195,10 @@ def build_block_matrices(dirs, d, ell):
     """A_i = [a_i^T | 0 ; 0 | I_(ell-1)], mapping R^d -> R^ell."""
     if dirs.m != d - ell + 1:
         raise ValueError(f"direction dimension {dirs.m} != d - ell + 1 = {d - ell + 1}")
-    m = dirs.m
-    mats = []
-    for a in dirs.vectors:
-        A = np.zeros((ell, d))
-        A[0, :m] = a
-        if ell > 1:
-            A[1:, m:] = np.eye(ell - 1)
-        mats.append(A)
-    return mats
+    mats = np.zeros((dirs.count, ell, d))
+    mats[:, 0, :dirs.m] = dirs.vectors
+    mats[:, 1:, dirs.m:] = np.eye(ell - 1)
+    return list(mats)
 
 
 class RidgeDecomposition:
@@ -111,11 +209,12 @@ class RidgeDecomposition:
             raise ValueError("matrix/profile count mismatch")
         self.d = int(d)
         self.ell = int(ell)
-        self.matrices = [np.asarray(A, dtype=float) for A in matrices]
-        for A in self.matrices:
-            if A.shape != (self.ell, self.d):
-                raise ValueError(f"matrix shape {A.shape}, expected {(self.ell, self.d)}")
-            A.setflags(write=False)
+        # one frozen copy, so the caller's arrays stay writeable
+        stack = np.array(matrices, dtype=float)
+        if len(matrices) and stack.shape[1:] != (self.ell, self.d):
+            raise ValueError(f"matrix shape {stack.shape[1:]}, expected {(self.ell, self.d)}")
+        stack.setflags(write=False)
+        self.matrices = list(stack)
         self.profiles = list(profiles)
 
     @property
@@ -156,9 +255,12 @@ def decompose(P, dirs, d, ell, grid_size=512, residual_tol=1e-8):
     """Decompose P (degree <= dirs.s) into ridge terms along dirs.
 
     The leading-block components of P, grouped by trailing-block exponent, are
-    expressed in span{(a_i . x)^j : j <= s} by a least-norm solve; the profile
-    of unit i collects those power coefficients together with the trailing
-    variables, which the block matrix passes through unchanged.
+    expressed in span{(a_i . x)^j : j <= s} by the set's least-norm factors;
+    the profile of unit i collects those power coefficients together with the
+    trailing variables, which the block matrix passes through unchanged.
+    `residual` is the certificate of `solve_power_blocks`, a bound on the sup
+    error over B^d; it must not exceed residual_tol * (1 + max|P|) on a
+    grid_size-point grid.
     """
     if not 1 <= ell < d:
         raise ValueError("need 1 <= ell < d")
@@ -170,54 +272,26 @@ def decompose(P, dirs, d, ell, grid_size=512, residual_tol=1e-8):
         raise ValueError("polynomial dimension mismatch")
     if P.degree() > s:
         raise ValueError(f"polynomial degree {P.degree()} exceeds direction degree {s}")
-    n = dirs.count
 
-    # group terms by the trailing-block exponent
-    groups = {}
+    # rows: leading-block monomials in grlex order, which stacks the degree
+    # blocks; columns: trailing-block exponents
+    heads = {k: i for i, k in enumerate(monomials_up_to(m, s))}
+    tails = sorted({K[m:] for K in P.terms}, key=grlex_key)
+    columns = {t: i for i, t in enumerate(tails)}
+    rhs = np.zeros((len(heads), max(1, len(tails))))
     for K, c in P.terms.items():
-        head, tail = tuple(K[:m]), tuple(K[m:])
-        groups.setdefault(tail, {})[head] = c
+        rhs[heads[K[:m]], columns[K[m:]]] = float(c)
+    solutions, certificate = solve_power_blocks(dirs.blocks, rhs)
+    certify(certificate, P.eval_many(ball_sup_grid(d, grid_size)), residual_tol,
+            dirs.blocks, [f"degree {j}" for j in range(s + 1)])
 
-    head_exps = monomials_up_to(m, s)
-    head_index = {k: i for i, k in enumerate(head_exps)}
-
-    # columns: coefficient vectors of (a_i . x)^j for i < n, 0 <= j <= s
-    columns = np.zeros((len(head_exps), n * (s + 1)))
-    for j in range(s + 1):
-        exps_j = _homogeneous_exponents(m, j)
-        block = lifted_power_matrix(dirs.vectors, j) if j > 0 else np.ones((n, 1))
-        for col_local, k in enumerate(exps_j):
-            columns[head_index[k], j * n: (j + 1) * n] = block[:, col_local]
-
-    tails = sorted(groups, key=lambda t: (sum(t), t))
-    rhs = np.zeros((len(head_exps), max(1, len(tails))))
-    for col, tail in enumerate(tails):
-        for head, c in groups[tail].items():
-            rhs[head_index[head], col] = float(c)
-    solution, *_ = np.linalg.lstsq(columns, rhs, rcond=None)
-
-    profiles = []
-    for i in range(n):
-        terms = {}
-        for col, tail in enumerate(tails):
-            for j in range(s + 1):
-                coeff = solution[j * n + i, col]
-                if coeff != 0.0:
-                    terms[(j,) + tail] = terms.get((j,) + tail, 0.0) + coeff
-        profiles.append(MultiIndexPolynomial(ell, terms))
-
-    matrices = build_block_matrices(dirs, d, ell)
-    decomp = RidgeDecomposition(d, ell, matrices, profiles)
-
-    grid = ball_sup_grid(d, grid_size)
-    target = P.eval_many(grid)
-    residual = float(np.max(np.abs(decomp.eval_many(grid) - target)))
-    scale = 1.0 + float(np.max(np.abs(target)))
-    if residual > residual_tol * scale:
-        raise DecompositionError(
-            f"ridge reconstruction residual {residual:.3e} exceeds tolerance "
-            f"(direction condition number {dirs.condition_number})")
-    decomp.residual = residual
+    # profile keys (j,) + tail; P has degree <= s, so j <= s - |tail|
+    keys = sorted(((j,) + t for t in tails for j in range(s - sum(t) + 1)), key=grlex_key)
+    coeffs = np.stack(solutions)[[key[0] for key in keys], :, [columns[key[1:]] for key in keys]]
+    profiles = _polynomials_from_rows(MultiIndexPolynomial, ell, [MultiIndex(key) for key in keys],
+                                      coeffs.T)
+    decomp = RidgeDecomposition(d, ell, build_block_matrices(dirs, d, ell), profiles)
+    decomp.residual = certificate
     return decomp
 
 

@@ -1,9 +1,14 @@
 import functools
 
 import pytest
+from hypothesis import settings
 
 from ridgekit.orthobasis import build_basis
 from ridgekit.quadrature import build_ball_rule
+
+# Same example counts as the default profile, drawn from a fixed seed, so a CI
+# run tests the same examples every time (select with --hypothesis-profile=ci).
+settings.register_profile("ci", derandomize=True)
 
 
 @functools.lru_cache(maxsize=None)

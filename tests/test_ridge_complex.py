@@ -11,8 +11,10 @@ import ridgekit
 from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
                                MultiIndexPolynomial,
                                dim_complex_bihomogeneous,
-                               _homogeneous_exponents)
-from ridgekit.ridge_complex import (ComplexRidgeDecomposition,
+                               _homogeneous_exponents, monomial_table,
+                               monomials_up_to)
+from ridgekit.ridge_complex import (ComplexDirectionSet,
+                                    ComplexRidgeDecomposition,
                                     apply_differential_operator,
                                     apply_wirtinger, bidegree_power_matrix,
                                     complex_decompose, complex_sup_grid,
@@ -205,3 +207,59 @@ def test_bidegree_power_matrix_rows_are_power_coefficients():
         w = z @ a
         assert np.allclose(power.eval_many(z), w ** s * np.conj(w) ** t,
                            rtol=1e-12, atol=1e-12)
+
+
+def test_complex_direction_set_copies_and_freezes_vectors():
+    vectors = np.array([[1.0 + 0j, 0j], [0j, 1.0 + 0j], [0.6 + 0j, 0.8j], [0.6j, 0.8 + 0j]])
+    dirs = ComplexDirectionSet(2, 1, 1, vectors)
+    assert vectors.flags.writeable
+    assert not dirs.vectors.flags.writeable
+    for block in dirs.blocks:
+        assert not block.columns.flags.writeable and not block.pinv.flags.writeable
+    assert dirs.bidegrees == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def test_non_spanning_complex_direction_set_raises_with_rank_and_condition():
+    a = np.array([[0.6 + 0j, 0.8j]])
+    dirs = ComplexDirectionSet(2, 1, 1, np.tile(a, (4, 1)))  # one direction, repeated
+    P = ComplexBiPolynomial(2, {((1, 0), (0, 1)): 1.0, ((0, 1), (1, 0)): 2.0j})
+    with pytest.raises(ridgekit.DecompositionError,
+                       match=r"bidegree \(1, 1\) rank 1 of 4") as info:
+        complex_decompose(P, dirs)
+    assert "condition number" in str(info.value)
+
+
+@st.composite
+def complex_cases(draw):
+    d = draw(st.integers(1, 2))
+    s = draw(st.integers(0, 3))
+    exponents = monomials_up_to(d, s)
+    part = st.integers(-1000, 1000).map(lambda v: v / 100)
+    coeffs = st.tuples(part, part).map(lambda p: complex(*p))
+    terms = draw(st.dictionaries(st.tuples(st.sampled_from(exponents),
+                                           st.sampled_from(exponents)), coeffs))
+    return d, s, ComplexBiPolynomial(d, terms), draw(st.integers(0, 2 ** 16))
+
+
+def extended_values(poly, points):
+    """poly at complex long-double points, evaluated in complex long double."""
+    exponents = np.array([k + l for k, l in poly.terms], dtype=np.intp)
+    coeffs = np.array([complex(c) for c in poly.terms.values()], dtype=np.clongdouble)
+    table = monomial_table(exponents.reshape(-1, 2 * poly.dim),
+                           np.hstack([points, np.conj(points)]))
+    return coeffs @ table
+
+
+@settings(max_examples=40, deadline=None)
+@given(complex_cases())
+def test_complex_residual_bounds_sampled_error(case):
+    # The residual is a certificate: no grid point may show a larger error.
+    # The error is evaluated in long double, because the rounding of a
+    # double evaluation can exceed a certificate near round-off.
+    d, s, P, seed = case
+    dirs = sample_complex_directions(d, s, s, dim_complex_bihomogeneous(d, s, s), seed=seed)
+    dec = complex_decompose(P, dirs)
+    grid = complex_sup_grid(d, 512).astype(np.clongdouble)
+    ridge = sum(extended_values(prof, (grid @ a.astype(np.clongdouble))[:, None])
+                for a, prof in zip(dec.vectors, dec.profiles))
+    assert np.max(np.abs(ridge - extended_values(P, grid))) <= dec.residual

@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ridgekit
 from ridgekit.polycore import (MultiIndexPolynomial, dim_homogeneous,
-                               _homogeneous_exponents, monomials_up_to)
+                               _homogeneous_exponents, monomial_table,
+                               monomials_up_to)
 from ridgekit.quadrature import ball_sup_grid
-from ridgekit.ridge_real import (DecompositionError, RidgeDecomposition,
-                                 SpanningError, build_block_matrices,
+from ridgekit.ridge_real import (DecompositionError, DirectionSet,
+                                 RidgeDecomposition, SpanningError,
+                                 build_block_matrices,
                                  decompose, eval_ridge, lifted_power_matrix,
                                  orthonormalize_rows,
                                  sample_spanning_directions, spanning_rank)
@@ -136,3 +141,74 @@ def test_lifted_power_matrix_rows_are_power_coefficients():
     for a, row in zip(vectors, mat):
         power = MultiIndexPolynomial(m, dict(zip(exps, row)))
         assert np.allclose(power.eval_many(x), (x @ a) ** s, rtol=1e-12, atol=1e-12)
+
+
+def test_direction_set_copies_and_freezes_vectors():
+    vectors = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    dirs = DirectionSet(2, 2, vectors)
+    assert vectors.flags.writeable
+    assert not dirs.vectors.flags.writeable
+    for block in dirs.blocks:
+        assert not block.columns.flags.writeable and not block.pinv.flags.writeable
+    vectors[0] = 0.0
+    assert dirs.vectors[0, 0] == 1.0
+
+
+def test_ridge_decomposition_leaves_caller_matrices_writeable():
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    dec = RidgeDecomposition(3, 2, [A], [MultiIndexPolynomial(2, {(1, 0): 1.0})])
+    assert A.flags.writeable
+    assert not dec.matrices[0].flags.writeable
+
+
+def test_direction_set_factors_are_least_norm_solvers():
+    dirs = sample_spanning_directions(3, 3, dim_homogeneous(3, 3), seed=8)
+    rng = np.random.default_rng(9)
+    for j, block in enumerate(dirs.blocks):
+        columns = lifted_power_matrix(dirs.vectors.astype(np.longdouble), j).T
+        assert np.array_equal(block.columns, columns)
+        rhs = rng.standard_normal(block.columns.shape[0])
+        expected, *_ = np.linalg.lstsq(columns.astype(float), rhs, rcond=None)
+        assert np.allclose(block.pinv @ rhs, expected, rtol=1e-10, atol=1e-12)
+        assert block.rank == block.columns.shape[0]
+    assert dirs.condition_number == dirs.blocks[-1].condition
+
+
+def test_non_spanning_direction_set_raises_with_rank_and_condition():
+    dirs = DirectionSet(2, 3, np.tile([[1.0, 0.0]], (4, 1)))  # one direction, repeated
+    with pytest.raises(ridgekit.DecompositionError, match=r"degree 3 rank 1 of 4") as info:
+        decompose(random_poly(3, 3, seed=2), dirs, 3, 2)
+    assert "condition number" in str(info.value)
+
+
+@st.composite
+def real_cases(draw):
+    d = draw(st.integers(2, 4))
+    ell = draw(st.integers(1, d - 1))
+    s = draw(st.integers(0, 5))
+    coeffs = st.integers(-1000, 1000).map(lambda v: v / 100)
+    terms = draw(st.dictionaries(st.sampled_from(monomials_up_to(d, s)), coeffs))
+    return d, ell, s, MultiIndexPolynomial(d, terms), draw(st.integers(0, 2 ** 16))
+
+
+def extended_values(poly, points):
+    """poly at long-double points, evaluated in long double."""
+    exponents = np.array(list(poly.terms), dtype=np.intp).reshape(-1, poly.dim)
+    coeffs = np.array([float(c) for c in poly.terms.values()], dtype=np.longdouble)
+    return coeffs @ monomial_table(exponents, points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(real_cases())
+def test_residual_bounds_sampled_error(case):
+    # The residual is a certificate: no grid point may show a larger error.
+    # The error is evaluated in long double, because the rounding of a
+    # double evaluation can exceed a certificate near round-off.
+    d, ell, s, P, seed = case
+    m = d - ell + 1
+    dirs = sample_spanning_directions(m, s, dim_homogeneous(m, s), seed=seed)
+    dec = decompose(P, dirs, d, ell)
+    grid = ball_sup_grid(d, 512).astype(np.longdouble)
+    ridge = sum(extended_values(prof, grid @ A.astype(np.longdouble).T)
+                for A, prof in zip(dec.matrices, dec.profiles))
+    assert np.max(np.abs(ridge - extended_values(P, grid))) <= dec.residual
