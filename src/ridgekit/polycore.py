@@ -7,6 +7,7 @@ complex rationals, so the same algebra serves both floating-point quadrature
 work and exact identity checking.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -54,13 +55,17 @@ def monomials_up_to(dim, max_degree):
 
 
 def _homogeneous_exponents(dim, total):
+    """Exponent tuples of length `dim` and total degree `total`, in graded
+    lexicographic order, as a new list."""
+    return list(_homogeneous_tuple(dim, total))
+
+
+@functools.lru_cache(maxsize=None)
+def _homogeneous_tuple(dim, total):
     if dim == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _homogeneous_exponents(dim - 1, total - first):
-            out.append((first,) + rest)
-    return out
+        return ((total,),)
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in _homogeneous_tuple(dim - 1, total - first))
 
 
 def rank_grlex(k):

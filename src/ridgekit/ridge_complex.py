@@ -6,9 +6,9 @@ rational arithmetic.  The decomposition expresses every bidegree component of
 a polynomial on C^d in the span of powers (a_j . z)^s (conj(a_j . z))^t of
 certified directions, yielding univariate profiles in (w, conj(w)).  As in
 the real case, the direction set holds one least-norm factor per bidegree and
-the residual, the l1 norm of the coefficient mismatch plus its rounding bound,
-bounds the sup error on the unit ball of C^d because |z^k conj(z)^l| <= 1
-there.
+the residual, the l1 norm of the coefficient mismatch plus a bound on its
+rounding, bounds the sup error on the unit ball of C^d because
+|z^k conj(z)^l| <= 1 there.
 """
 
 import math
@@ -16,12 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .compensated import dd_monomials, dd_mul
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex,
                        _conj, _homogeneous_exponents, _polynomials_from_rows,
-                       dim_complex_bihomogeneous, monomial_table)
-from .ridge_real import (DEFAULT_RETRIES, EXTENDED, RANK_TOLERANCE, SpanningError,
-                         _multinomial, certify, factor_block, rank_and_condition,
-                         solve_power_blocks)
+                       dim_complex_bihomogeneous, monomial_table, monomials_up_to)
+from .ridge_real import (DEFAULT_RETRIES, RANK_TOLERANCE, PowerSpan, SpanningError,
+                         _multinomial, certify)
 
 
 def wirtinger_derivative(P, kind, j):
@@ -148,10 +148,8 @@ def apply_differential_operator(Q, P):
 
 def bidegree_power_matrix(vectors, s, t):
     """Rows: coefficient vectors of (a_j . z)^s (conj(a_j . z))^t over the
-    monomial pairs (k, l) with |k| = s, |l| = t (multinomial factors folded in),
-    computed in the precision of `vectors` and at least in complex double."""
-    vectors = np.asarray(vectors)
-    vectors = vectors.astype(np.result_type(vectors.dtype, complex), copy=False)
+    monomial pairs (k, l) with |k| = s, |l| = t (multinomial factors folded in)."""
+    vectors = np.asarray(vectors, dtype=complex)
     d = vectors.shape[1]
     k_exps = _homogeneous_exponents(d, s)
     l_exps = _homogeneous_exponents(d, t)
@@ -166,11 +164,13 @@ def bidegree_power_matrix(vectors, s, t):
 class ComplexDirectionSet:
     """Unit vectors in C^d whose powers span the bidegree-(s, t) space.
 
-    The vectors are copied and frozen, and `blocks[b]` factors the powers
-    (a_j . z)^s' (conj(a_j . z))^t' of bidegree `bidegrees[b]`, for every
-    s' <= s and t' <= t in lexicographic order."""
+    The vectors are copied and frozen.  `span` holds the powers
+    (a_j . z)^s' (conj(a_j . z))^t' for every bidegree (s', t') <= (s, t), in
+    the lexicographic order of `bidegrees`, with one row per monomial pair
+    (k, l) of that bidegree, and `blocks[b]` factors bidegree `bidegrees[b]`.
+    `tol` is the relative rank tolerance of the blocks."""
 
-    def __init__(self, d, s, t, vectors):
+    def __init__(self, d, s, t, vectors, tol=RANK_TOLERANCE):
         self.d = int(d)
         self.s = int(s)
         self.t = int(t)
@@ -179,9 +179,32 @@ class ComplexDirectionSet:
             raise ValueError(f"vectors must have shape (n, {self.d})")
         self.vectors.setflags(write=False)
         self.bidegrees = tuple((sp, tp) for sp in range(self.s + 1) for tp in range(self.t + 1))
-        extended = self.vectors.astype(np.result_type(EXTENDED, complex))
-        self.blocks = tuple(factor_block(bidegree_power_matrix(extended, sp, tp)[0].T)
-                            for sp, tp in self.bidegrees)
+        # the z-part and the conj(z)-part of every power, then their products
+        halves = []
+        for top, points in ((self.s, self.vectors), (self.t, np.conj(self.vectors))):
+            exps = monomials_up_to(self.d, top)
+            factors = np.array([_multinomial(sum(e), e) for e in exps], dtype=float)
+            rows = {e: r for r, e in enumerate(exps)}
+            halves.append((rows, dd_monomials(np.array(exps, dtype=np.intp).reshape(-1, self.d),
+                                              points, factors)))
+        (k_rows, k_part), (l_rows, l_part) = halves
+        keys, blocks, high, low = [], [], [], []
+        for b, (sp, tp) in enumerate(self.bidegrees):
+            pairs = [(k, l) for k in _homogeneous_exponents(self.d, sp)
+                     for l in _homogeneous_exponents(self.d, tp)]
+            k_index = [k_rows[k] for k, _ in pairs]
+            l_index = [l_rows[l] for _, l in pairs]
+            hi, lo = dd_mul(tuple(a[k_index] for a in k_part), tuple(a[l_index] for a in l_part))
+            keys.extend(pairs)
+            blocks.extend([b] * len(pairs))
+            high.append(hi)
+            low.append(lo)
+        self.span = PowerSpan(keys, blocks, (np.vstack(high), np.vstack(low)),
+                              self.s + self.t + 1, tol)
+
+    @property
+    def blocks(self):
+        return self.span.blocks
 
     @property
     def count(self):
@@ -204,10 +227,9 @@ def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE,
     for _ in range(max_retries):
         vectors = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        lifted, _ = bidegree_power_matrix(vectors, s, t)
-        rank, _ = rank_and_condition(np.linalg.svd(lifted, compute_uv=False), tol)
-        if rank == required:
-            return ComplexDirectionSet(d, s, t, vectors)
+        dirs = ComplexDirectionSet(d, s, t, vectors, tol)
+        if dirs.blocks[-1].rank == required:
+            return dirs
     raise SpanningError(f"no spanning complex directions (d={d}, s={s}, t={t})")
 
 
@@ -271,7 +293,7 @@ def complex_decompose(P, dirs, grid_size=512, residual_tol=1e-8):
 
     Directions spanning at (s, s) span every lower bidegree, so each bidegree
     component of P is solved independently by the set's least-norm factor.
-    `residual` is the certificate of `solve_power_blocks`, a bound on the sup
+    `residual` is the certificate of `PowerSpan.solve`, a bound on the sup
     error over the unit ball; it must not exceed residual_tol * (1 + max|P|)
     on a grid_size-point grid.
     """
@@ -284,16 +306,11 @@ def complex_decompose(P, dirs, grid_size=512, residual_tol=1e-8):
         raise ValueError("polynomial degrees exceed the certified bidegree")
     d = P.dim
 
-    # rows: the monomial pairs of each bidegree block, stacked in block order
-    rows = {}
-    for sp, tp in dirs.bidegrees:
-        for k in _homogeneous_exponents(d, sp):
-            for l in _homogeneous_exponents(d, tp):
-                rows[(k, l)] = len(rows)
+    rows = dirs.span.rows
     rhs = np.zeros((len(rows), 1), dtype=complex)
     for key, c in P.terms.items():
         rhs[rows[key]] = complex(c)
-    solutions, certificate = solve_power_blocks(dirs.blocks, rhs)
+    solutions, certificate = dirs.span.solve(rhs)
     certify(certificate, P.eval_many(complex_sup_grid(d, grid_size)), residual_tol,
             dirs.blocks, [f"bidegree {bidegree}" for bidegree in dirs.bidegrees])
 

@@ -9,9 +9,10 @@ a direction and whose lower-right block is the identity.
 
 A direction set factors its power span once, one degree block at a time, so a
 decomposition is a scatter of P's coefficients and one matmul per block.  Its
-`residual` is the l1 norm of the coefficient mismatch plus a bound on the
-rounding in computing it, which bounds the sup error on the unit ball because
-every monomial is at most 1 in modulus there.
+`residual` is the l1 norm of the coefficient mismatch, computed from power
+columns held in double-double, plus a bound on the rounding in computing it;
+it bounds the sup error on the unit ball because every monomial is at most 1
+in modulus there.
 """
 
 import math
@@ -19,8 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polycore import (MultiIndex, MultiIndexPolynomial, dim_homogeneous,
-                       grlex_key, monomial_table, monomials_up_to,
+from .compensated import U, dd_monomials, residual_dot
+from .polycore import (ZERO_PRUNE_FLOAT, MultiIndex, MultiIndexPolynomial,
+                       dim_homogeneous, grlex_key, monomial_table, monomials_up_to,
                        _homogeneous_exponents, _polynomials_from_rows)
 from .quadrature import ball_sup_grid
 
@@ -45,10 +47,8 @@ def _multinomial(total, exponents):
 
 def lifted_power_matrix(vectors, s):
     """Rows: coefficient vectors of (a_i . x)^s over the homogeneous degree-s
-    monomials of R^m (with multinomial factors), computed in the precision of
-    `vectors` and at least in double."""
-    vectors = np.asarray(vectors)
-    vectors = vectors.astype(np.result_type(vectors.dtype, float), copy=False)
+    monomials of R^m (with multinomial factors)."""
+    vectors = np.asarray(vectors, dtype=float)
     exps = _homogeneous_exponents(vectors.shape[1], s)
     factors = np.array([_multinomial(s, k) for k in exps], dtype=float)
     return factors * monomial_table(exps, vectors).T
@@ -69,63 +69,94 @@ def spanning_rank(vectors, s, tol=RANK_TOLERANCE):
         np.linalg.svd(lifted_power_matrix(vectors, s), compute_uv=False), tol)
 
 
-# Precision of the stored power columns and of the mismatch computed from them.
-EXTENDED = np.longdouble
-
-
 class PowerBlock(NamedTuple):
-    """One degree block of a power span, factored once.
+    """One block of a power span, factored once: `pinv` (read-only) is the
+    least-norm solver of the block's columns, `rank` their numerical rank out
+    of the `size` rows needed to span, `condition` their condition number."""
 
-    `columns[:, i]` holds the monomial coefficients of direction i's power in
-    EXTENDED precision, `weights[i]` the l1 norm of that column, and `pinv`
-    the least-norm solver of the columns rounded to double (all read-only).
-    `rank` counts the singular values above RANK_TOLERANCE of the largest, out
-    of `columns.shape[0]` needed to span."""
-
-    columns: np.ndarray
-    weights: np.ndarray
     pinv: np.ndarray
     rank: int
     condition: float
 
+    @property
+    def size(self):
+        return self.pinv.shape[1]
 
-def factor_block(columns):
+
+def factor_block(columns, tol=RANK_TOLERANCE):
     """PowerBlock of `columns` from one SVD.  Singular values below lstsq's
     default cut-off (eps * max(shape) of the largest) are dropped from the
-    pseudo-inverse, so `pinv @ b` is the least-norm solution lstsq returns."""
-    columns = np.array(columns)
-    rounded = columns.astype(complex if np.iscomplexobj(columns) else float)
-    u, svals, vt = np.linalg.svd(rounded, full_matrices=False)
+    pseudo-inverse, so `pinv @ b` is the least-norm solution lstsq returns;
+    the rank counts the singular values above `tol` of the largest."""
+    u, svals, vt = np.linalg.svd(columns, full_matrices=False)
     keep = svals > np.finfo(float).eps * max(columns.shape) * (svals[0] if len(svals) else 0.0)
     pinv = (vt[keep].conj().T / svals[keep]) @ u[:, keep].conj().T
-    weights = np.abs(rounded).sum(axis=0)
-    for array in (columns, weights, pinv):
-        array.setflags(write=False)
-    return PowerBlock(columns, weights, pinv, *rank_and_condition(svals))
+    pinv.setflags(write=False)
+    return PowerBlock(pinv, *rank_and_condition(svals, tol))
 
 
-def solve_power_blocks(blocks, rhs):
-    """Split the 2-D `rhs` (rows stacked in block order) into the blocks and
-    solve each with its stored factor.
+class PowerSpan:
+    """The power columns of a direction set, one row per monomial key, with
+    one least-norm factor per block of rows.
 
-    Returns the solutions and the certificate: the l1 norm of the coefficient
-    mismatch sum_b |columns_b @ x_b - rhs_b|, computed in EXTENDED precision,
-    plus a bound on its rounding, 2 * eps * steps * sum_b (|columns_b| @ |x_b|
-    + |rhs_b|) with the EXTENDED eps.  `steps` counts the roundings behind one
-    mismatch entry: the dot product over the directions, at most
-    len(blocks) + 2 in an entry of `columns` (its monomial degree is below
-    len(blocks)), and the subtraction; the factor 2 covers complex products
-    and the double-precision sums that form the bound.
-    """
-    bounds = np.cumsum([block.columns.shape[0] for block in blocks])[:-1]
-    solutions, mismatch, magnitude = [], 0.0, 0.0
-    for block, part in zip(blocks, np.split(rhs, bounds)):
-        x = block.pinv @ part
-        mismatch += float(np.abs(block.columns @ x - part).sum())
-        magnitude += float(block.weights @ np.abs(x).sum(axis=1) + np.abs(part).sum())
-        solutions.append(x)
-    steps = blocks[0].columns.shape[1] + len(blocks) + 3
-    return solutions, mismatch + 2 * float(np.finfo(EXTENDED).eps) * steps * magnitude
+    `keys[r]` names row r and `block_of_row[r]` its block (a degree or a
+    bidegree), numbered from 0; the rows of a block are contiguous.
+    `columns` is the double-double pair (hi, lo) from
+    `compensated.dd_monomials`, real or complex, of shape (rows, directions),
+    whose entries took at most `products` double-double products each.
+    `rows` maps a key to its row and `blocks[b]` is the PowerBlock of block b.
+    For the certificate, complex columns C are kept as the real matrix
+    [Re C, -Im C]: against [Re x; Im x] it gives Re(C x), against
+    [Im x; -Re x] it gives Im(C x).  All arrays are read-only."""
+
+    def __init__(self, keys, block_of_row, columns, products, tol=RANK_TOLERANCE):
+        high, low = columns
+        block_of_row = np.asarray(block_of_row, dtype=np.intp)
+        count = int(block_of_row[-1]) + 1
+        self.rows = {key: r for r, key in enumerate(keys)}
+        self.blocks = tuple(factor_block(high[block_of_row == b], tol) for b in range(count))
+        self._bounds = np.cumsum([block.size for block in self.blocks])[:-1]
+        self._complex = np.iscomplexobj(high)
+        if self._complex:
+            high, low = (np.hstack([a.real, -a.imag]) for a in (high, low))
+        # per block, the column sums of |high|, which the rounding bound
+        # scales with
+        self._weights = np.stack([np.abs(high[block_of_row == b]).sum(axis=0)
+                                  for b in range(count)])
+        self._high, self._low, self._row_block = high, low, block_of_row
+        self._products = int(products)
+        for array in (self._bounds, high, low, block_of_row, self._weights):
+            array.setflags(write=False)
+
+    def solve(self, rhs):
+        """Split the 2-D `rhs` (one row per key) into the blocks and solve each
+        with its stored factor.  Solution entries that profiles drop (below
+        ZERO_PRUNE_FLOAT in modulus) are set to 0.
+
+        Returns the solutions and the certificate, an upper bound on the l1
+        norm of the exact coefficient mismatch sum_b |columns_b @ x_b - rhs_b|
+        (moduli of complex entries).  `compensated.residual_dot` computes the
+        mismatch; the bound adds its rounding and the columns' own error, both
+        of order U^2 (sum(|columns| @ |x|) + sum|rhs|)."""
+        solutions = [block.pinv @ part
+                     for block, part in zip(self.blocks, np.split(rhs, self._bounds))]
+        for x in solutions:
+            x[np.abs(x) < ZERO_PRUNE_FLOAT] = 0
+        x = np.stack(solutions)
+        if self._complex:
+            x = np.concatenate([np.concatenate([x.real, x.imag], axis=1),
+                                np.concatenate([x.imag, -x.real], axis=1)], axis=2)
+            rhs = np.hstack([rhs.real, rhs.imag])
+        mismatch, rounding = residual_dot(self._high, self._low, x[self._row_block], rhs)
+        if self._complex:
+            mismatch = np.hypot(*np.split(mismatch, 2, axis=1))
+        magnitude = float((self._weights * np.abs(x).sum(axis=2)).sum() + np.abs(rhs).sum())
+        # a column entry built from D products is within 16 D U^2 of the exact
+        # one, relative to its modulus; the factor 2 covers the rounding of
+        # the bound itself
+        certificate = (float(np.abs(mismatch).sum()) * (1 + (mismatch.size + 8) * U)
+                       + 2 * (rounding + 16 * self._products) * U ** 2 * magnitude)
+        return solutions, certificate
 
 
 def certify(certificate, target, residual_tol, blocks, labels):
@@ -136,8 +167,8 @@ def certify(certificate, target, residual_tol, blocks, labels):
     if certificate <= residual_tol * scale:
         return
     deficient = ", ".join(
-        f"{label} rank {block.rank} of {block.columns.shape[0]}"
-        for label, block in zip(labels, blocks) if block.rank < block.columns.shape[0])
+        f"{label} rank {block.rank} of {block.size}"
+        for label, block in zip(labels, blocks) if block.rank < block.size)
     raise DecompositionError(
         f"ridge coefficient mismatch {certificate:.3e} exceeds tolerance "
         f"{residual_tol:.1e} * {scale:.3e}; direction condition number "
@@ -148,20 +179,28 @@ def certify(certificate, target, residual_tol, blocks, labels):
 class DirectionSet:
     """Unit vectors in R^m whose s-fold powers span the homogeneous space.
 
-    The vectors are copied and frozen, and `blocks[j]` factors the degree-j
-    powers (a_i . x)^j, j = 0..s: the power span is block-diagonal by degree,
-    so its least-norm solve splits into one solve per degree."""
+    The vectors are copied and frozen.  `span` holds the powers (a_i . x)^j,
+    j = 0..s, with one row per monomial of R^m of degree <= s in grlex order,
+    and `blocks[j]` factors degree j: the power span is block-diagonal by
+    degree, so its least-norm solve splits into one solve per degree."""
 
-    def __init__(self, m, s, vectors):
+    def __init__(self, m, s, vectors, tol=RANK_TOLERANCE):
         self.m = int(m)
         self.s = int(s)
         self.vectors = np.array(vectors, dtype=float)
         if self.vectors.ndim != 2 or self.vectors.shape[1] != self.m:
             raise ValueError(f"vectors must have shape (n, {self.m})")
         self.vectors.setflags(write=False)
-        extended = self.vectors.astype(EXTENDED)
-        self.blocks = tuple(factor_block(lifted_power_matrix(extended, j).T)
-                            for j in range(self.s + 1))
+        keys = monomials_up_to(self.m, self.s)
+        degrees = [sum(k) for k in keys]
+        factors = np.array([_multinomial(j, k) for j, k in zip(degrees, keys)], dtype=float)
+        columns = dd_monomials(np.array(keys, dtype=np.intp).reshape(-1, self.m),
+                               self.vectors, factors)
+        self.span = PowerSpan(keys, degrees, columns, self.s, tol)
+
+    @property
+    def blocks(self):
+        return self.span.blocks
 
     @property
     def count(self):
@@ -185,7 +224,7 @@ def sample_spanning_directions(m, s, n, seed=0, tol=RANK_TOLERANCE,
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         rank, _ = spanning_rank(vectors, s, tol)
         if rank == required:
-            return DirectionSet(m, s, vectors)
+            return DirectionSet(m, s, vectors, tol)
     raise SpanningError(
         f"no spanning set of {n} directions in {max_retries} tries "
         f"(m={m}, s={s}; check the rank tolerance)")
@@ -258,7 +297,7 @@ def decompose(P, dirs, d, ell, grid_size=512, residual_tol=1e-8):
     expressed in span{(a_i . x)^j : j <= s} by the set's least-norm factors;
     the profile of unit i collects those power coefficients together with the
     trailing variables, which the block matrix passes through unchanged.
-    `residual` is the certificate of `solve_power_blocks`, a bound on the sup
+    `residual` is the certificate of `PowerSpan.solve`, a bound on the sup
     error over B^d; it must not exceed residual_tol * (1 + max|P|) on a
     grid_size-point grid.
     """
@@ -273,15 +312,14 @@ def decompose(P, dirs, d, ell, grid_size=512, residual_tol=1e-8):
     if P.degree() > s:
         raise ValueError(f"polynomial degree {P.degree()} exceeds direction degree {s}")
 
-    # rows: leading-block monomials in grlex order, which stacks the degree
-    # blocks; columns: trailing-block exponents
-    heads = {k: i for i, k in enumerate(monomials_up_to(m, s))}
+    # rows: the set's leading-block monomials; columns: trailing-block exponents
+    heads = dirs.span.rows
     tails = sorted({K[m:] for K in P.terms}, key=grlex_key)
     columns = {t: i for i, t in enumerate(tails)}
     rhs = np.zeros((len(heads), max(1, len(tails))))
     for K, c in P.terms.items():
         rhs[heads[K[:m]], columns[K[m:]]] = float(c)
-    solutions, certificate = solve_power_blocks(dirs.blocks, rhs)
+    solutions, certificate = dirs.span.solve(rhs)
     certify(certificate, P.eval_many(ball_sup_grid(d, grid_size)), residual_tol,
             dirs.blocks, [f"degree {j}" for j in range(s + 1)])
 

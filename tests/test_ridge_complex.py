@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgekit
+from conftest import dd_linear, dd_poly_values, dd_total
+from ridgekit.compensated import U
 from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
                                MultiIndexPolynomial,
                                dim_complex_bihomogeneous,
-                               _homogeneous_exponents, monomial_table,
-                               monomials_up_to)
+                               _homogeneous_exponents, monomials_up_to)
 from ridgekit.ridge_complex import (ComplexDirectionSet,
                                     ComplexRidgeDecomposition,
                                     apply_differential_operator,
@@ -214,9 +215,21 @@ def test_complex_direction_set_copies_and_freezes_vectors():
     dirs = ComplexDirectionSet(2, 1, 1, vectors)
     assert vectors.flags.writeable
     assert not dirs.vectors.flags.writeable
-    for block in dirs.blocks:
-        assert not block.columns.flags.writeable and not block.pinv.flags.writeable
+    assert all(not block.pinv.flags.writeable for block in dirs.blocks)
     assert dirs.bidegrees == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert list(dirs.span.rows)[-4:] == [((0, 1), (0, 1)), ((0, 1), (1, 0)),
+                                         ((1, 0), (0, 1)), ((1, 0), (1, 0))]
+
+
+def test_complex_direction_set_factors_are_least_norm_solvers():
+    dirs = sample_complex_directions(2, 2, 2, dim_complex_bihomogeneous(2, 2, 2), seed=8)
+    rng = np.random.default_rng(9)
+    for (sp, tp), block in zip(dirs.bidegrees, dirs.blocks):
+        columns = bidegree_power_matrix(dirs.vectors, sp, tp)[0].T
+        rhs = rng.standard_normal(columns.shape[0]) + 1j * rng.standard_normal(columns.shape[0])
+        expected, *_ = np.linalg.lstsq(columns, rhs, rcond=None)
+        assert np.allclose(block.pinv @ rhs, expected, rtol=1e-10, atol=1e-12)
+        assert block.rank == block.size == columns.shape[0]
 
 
 def test_non_spanning_complex_direction_set_raises_with_rank_and_condition():
@@ -241,25 +254,27 @@ def complex_cases(draw):
     return d, s, ComplexBiPolynomial(d, terms), draw(st.integers(0, 2 ** 16))
 
 
-def extended_values(poly, points):
-    """poly at complex long-double points, evaluated in complex long double."""
-    exponents = np.array([k + l for k, l in poly.terms], dtype=np.intp)
-    coeffs = np.array([complex(c) for c in poly.terms.values()], dtype=np.clongdouble)
-    table = monomial_table(exponents.reshape(-1, 2 * poly.dim),
-                           np.hstack([points, np.conj(points)]))
-    return coeffs @ table
-
-
 @settings(max_examples=40, deadline=None)
 @given(complex_cases())
 def test_complex_residual_bounds_sampled_error(case):
     # The residual is a certificate: no grid point may show a larger error.
-    # The error is evaluated in long double, because the rounding of a
-    # double evaluation can exceed a certificate near round-off.
+    # The error is evaluated in double-double, because the rounding of a
+    # double evaluation can exceed a certificate near round-off; `slack`
+    # bounds the rounding of the double-double evaluation.
     d, s, P, seed = case
     dirs = sample_complex_directions(d, s, s, dim_complex_bihomogeneous(d, s, s), seed=seed)
     dec = complex_decompose(P, dirs)
-    grid = complex_sup_grid(d, 512).astype(np.clongdouble)
-    ridge = sum(extended_values(prof, (grid @ a.astype(np.clongdouble))[:, None])
-                for a, prof in zip(dec.vectors, dec.profiles))
-    assert np.max(np.abs(ridge - extended_values(P, grid))) <= dec.residual
+    grid = complex_sup_grid(d, 512)
+
+    def pair(points):  # double-double points (z, conj z)
+        return tuple(np.hstack([part, np.conj(part)]) for part in points)
+
+    terms = [([k + l for k, l in P.terms], [-complex(c) for c in P.terms.values()],
+              pair((grid, np.zeros_like(grid))))]
+    terms += [([k + l for k, l in prof.terms], list(prof.terms.values()),
+               pair(dd_linear(grid, a[None, :])))
+              for a, prof in zip(dec.vectors, dec.profiles)]
+    values = [dd_poly_values(*term) for term in terms]
+    error = dd_total(tuple(np.stack(part) for part in zip(*values)))
+    slack = 1e3 * U ** 2 * sum(abs(c) for _, coeffs, _ in terms for c in coeffs)
+    assert np.max(np.abs(error[0])) * (1 - 4 * U) - slack <= dec.residual

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgekit
+from conftest import dd_linear, dd_poly_values, dd_total
+from ridgekit.compensated import U
 from ridgekit.polycore import (MultiIndexPolynomial, dim_homogeneous,
-                               _homogeneous_exponents, monomial_table,
-                               monomials_up_to)
+                               _homogeneous_exponents, monomials_up_to)
 from ridgekit.quadrature import ball_sup_grid
 from ridgekit.ridge_real import (DecompositionError, DirectionSet,
                                  RidgeDecomposition, SpanningError,
@@ -148,8 +149,7 @@ def test_direction_set_copies_and_freezes_vectors():
     dirs = DirectionSet(2, 2, vectors)
     assert vectors.flags.writeable
     assert not dirs.vectors.flags.writeable
-    for block in dirs.blocks:
-        assert not block.columns.flags.writeable and not block.pinv.flags.writeable
+    assert all(not block.pinv.flags.writeable for block in dirs.blocks)
     vectors[0] = 0.0
     assert dirs.vectors[0, 0] == 1.0
 
@@ -164,13 +164,13 @@ def test_ridge_decomposition_leaves_caller_matrices_writeable():
 def test_direction_set_factors_are_least_norm_solvers():
     dirs = sample_spanning_directions(3, 3, dim_homogeneous(3, 3), seed=8)
     rng = np.random.default_rng(9)
+    assert list(dirs.span.rows) == monomials_up_to(3, 3)
     for j, block in enumerate(dirs.blocks):
-        columns = lifted_power_matrix(dirs.vectors.astype(np.longdouble), j).T
-        assert np.array_equal(block.columns, columns)
-        rhs = rng.standard_normal(block.columns.shape[0])
-        expected, *_ = np.linalg.lstsq(columns.astype(float), rhs, rcond=None)
+        columns = lifted_power_matrix(dirs.vectors, j).T
+        rhs = rng.standard_normal(columns.shape[0])
+        expected, *_ = np.linalg.lstsq(columns, rhs, rcond=None)
         assert np.allclose(block.pinv @ rhs, expected, rtol=1e-10, atol=1e-12)
-        assert block.rank == block.columns.shape[0]
+        assert block.rank == block.size == columns.shape[0]
     assert dirs.condition_number == dirs.blocks[-1].condition
 
 
@@ -191,24 +191,33 @@ def real_cases(draw):
     return d, ell, s, MultiIndexPolynomial(d, terms), draw(st.integers(0, 2 ** 16))
 
 
-def extended_values(poly, points):
-    """poly at long-double points, evaluated in long double."""
-    exponents = np.array(list(poly.terms), dtype=np.intp).reshape(-1, poly.dim)
-    coeffs = np.array([float(c) for c in poly.terms.values()], dtype=np.longdouble)
-    return coeffs @ monomial_table(exponents, points)
-
-
 @settings(max_examples=40, deadline=None)
 @given(real_cases())
 def test_residual_bounds_sampled_error(case):
     # The residual is a certificate: no grid point may show a larger error.
-    # The error is evaluated in long double, because the rounding of a
-    # double evaluation can exceed a certificate near round-off.
+    # The error is evaluated in double-double, because the rounding of a
+    # double evaluation can exceed a certificate near round-off; `slack`
+    # bounds the rounding of the double-double evaluation.
     d, ell, s, P, seed = case
     m = d - ell + 1
     dirs = sample_spanning_directions(m, s, dim_homogeneous(m, s), seed=seed)
     dec = decompose(P, dirs, d, ell)
-    grid = ball_sup_grid(d, 512).astype(np.longdouble)
-    ridge = sum(extended_values(prof, grid @ A.astype(np.longdouble).T)
-                for A, prof in zip(dec.matrices, dec.profiles))
-    assert np.max(np.abs(ridge - extended_values(P, grid))) <= dec.residual
+    grid = ball_sup_grid(d, 512)
+    terms = [(list(P.terms), [-float(c) for c in P.terms.values()],
+              (grid, np.zeros_like(grid)))]
+    terms += [(list(prof.terms), list(prof.terms.values()), dd_linear(grid, A))
+              for A, prof in zip(dec.matrices, dec.profiles)]
+    values = [dd_poly_values(*term) for term in terms]
+    error = dd_total(tuple(np.stack(part) for part in zip(*values)))
+    slack = 1e3 * U ** 2 * sum(abs(c) for _, coeffs, _ in terms for c in coeffs)
+    assert np.max(np.abs(error[0])) * (1 - 4 * U) - slack <= dec.residual
+
+
+def test_residual_certifies_ill_conditioned_high_degree_set():
+    # d=4, ell=1, s=7 along a set of condition number about 5e4.  A bound on
+    # a mismatch computed in plain double, n U sum(|columns| @ |x| + |rhs|),
+    # is 1.7e-9 here; the certificate tracks the mismatch itself (3.3e-11).
+    dirs = sample_spanning_directions(4, 7, dim_homogeneous(4, 7), seed=9)
+    assert dirs.condition_number > 1e4
+    dec = decompose(random_poly(4, 7, seed=12), dirs, 4, 1)
+    assert dec.residual <= 1e-2 * RESIDUAL_TOL
