@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .polycore import (MultiIndexPolynomial, dim_homogeneous, monomial_table,
-                       monomials_up_to, point_chunks)
+from .polycore import (MultiIndex, MultiIndexPolynomial, _polynomials_from_rows,
+                       grlex_key, monomial_table, monomials_up_to, point_chunks)
 from .quadrature import evaluate_on_nodes
 
 
@@ -50,6 +50,10 @@ class OrthoBasis:
         self.node_values = node_values              # rows: basis values at rule nodes
         self.rule = rule
         self.degrees = [sum(k) for k in exponents]  # grlex: degree of element i
+        # monomial columns in grlex order, the term order of MultiIndexPolynomial
+        order = sorted(range(len(self.exponents)), key=lambda i: grlex_key(self.exponents[i]))
+        self._grlex = np.array(order, dtype=np.intp)
+        self._grlex_keys = [MultiIndex(self.exponents[i]) for i in order]
         self._polys = None
 
     @property
@@ -59,12 +63,7 @@ class OrthoBasis:
     @property
     def polys(self):
         if self._polys is None:
-            self._polys = [
-                MultiIndexPolynomial(self.dim, {
-                    k: c for k, c in zip(self.exponents, row) if c != 0.0
-                })
-                for row in self.coeff_matrix
-            ]
+            self._polys = self._polynomials(self.coeff_matrix)
         return self._polys
 
     def index_set(self, s):
@@ -84,10 +83,12 @@ class OrthoBasis:
         """Polynomial sum_i coefficients[i] * P_{indices[i]}."""
         coefficients = np.asarray(coefficients, dtype=float)
         rows = self.coeff_matrix if indices is None else self.coeff_matrix[list(indices)]
-        mono = coefficients @ rows
-        return MultiIndexPolynomial(self.dim, {
-            k: c for k, c in zip(self.exponents, mono) if c != 0.0
-        })
+        return self._polynomials((coefficients @ rows)[None, :])[0]
+
+    def _polynomials(self, rows):
+        """One polynomial per row of monomial coefficients over `exponents`."""
+        return _polynomials_from_rows(MultiIndexPolynomial, self.dim, self._grlex_keys,
+                                      rows[:, self._grlex])
 
     def gram_matrix(self):
         weighted = self.node_values * self.rule.weights
@@ -170,5 +171,5 @@ def project_coefficients(f, basis, s):
     if s > basis.max_degree:
         raise ValueError(f"basis covers degree {basis.max_degree}, requested {s}")
     fv = evaluate_on_nodes(f, basis.rule)
-    idx = basis.index_set(s)
-    return (basis.node_values[idx] * basis.rule.weights) @ fv
+    count = len(basis.index_set(s))
+    return (basis.node_values[:count] * basis.rule.weights) @ fv

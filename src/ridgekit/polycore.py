@@ -25,6 +25,8 @@ class MultiIndex(tuple):
     """Tuple of non-negative integer exponents."""
 
     def __new__(cls, entries):
+        if isinstance(entries, cls):
+            return entries  # validated when it was built, and immutable
         entries = tuple(int(e) for e in entries)
         if any(e < 0 for e in entries):
             raise ValueError("multi-index entries must be non-negative")
@@ -281,9 +283,8 @@ class MultiIndexPolynomial:
             points = points[None, :]
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
-        exponents = np.array(list(self.terms), dtype=np.intp).reshape(-1, self.dim)
         coeffs = np.array([float(c) for c in self.terms.values()])
-        return _eval_terms(exponents, coeffs, points)
+        return _eval_terms(self.terms, coeffs, points)
 
     __call__ = eval_many
 
@@ -403,11 +404,28 @@ def point_chunks(terms, count):
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _eval_terms(exponents, coeffs, points):
-    """sum_t coeffs[t] * points ** exponents[t], one chunk of points at a time."""
-    out = np.zeros(points.shape[0], dtype=coeffs.dtype)
-    for chunk in point_chunks(len(coeffs), points.shape[0]):
-        out[chunk] = coeffs @ monomial_table(exponents, points[chunk])
+def _eval_terms(keys, coeffs, points):
+    """sum_t coeffs[t] * points ** keys[t] for distinct exponent tuples `keys`.
+
+    The terms are grouped by their exponents in all variables but the last
+    (their heads): row h of `grouped` holds, at column p, the coefficient of
+    head h times the last variable to the power p.  One matmul with the powers
+    of the last variable contracts it, and only the distinct heads are
+    tabulated, one chunk of points at a time.
+    """
+    heads, rows, powers = {}, [], []
+    for k in keys:
+        rows.append(heads.setdefault(k[:-1], len(heads)))
+        powers.append(k[-1])
+    grouped = np.zeros((len(heads), max(powers, default=-1) + 1), dtype=coeffs.dtype)
+    grouped[rows, powers] = coeffs
+    head_exponents = np.array(list(heads), dtype=np.intp).reshape(len(heads), points.shape[1] - 1)
+    last_exponents = np.arange(grouped.shape[1])[:, None]
+    out = np.empty(points.shape[0], dtype=coeffs.dtype)
+    for chunk in point_chunks(sum(grouped.shape), points.shape[0]):
+        inner = grouped @ monomial_table(last_exponents, points[chunk, -1:])
+        heads_table = monomial_table(head_exponents, points[chunk, :-1])
+        out[chunk] = np.einsum("hn,hn->n", inner, heads_table)
     return out
 
 
@@ -416,9 +434,9 @@ def _polynomials_from_rows(cls, dim, keys, rows):
     holds the coefficient of `keys[j]`.  The keys must be validated MultiIndex
     keys, unique and in the class's term order, so no per-key checks run;
     entries below ZERO_PRUNE_FLOAT in modulus are dropped, as the constructor
-    drops them."""
+    drops them (NaN entries are kept)."""
     out = []
-    for values, keep in zip(rows.tolist(), (np.abs(rows) >= ZERO_PRUNE_FLOAT).tolist()):
+    for values, keep in zip(rows.tolist(), (~(np.abs(rows) < ZERO_PRUNE_FLOAT)).tolist()):
         poly = object.__new__(cls)
         poly.dim = int(dim)
         poly.terms = dict(itertools.compress(zip(keys, values), keep))
@@ -539,10 +557,9 @@ class ComplexBiPolynomial:
             points = points[None, :]
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
-        exponents = np.array([k + l for k, l in self.terms], dtype=np.intp)
-        exponents = exponents.reshape(-1, 2 * self.dim)
         coeffs = np.array([complex(c) for c in self.terms.values()], dtype=complex)
-        return _eval_terms(exponents, coeffs, np.hstack([points, np.conj(points)]))
+        return _eval_terms([k + l for k, l in self.terms], coeffs,
+                           np.hstack([points, np.conj(points)]))
 
     __call__ = eval_many
 

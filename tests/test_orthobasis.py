@@ -5,7 +5,7 @@ import pytest
 
 from ridgekit.orthobasis import (ConditioningError, build_basis,
                                  project_coefficients)
-from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
+from ridgekit.polycore import MultiIndex, MultiIndexPolynomial, monomials_up_to
 from ridgekit.quadrature import QuadratureRule, build_ball_rule
 
 GRAM_TOL = 1e-8
@@ -143,3 +143,21 @@ def test_combine_matches_node_values(basis_factory):
     nodes = basis.rule.nodes
     direct = coeffs @ basis.node_values[basis.index_set(3)]
     assert np.max(np.abs(poly.eval_many(nodes) - direct)) < 1e-9
+
+
+@pytest.mark.parametrize("order", ["grlex", "grlex_reversed"])
+def test_combine_matches_constructor_path(rule_factory, order):
+    basis = build_basis(3, 4, rule_factory(3, 10), order=order)
+    rng = np.random.default_rng(3)
+    for s in (0, 2, 4):
+        idx = basis.index_set(s)
+        coeffs = rng.standard_normal(len(idx))
+        coeffs[::3] = 0.0
+        for c in (coeffs, np.full(len(idx), np.nan)):
+            mono = c @ basis.coeff_matrix[idx]
+            expected = MultiIndexPolynomial(3, {
+                k: v for k, v in zip(basis.exponents, mono) if v != 0.0})
+            got = basis.combine(c, idx)
+            assert list(got.terms) == list(expected.terms)
+            assert all(type(k) is MultiIndex for k in got.terms)
+            assert got.to_json() == expected.to_json()

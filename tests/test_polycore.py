@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dd_poly_values
+from ridgekit.compensated import U
 from ridgekit.orthobasis import monomial_values
 from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex,
                                MultiIndexPolynomial, dim_complex_bihomogeneous,
@@ -46,6 +48,14 @@ def test_multi_index_order_and_factorial():
     k = MultiIndex((2, 0, 3))
     assert k.order() == 5
     assert k.factorial() == math.factorial(2) * math.factorial(3)
+
+
+def test_multi_index_is_validated_once():
+    k = MultiIndex((2, 0, 3))
+    assert MultiIndex(k) is k
+    assert MultiIndex([2, 0, 3]) == k and MultiIndex([2, 0, 3]) is not k
+    with pytest.raises(ValueError):
+        MultiIndex((1, -1))
 
 
 def test_monomials_up_to_sorted_grlex():
@@ -268,3 +278,80 @@ def test_complex_eval_many_rejects_wrong_dimension():
     q = ComplexBiPolynomial(1, {((1,), (1,)): 1.0})
     with pytest.raises(ValueError):
         q.eval_many(np.ones((3, 2), dtype=complex))
+
+
+# eval_many against a double-double reference, for a relative error bound
+# fixed from the kernel: each term of total degree at most E in k <= 4
+# variables takes at most E + k + 2 rounded products, and the two sums (over
+# the powers of the last variable, then over the heads) at most T + E more
+# roundings, so real values are within 7 (T + E) U sum_t |c_t x^{k_t}|.  A
+# complex product rounds by at most sqrt(5) U (Brent, Percival and
+# Zimmermann 2007), which the constant 16 covers.
+EVAL_BOUND_FACTOR = 16
+
+
+def exponent_keys(nvars):
+    """Distinct exponent tuples, some sharing their leading exponents (all
+    but the last) and some drawn freely; possibly none."""
+    entry = st.integers(0, 5)
+    heads = st.lists(st.tuples(*[entry] * (nvars - 1)), min_size=1, max_size=4)
+
+    def keys(hs):
+        shared = st.lists(st.tuples(st.sampled_from(hs), st.integers(0, 8)), max_size=10)
+        free = st.lists(st.tuples(*[entry] * nvars), max_size=6)
+        return st.tuples(shared, free).map(
+            lambda sf: list(dict.fromkeys([h + (p,) for h, p in sf[0]] + sf[1])))
+
+    return heads.flatmap(keys)
+
+
+def ball_points(rng, count, dim, complex_=False):
+    """Points of C^dim or R^dim at radii uniform in [0, 2]."""
+    points = rng.standard_normal((count, 2 * dim if complex_ else dim))
+    if complex_:
+        points = points[:, :dim] + 1j * points[:, dim:]
+    norms = np.linalg.norm(points, axis=1, keepdims=True)
+    return points / norms * rng.uniform(0, 2, (count, 1))
+
+
+def random_coeffs(rng, count, complex_=False):
+    scale = 10.0 ** rng.uniform(-3, 3, count)
+    if complex_:
+        return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * scale
+    return rng.standard_normal(count) * scale
+
+
+def assert_within_rounding_bound(values, exponents, coeffs, points):
+    bound = EVAL_BOUND_FACTOR * (len(coeffs) + max(map(sum, exponents), default=0)) * U
+    hi, lo = dd_poly_values(exponents, coeffs, (points, np.zeros_like(points)))
+    magnitude = np.abs(points)
+    scale = dd_poly_values(exponents, np.abs(coeffs), (magnitude, np.zeros_like(magnitude)))[0]
+    assert np.all(np.abs((values - hi) - lo) <= bound * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), exponent_keys(d))),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(3, []), seed=0)
+@example(case=(2, [(4, 1)]), seed=1)
+def test_eval_many_within_rounding_bound(case, seed):
+    dim, keys = case
+    rng = np.random.default_rng(seed)
+    coeffs = random_coeffs(rng, len(keys))
+    points = ball_points(rng, 40, dim)
+    values = MultiIndexPolynomial(dim, dict(zip(keys, coeffs))).eval_many(points)
+    assert_within_rounding_bound(values, keys, coeffs, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(1, 2).flatmap(lambda d: st.tuples(st.just(d), exponent_keys(2 * d))),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(2, []), seed=0)
+@example(case=(1, [(3, 2)]), seed=1)
+def test_complex_eval_many_within_rounding_bound(case, seed):
+    dim, keys = case
+    rng = np.random.default_rng(seed)
+    coeffs = random_coeffs(rng, len(keys), complex_=True)
+    z = ball_points(rng, 40, dim, complex_=True)
+    poly = ComplexBiPolynomial(dim, {(k[:dim], k[dim:]): c for k, c in zip(keys, coeffs)})
+    assert_within_rounding_bound(poly.eval_many(z), keys, coeffs, np.hstack([z, np.conj(z)]))
