@@ -7,7 +7,7 @@ from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex,
                        dim_homogeneous, monomials_up_to)
 from .quadrature import (NodeCapError, QuadratureRule, ball_sup_grid,
                          build_ball_rule, build_sphere_rule, inner_product,
-                         lq_norm)
+                         lq_norm, pointwise)
 from .orthobasis import ConditioningError, OrthoBasis, build_basis, project_coefficients
 from .quasiproj import (CutoffFunction, QuasiProjector, cesaro_mean,
                         estimate_l1_operator_norm, forward_difference,

@@ -9,6 +9,12 @@ per parity vector.  Gram-Schmidt in a fixed order is the QR factorization with
 a positive diagonal of R, so each block is orthonormalized by one Householder
 QR, and the coefficients of its basis elements over its monomials are
 inv(R).T.  Entries between different parities are exactly zero.
+
+Within a block every product of two monomials is even in each coordinate, so
+its quadrature sums equal sums over one representative node per mirror orbit
+of the rule with the orbit's summed weight (quadrature.MirrorOrbits).  The
+QRs run on the representatives, the basis keeps its values only there, and a
+projection folds f onto them first.
 """
 
 import hashlib
@@ -18,7 +24,7 @@ import numpy as np
 
 from .polycore import (MultiIndex, MultiIndexPolynomial, _polynomials_from_rows,
                        grlex_key, monomial_table, monomials_up_to, point_chunks)
-from .quadrature import evaluate_on_nodes
+from .quadrature import MirrorOrbits, evaluate_on_nodes
 
 
 class ConditioningError(RuntimeError):
@@ -42,12 +48,13 @@ def monomial_values(exponents, points):
 class OrthoBasis:
     """Orthonormal basis of P_{max_degree}(B^dim) under the ball inner product."""
 
-    def __init__(self, dim, max_degree, exponents, coeff_matrix, node_values, rule):
+    def __init__(self, dim, max_degree, exponents, coeff_matrix, blocks, orbits, rule):
         self.dim = dim
         self.max_degree = max_degree
         self.exponents = list(exponents)
         self.coeff_matrix = coeff_matrix            # rows: basis elements over monomials
-        self.node_values = node_values              # rows: basis values at rule nodes
+        self.blocks = blocks                        # (parity, rows, values at representatives)
+        self.orbits = orbits
         self.rule = rule
         self.degrees = [sum(k) for k in exponents]  # grlex: degree of element i
         # monomial columns in grlex order, the term order of MultiIndexPolynomial
@@ -90,9 +97,19 @@ class OrthoBasis:
         return _polynomials_from_rows(MultiIndexPolynomial, self.dim, self._grlex_keys,
                                       rows[:, self._grlex])
 
+    @property
+    def node_values(self):
+        """Basis values at every node of the rule (rows: basis elements),
+        expanded from the representatives on each access."""
+        values = np.empty((self.size, self.rule.node_count))
+        for parity, rows, block in self.blocks:
+            values[rows] = block[:, self.orbits.index] * self.orbits.signs(parity)
+        return values
+
     def gram_matrix(self):
-        weighted = self.node_values * self.rule.weights
-        return weighted @ self.node_values.T
+        """Gram matrix on the full rule, independent of the orbit fold."""
+        values = self.node_values
+        return (values * self.rule.weights) @ values.T
 
     def rule_digest(self):
         h = hashlib.sha256()
@@ -135,19 +152,20 @@ def build_basis(d, s_max, rule, order="grlex"):
     else:
         raise ValueError(f"unknown order {order!r}")
 
-    sqrt_w = np.sqrt(rule.weights)
+    orbits = MirrorOrbits(rule)
+    sqrt_w = np.sqrt(orbits.weights)
     n = len(exponents)
-    blocks = {}
+    rows_of = {}
     for i, k in enumerate(exponents):
-        blocks.setdefault(tuple(e % 2 for e in k), []).append(i)
+        rows_of.setdefault(tuple(e % 2 for e in k), []).append(i)
     coeffs = np.zeros((n, n))
-    node_values = np.empty((n, rule.node_count))
-    for rows in blocks.values():
-        if len(rows) > rule.node_count:
+    blocks = []
+    for parity, rows in rows_of.items():
+        if len(rows) > orbits.count:
             raise ConditioningError(
-                f"monomial {exponents[rows[rule.node_count]]} is numerically dependent "
-                f"({len(rows)} monomials of its parity on {rule.node_count} nodes)")
-        block = monomial_values([exponents[i] for i in rows], rule.nodes)
+                f"monomial {exponents[rows[orbits.count]]} is numerically dependent "
+                f"({len(rows)} monomials of its parity on {orbits.count} node orbits)")
+        block = monomial_values([exponents[i] for i in rows], orbits.representatives)
         weighted = (block * sqrt_w).T
         r = np.linalg.qr(weighted, mode="r")
         diag = np.diag(r)
@@ -161,9 +179,8 @@ def build_basis(d, s_max, rule, order="grlex"):
         r *= np.sign(diag)[:, None]
         block_coeffs = np.linalg.inv(r).T
         coeffs[np.ix_(rows, rows)] = block_coeffs
-        node_values[rows] = block_coeffs @ block
-    basis = OrthoBasis(d, s_max, exponents, coeffs, node_values, rule)
-    return basis
+        blocks.append((parity, np.array(rows, dtype=np.intp), block_coeffs @ block))
+    return OrthoBasis(d, s_max, exponents, coeffs, blocks, orbits, rule)
 
 
 def project_coefficients(f, basis, s):
@@ -172,4 +189,15 @@ def project_coefficients(f, basis, s):
         raise ValueError(f"basis covers degree {basis.max_degree}, requested {s}")
     fv = evaluate_on_nodes(f, basis.rule)
     count = len(basis.index_set(s))
-    return (basis.node_values[:count] * basis.rule.weights) @ fv
+    orbits = basis.orbits
+    out = np.empty(count)
+    folded = {}
+    for parity, rows, values in basis.blocks:
+        m = np.searchsorted(rows, count)    # rows ascend; I_s is a prefix
+        if m == 0:
+            continue
+        key = tuple(parity[j] for j in orbits.axes)
+        if key not in folded:
+            folded[key] = orbits.fold(fv, parity)
+        out[rows[:m]] = values[:m] @ folded[key]
+    return out

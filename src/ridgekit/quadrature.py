@@ -85,12 +85,6 @@ def sphere_monomial_integral(k):
     return float(math.exp(log_val))
 
 
-def ball_monomial_integral(k):
-    """Analytic moment of x^k over the unit ball B^d, d = len(k)."""
-    k = tuple(int(e) for e in k)
-    return sphere_monomial_integral(k) / (sum(k) + len(k))
-
-
 def build_sphere_rule(d_minus_1, degree, node_cap=NODE_CAP):
     """Quadrature on the sphere S^(d_minus_1) exact for monomials of total
     degree <= degree."""
@@ -121,6 +115,13 @@ def _sphere_nodes(m, degree, node_cap=NODE_CAP):
         count = max(degree + 1, 4)
         angles = 2 * math.pi * np.arange(count) / count
         nodes = np.column_stack([np.cos(angles), np.sin(angles)])
+        # angle 2 pi - theta gets exactly (cos theta, -sin theta), so the rule
+        # is bitwise symmetric under a sign flip of the second coordinate
+        # (see MirrorOrbits)
+        upper = np.arange(1, (count + 1) // 2)
+        nodes[count - upper] = nodes[upper] * [1.0, -1.0]
+        if count % 2 == 0:
+            nodes[count // 2, 1] = 0.0
         weights = np.full(count, 2 * math.pi / count)
         return nodes, weights
     sub_nodes, sub_weights = _sphere_nodes(m - 1, degree, node_cap)
@@ -171,19 +172,72 @@ def build_ball_rule(d, exactness_degree, node_cap=NODE_CAP):
     return QuadratureRule("ball", d, nodes, weights, exactness_degree)
 
 
+class MirrorOrbits:
+    """Orbits of a rule's nodes under its exact coordinate reflections.
+
+    `axes` are the coordinates j for which x_j -> -x_j maps the rule's
+    (node, weight) pairs bitwise onto themselves.  Each orbit is kept as one
+    representative, |x_j| on those axes, with the orbit's summed weight.  A
+    function whose parity in each x_j is fixed takes, at every node, its value
+    at the node's representative times the node's signs on the odd axes, so a
+    quadrature sum of f * g over the rule is fold(f, parity of g) @ g at the
+    representatives.  A rule with no exact mirror has one-node orbits.
+    """
+
+    def __init__(self, rule):
+        table = np.column_stack([rule.nodes, rule.weights])
+        self.axes = [j for j in range(rule.dim) if _is_mirror(table, j)]
+        keys = rule.nodes.copy()
+        keys[:, self.axes] = np.abs(keys[:, self.axes])
+        self.representatives, index = np.unique(keys, axis=0, return_inverse=True)
+        self.index = index.reshape(-1)          # orbit of each node
+        self.weights = np.bincount(self.index, weights=rule.weights)
+        self.node_weights = rule.weights
+        self.node_signs = np.sign(rule.nodes[:, self.axes])
+
+    @property
+    def count(self):
+        return self.representatives.shape[0]
+
+    def signs(self, parity):
+        """Per node, the product of sign(x_j) over the axes j where `parity`
+        (one exponent parity per coordinate) is odd."""
+        odd = [i for i, j in enumerate(self.axes) if parity[j] % 2]
+        return np.prod(self.node_signs[:, odd], axis=1)
+
+    def fold(self, values, parity):
+        """Orbit sums of weight * values * signs(parity), one per representative."""
+        return np.bincount(self.index, weights=self.node_weights * values * self.signs(parity),
+                           minlength=self.count)
+
+
+def _is_mirror(table, j):
+    """Whether negating column j maps the rows of `table` onto themselves exactly."""
+    flipped = table.copy()
+    flipped[:, j] = -flipped[:, j]
+    return np.array_equal(_sorted_rows(table), _sorted_rows(flipped))
+
+
+def _sorted_rows(table):
+    return table[np.lexsort(table.T[::-1])]
+
+
+def pointwise(f):
+    """Vectorised form of `f`, a callable that takes one point at a time."""
+    return lambda points: np.array([float(f(x)) for x in points])
+
+
 def _values(f, points):
     """Flat float array of `f` at an (N, d) array of points: `f.eval_many` when
-    it exists, else `f` on all points at once, else `f` point by point."""
+    it exists, else `f` on all points at once (wrap a callable that takes one
+    point at a time in `pointwise`)."""
     if hasattr(f, "eval_many"):
         return np.asarray(f.eval_many(points), dtype=float).reshape(-1)
-    try:
-        return np.asarray(f(points), dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        return np.array([float(f(x)) for x in points])
+    return np.asarray(f(points), dtype=float).reshape(-1)
 
 
 def evaluate_on_nodes(f, rule):
-    """Evaluate `f` at the rule's nodes, accepting vectorized or scalar callables."""
+    """Evaluate `f` at the rule's nodes: a polynomial or a vectorised callable."""
     values = _values(f, rule.nodes)
     if values.shape[0] != rule.node_count:
         raise ValueError("function did not return one value per node")

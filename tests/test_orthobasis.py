@@ -6,7 +6,7 @@ import pytest
 from ridgekit.orthobasis import (ConditioningError, build_basis,
                                  project_coefficients)
 from ridgekit.polycore import MultiIndex, MultiIndexPolynomial, monomials_up_to
-from ridgekit.quadrature import QuadratureRule, build_ball_rule
+from ridgekit.quadrature import QuadratureRule, build_ball_rule, evaluate_on_nodes
 
 GRAM_TOL = 1e-8
 ORACLE_TOL = 1e-12
@@ -161,3 +161,29 @@ def test_combine_matches_constructor_path(rule_factory, order):
             assert list(got.terms) == list(expected.terms)
             assert all(type(k) is MultiIndex for k in got.terms)
             assert got.to_json() == expected.to_json()
+
+
+@pytest.mark.parametrize("d,s_max", [(2, 12), (3, 8), (4, 6)])
+def test_folded_projection_matches_dense_sum(d, s_max):
+    rule = build_ball_rule(d, 2 * s_max)
+    basis = build_basis(d, s_max, rule)
+
+    def f(points):
+        return np.exp(points @ np.linspace(0.3, 1.1, d)) + np.abs(points[:, 0] - 0.2)
+
+    node_values = basis.node_values
+    fv = evaluate_on_nodes(f, rule)
+    for s in range(s_max + 1):
+        count = len(basis.index_set(s))
+        dense = (node_values[:count] * rule.weights) @ fv
+        got = project_coefficients(f, basis, s)
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_basis_on_rule_without_mirror():
+    rule = build_ball_rule(3, 10)
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+    rotated = QuadratureRule("ball", 3, rule.nodes @ q, rule.weights, rule.exactness_degree)
+    basis = build_basis(3, 5, rotated)
+    assert basis.orbits.axes == []
+    assert np.max(np.abs(basis.gram_matrix() - np.eye(basis.size))) <= 1e-10

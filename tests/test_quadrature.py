@@ -5,10 +5,12 @@ import pytest
 from scipy.special import gamma
 
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
-from ridgekit.quadrature import (NODE_CAP, NodeCapError, ball_sup_grid,
+from ridgekit.quadrature import (NODE_CAP, MirrorOrbits, NodeCapError,
+                                 QuadratureRule, ball_sup_grid,
                                  ball_volume, build_ball_rule,
                                  build_sphere_rule, evaluate_on_nodes,
-                                 inner_product, lq_norm, sphere_surface)
+                                 inner_product, lq_norm, pointwise,
+                                 sphere_surface)
 
 WEIGHT_SUM_TOL = 1e-12
 EXACTNESS_TOL = 1e-10
@@ -118,7 +120,6 @@ def test_ball_sup_grid_deterministic_and_inside():
 
 
 def test_rule_json_round_trip():
-    from ridgekit.quadrature import QuadratureRule
     rule = build_ball_rule(2, 4)
     clone = QuadratureRule.from_json_dict(rule.to_json_dict())
     assert np.array_equal(clone.nodes, rule.nodes)
@@ -138,6 +139,61 @@ def test_polynomial_vectorised_and_scalar_callables_evaluate_alike():
 
     expected = evaluate_on_nodes(p, rule)
     assert expected.shape == (rule.node_count,)
-    for f in (vectorised, scalar):
+    for f in (vectorised, pointwise(scalar)):
         assert np.allclose(evaluate_on_nodes(f, rule), expected, rtol=0, atol=1e-14)
         assert abs(lq_norm(f, rule, math.inf) - lq_norm(p, rule, math.inf)) < 1e-14
+
+
+def test_vectorised_callable_errors_propagate():
+    rule = build_ball_rule(2, 4)
+
+    def broken(points):
+        raise ValueError("bug in f")
+
+    with pytest.raises(ValueError, match="bug in f"):
+        evaluate_on_nodes(broken, rule)
+    with pytest.raises(ValueError, match="bug in f"):
+        lq_norm(broken, rule, math.inf)
+
+
+@pytest.mark.parametrize("exactness", [4, 7, 10])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_ball_rule_mirror_axes(d, exactness):
+    rule = build_ball_rule(d, exactness)
+    orbits = MirrorOrbits(rule)
+    assert orbits.axes == ([0] if d == 1 else list(range(1, d)))
+    mirrored = orbits.representatives[:, orbits.axes]
+    assert np.array_equal(mirrored, np.abs(mirrored))
+    assert abs(orbits.weights.sum() - rule.weights.sum()) < WEIGHT_SUM_TOL
+    # each node is its representative with the signs of its reflected coordinates
+    expanded = orbits.representatives[orbits.index]
+    expanded[:, orbits.axes] *= orbits.node_signs
+    assert np.array_equal(expanded, rule.nodes)
+
+
+@pytest.mark.parametrize("d,exactness,count", [(3, 32, 2601), (4, 16, 2025)])
+def test_mirror_orbit_counts(d, exactness, count):
+    assert MirrorOrbits(build_ball_rule(d, exactness)).count == count
+
+
+def test_one_ulp_perturbation_loses_the_axis():
+    rule = build_ball_rule(3, 6)
+    nodes = rule.nodes.copy()
+    # a node on the plane x_1 = 0 stays its own x_1-mirror when x_2 moves
+    i = np.flatnonzero((nodes[:, 1] == 0.0) & (nodes[:, 2] != 0.0))[0]
+    nodes[i, 2] = np.nextafter(nodes[i, 2], np.inf)
+    perturbed = QuadratureRule("ball", 3, nodes, rule.weights, rule.exactness_degree)
+    assert MirrorOrbits(rule).axes == [1, 2]
+    assert MirrorOrbits(perturbed).axes == [1]
+
+
+def test_rule_without_mirror_has_one_node_orbits():
+    rule = build_ball_rule(2, 6)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotated = QuadratureRule("ball", 2, rule.nodes @ np.array([[c, s], [-s, c]]),
+                             rule.weights, rule.exactness_degree)
+    orbits = MirrorOrbits(rotated)
+    assert orbits.axes == []
+    assert orbits.count == rotated.node_count
+    values = np.cos(rotated.nodes[:, 0])
+    assert np.array_equal(orbits.fold(values, (1, 1))[orbits.index], rotated.weights * values)
