@@ -13,17 +13,16 @@ from .quasiproj import (CutoffFunction, QuasiProjector, cesaro_mean,
                         estimate_l1_operator_norm, forward_difference,
                         verify_cesaro_identity)
 from .ridge_real import (DecompositionError, DirectionSet, RidgeDecomposition,
-                         SpanningError, decompose, eval_ridge,
-                         orthonormalize_rows, sample_spanning_directions)
+                         SpanningError, decompose, orthonormalize_rows,
+                         sample_spanning_directions)
 from .ridge_complex import (ComplexDirectionSet, ComplexRidgeDecomposition,
                             complex_decompose, realify,
                             sample_complex_directions, wirtinger_derivative)
-from .testfuncs import (BumpFamily, counterexample_ratio, eval_f_eps,
-                        make_bump_family, q_coefficient, trig_reduce,
-                        verify_inner_product_expansion)
+from .testfuncs import (BumpFamily, counterexample_ratio, make_bump_family,
+                        q_coefficient, trig_reduce, verify_inner_product_expansion)
 from .networks import (ComplexPolynomialDictionary, CVNNetwork, GTNetwork,
                        PolynomialDictionary, cvnn_from_decomposition,
-                       gtn_from_decomposition, network_eval, phi_eval, tau_eval)
+                       gtn_from_decomposition, phi_eval, tau_eval)
 from .pipeline import (ExperimentConfig, RateReport, approximate_by_ridge,
                        fit_polynomial, rate_sweep, verify)
 

@@ -36,14 +36,6 @@ def cantor_unpair(n):
     return w - b, b
 
 
-def _zigzag(p):
-    return 2 * p if p >= 0 else -2 * p - 1
-
-
-def _unzigzag(z):
-    return z // 2 if z % 2 == 0 else -(z + 1) // 2
-
-
 def _fold_sequence(vals):
     """Bijection N^k -> N for fixed k >= 1, by balanced pairing (keeps the
     folded integer's bit count near the sum of the inputs' bit counts)."""
@@ -254,6 +246,8 @@ class ComplexPolynomialDictionary:
         return _encode_term_list(pairs) + 2
 
     def index_of(self, poly):
+        if poly.dim != 1:
+            raise ValueError("variable count mismatch")
         terms = {}
         for key, c in poly.terms.items():
             if isinstance(c, ExactComplex):
@@ -264,13 +258,15 @@ class ComplexPolynomialDictionary:
         return self.index_of_exact(terms)
 
     def find_index(self, profile, tol, grid, max_denominator_exponent=60):
+        if profile.dim != 1:
+            raise ValueError("variable count mismatch")
         grid = np.asarray(grid, dtype=complex).reshape(-1, 1)
         target = profile.eval_many(grid)
+        coeffs = {key: complex(c) for key, c in profile.terms.items()}
         for j in range(max_denominator_exponent + 1):
             denom = 1 << j
             terms = {}
-            for key, c in profile.terms.items():
-                c = complex(c)
+            for key, c in coeffs.items():
                 terms[key] = (Fraction(round(c.real * denom), denom),
                               Fraction(round(c.imag * denom), denom))
             candidate = ComplexBiPolynomial(1, {
@@ -437,10 +433,6 @@ class CVNNetwork:
             for u in obj["units"]
         ]
         return cls(obj["d"], units, dictionary)
-
-
-def network_eval(net, points):
-    return net.eval_many(points)
 
 
 def _profile_grid(ell, count=400, seed=123):

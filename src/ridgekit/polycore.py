@@ -1,10 +1,11 @@
 """Polynomial algebra over multi-indices.
 
-Real multivariate polynomials are stored as sparse maps from exponent
-multi-indices to coefficients; complex polynomials in (z, conj(z)) are keyed
-by pairs of multi-indices.  Coefficients may be floats, Fractions, or exact
-complex rationals, so the same algebra serves both floating-point quadrature
-work and exact identity checking.
+Multivariate polynomials are stored as sparse maps from exponent
+multi-indices to coefficients.  A complex polynomial in (z, conj(z)) on C^d is
+the polynomial in the 2d variables (z, conj z), keyed by the concatenated
+exponents k + l and presented as pairs (k, l).  Coefficients may be floats,
+Fractions, or exact complex rationals, so the same algebra serves both
+floating-point quadrature work and exact identity checking.
 """
 
 import functools
@@ -197,32 +198,100 @@ def _as_exact(value):
     raise TypeError(f"cannot mix {type(value).__name__} into exact complex arithmetic")
 
 
-class MultiIndexPolynomial:
-    """Sparse real polynomial in `dim` variables keyed by multi-indices."""
+class _SparsePolynomial:
+    """Sparse polynomial in `_halves * dim` variables: a map from flat exponent
+    tuples to coefficients, kept in graded lexicographic order of the keys with
+    zero coefficients pruned.  The ring operations, equality and coefficient
+    maps act on the flat keys; subclasses fix the number of halves and how
+    terms are presented and evaluated."""
+
+    _halves = 1
 
     def __init__(self, dim, terms=None):
+        self._build(dim, terms.items() if terms else ())
+
+    def _build(self, dim, items):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = int(dim)
+        width = self._halves * self.dim
         data = {}
-        if terms:
-            for k, c in terms.items():
-                k = MultiIndex(k)
-                if len(k) != self.dim:
-                    raise ValueError(f"exponent {tuple(k)} has wrong length for dim={dim}")
-                if k in data:
-                    c = data[k] + c
-                data[k] = c
-        self.terms = {k: c for k, c in sorted(data.items(), key=lambda kv: grlex_key(kv[0]))
-                      if not _is_zero_coeff(c)}
+        for k, c in items:
+            k = MultiIndex(k)
+            if len(k) != width:
+                raise ValueError(f"exponent {tuple(k)} has wrong length for dim={dim}")
+            if k in data:
+                c = data[k] + c
+            data[k] = c
+        self._terms = {k: c for k, c in sorted(data.items(), key=lambda kv: grlex_key(kv[0]))
+                       if not _is_zero_coeff(c)}
+
+    @classmethod
+    def _from_flat(cls, dim, terms):
+        out = object.__new__(cls)
+        out._build(dim, terms.items())
+        return out
 
     @classmethod
     def zero(cls, dim):
-        return cls(dim, {})
+        return cls._from_flat(dim, {})
 
     @classmethod
     def constant(cls, dim, value):
-        return cls(dim, {(0,) * dim: value})
+        return cls._from_flat(dim, {(0,) * (cls._halves * dim): value})
+
+    def is_zero(self):
+        return not self._terms
+
+    def __add__(self, other):
+        self._check_dim(other)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0) + c
+        return self._from_flat(self.dim, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, factor):
+        return self._from_flat(self.dim, {k: c * factor for k, c in self._terms.items()})
+
+    def __mul__(self, other):
+        self._check_dim(other)
+        out = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                k = tuple(a + b for a, b in zip(k1, k2))
+                out[k] = out.get(k, 0) + c1 * c2
+        return self._from_flat(self.dim, out)
+
+    def _check_dim(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}")
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    def map_coefficients(self, fn):
+        return self._from_flat(self.dim, {k: fn(c) for k, c in self._terms.items()})
+
+    def to_json(self):
+        return json.dumps(self.to_json_dict())
+
+    @classmethod
+    def from_json(cls, text):
+        return cls.from_json_dict(json.loads(text))
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self.dim == other.dim and self._terms == other._terms)
+
+
+class MultiIndexPolynomial(_SparsePolynomial):
+    """Sparse real polynomial in `dim` variables keyed by multi-indices."""
+
+    @property
+    def terms(self):
+        return self._terms
 
     @classmethod
     def monomial(cls, exponents, coeff=1):
@@ -232,37 +301,6 @@ class MultiIndexPolynomial:
         if not self.terms:
             return -math.inf
         return max(k.order() for k in self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._check_dim(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return MultiIndexPolynomial(self.dim, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor):
-        return MultiIndexPolynomial(self.dim, {k: c * factor for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check_dim(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0) + c1 * c2
-        return MultiIndexPolynomial(self.dim, out)
-
-    def _check_dim(self, other):
-        if not isinstance(other, MultiIndexPolynomial):
-            raise TypeError("expected MultiIndexPolynomial")
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def eval(self, x):
         if len(x) != self.dim:
@@ -344,9 +382,6 @@ class MultiIndexPolynomial:
         terms = {k: float(c) for k, c in zip(exps, vec) if abs(c) > prune_tol}
         return cls(dim, terms)
 
-    def map_coefficients(self, fn):
-        return MultiIndexPolynomial(self.dim, {k: fn(c) for k, c in self.terms.items()})
-
     def to_json_dict(self):
         return {
             "dim": self.dim,
@@ -356,17 +391,6 @@ class MultiIndexPolynomial:
     @classmethod
     def from_json_dict(cls, obj):
         return cls(obj["dim"], {tuple(t["k"]): t["c"] for t in obj["terms"]})
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiIndexPolynomial)
-                and self.dim == other.dim and self.terms == other.terms)
 
     def __repr__(self):
         body = " + ".join(f"{c}*x^{tuple(k)}" for k, c in self.terms.items()) or "0"
@@ -431,15 +455,15 @@ def _eval_terms(keys, coeffs, points):
 
 def _polynomials_from_rows(cls, dim, keys, rows):
     """One `cls` polynomial per row of the 2-D array `rows`, whose column j
-    holds the coefficient of `keys[j]`.  The keys must be validated MultiIndex
-    keys, unique and in the class's term order, so no per-key checks run;
+    holds the coefficient of flat key `keys[j]`.  The keys must be validated
+    MultiIndex keys, unique and in grlex order, so no per-key checks run;
     entries below ZERO_PRUNE_FLOAT in modulus are dropped, as the constructor
     drops them (NaN entries are kept)."""
     out = []
     for values, keep in zip(rows.tolist(), (~(np.abs(rows) < ZERO_PRUNE_FLOAT)).tolist()):
         poly = object.__new__(cls)
         poly.dim = int(dim)
-        poly.terms = dict(itertools.compress(zip(keys, values), keep))
+        poly._terms = dict(itertools.compress(zip(keys, values), keep))
         out.append(poly)
     return out
 
@@ -451,102 +475,51 @@ def _degree_for_length(dim, length):
     return degree
 
 
-class ComplexBiPolynomial:
-    """Polynomial in z and conj(z) over C^dim, keyed by multi-index pairs."""
+class ComplexBiPolynomial(_SparsePolynomial):
+    """Polynomial in z and conj(z) over C^dim, stored as a polynomial in the
+    2 dim variables (z, conj z): the flat key of z^k conj(z)^l is k + l.
+    `terms` presents the keys as multi-index pairs (k, l)."""
+
+    _halves = 2
 
     def __init__(self, dim, terms=None):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        self.dim = int(dim)
-        data = {}
-        if terms:
-            for (k, l), c in terms.items():
-                k, l = MultiIndex(k), MultiIndex(l)
-                if len(k) != self.dim or len(l) != self.dim:
-                    raise ValueError("exponent pair has wrong length")
-                key = (k, l)
-                if key in data:
-                    c = data[key] + c
-                data[key] = c
-        self.terms = {
-            key: c
-            for key, c in sorted(data.items(), key=lambda kv: (grlex_key(kv[0][0]), grlex_key(kv[0][1])))
-            if not _is_zero_coeff(c)
-        }
+        self._build(dim, ((_join(key, dim), c) for key, c in terms.items()) if terms else ())
 
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim, {})
-
-    @classmethod
-    def constant(cls, dim, value):
-        z = (0,) * dim
-        return cls(dim, {(z, z): value})
+    @property
+    def terms(self):
+        # halves of validated keys, so pairs passed back skip re-validation
+        d = self.dim
+        return {(tuple.__new__(MultiIndex, k[:d]), tuple.__new__(MultiIndex, k[d:])): c
+                for k, c in self._terms.items()}
 
     def holomorphic_degree(self):
-        if not self.terms:
+        if not self._terms:
             return -math.inf
-        return max(k.order() for k, _ in self.terms)
+        return max(sum(k[:self.dim]) for k in self._terms)
 
     def antiholomorphic_degree(self):
-        if not self.terms:
+        if not self._terms:
             return -math.inf
-        return max(l.order() for _, l in self.terms)
+        return max(sum(k[self.dim:]) for k in self._terms)
 
     def in_degree_class(self, s):
         """Membership in P_s(C^d): both partial degrees at most s."""
         return self.holomorphic_degree() <= s and self.antiholomorphic_degree() <= s
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._check_dim(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return ComplexBiPolynomial(self.dim, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor):
-        return ComplexBiPolynomial(self.dim, {key: c * factor for key, c in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check_dim(other)
-        out = {}
-        for (k1, l1), c1 in self.terms.items():
-            for (k2, l2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(k1, k2)),
-                       tuple(a + b for a, b in zip(l1, l2)))
-                out[key] = out.get(key, 0) + c1 * c2
-        return ComplexBiPolynomial(self.dim, out)
-
     def conjugate(self):
-        out = {}
-        for (k, l), c in self.terms.items():
-            out[(tuple(l), tuple(k))] = _conj(c)
-        return ComplexBiPolynomial(self.dim, out)
-
-    def _check_dim(self, other):
-        if not isinstance(other, ComplexBiPolynomial):
-            raise TypeError("expected ComplexBiPolynomial")
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        d = self.dim
+        return self._from_flat(d, {k[d:] + k[:d]: _conj(c) for k, c in self._terms.items()})
 
     def eval(self, z):
         if len(z) != self.dim:
             raise ValueError("point has wrong length")
+        values = list(z) + [zj.conjugate() for zj in z]
         total = 0
-        for (k, l), c in self.terms.items():
+        for k, c in self._terms.items():
             term = c if not isinstance(c, ExactComplex) else complex(c)
-            for zj, e in zip(z, k):
+            for wj, e in zip(values, k):
                 if e:
-                    term = term * zj ** e
-            for zj, e in zip(z, l):
-                if e:
-                    term = term * zj.conjugate() ** e
+                    term = term * wj ** e
             total = total + term
         return total
 
@@ -557,17 +530,10 @@ class ComplexBiPolynomial:
             points = points[None, :]
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
-        coeffs = np.array([complex(c) for c in self.terms.values()], dtype=complex)
-        return _eval_terms([k + l for k, l in self.terms], coeffs,
-                           np.hstack([points, np.conj(points)]))
+        coeffs = np.array([complex(c) for c in self._terms.values()], dtype=complex)
+        return _eval_terms(self._terms, coeffs, np.hstack([points, np.conj(points)]))
 
     __call__ = eval_many
-
-    def map_coefficients(self, fn):
-        return ComplexBiPolynomial(self.dim, {key: fn(c) for key, c in self.terms.items()})
-
-    def to_complex_floats(self):
-        return self.map_coefficients(complex)
 
     def to_json_dict(self):
         items = []
@@ -583,20 +549,18 @@ class ComplexBiPolynomial:
             terms[(tuple(t["k"]), tuple(t["l"]))] = complex(t["re"], t["im"])
         return cls(obj["dim"], terms)
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
-
-    def __eq__(self, other):
-        return (isinstance(other, ComplexBiPolynomial)
-                and self.dim == other.dim and self.terms == other.terms)
-
     def __repr__(self):
         body = " + ".join(f"{c}*z^{tuple(k)}conj^{tuple(l)}" for (k, l), c in self.terms.items()) or "0"
         return f"ComplexBiPolynomial(dim={self.dim}: {body})"
+
+
+def _join(pair, dim):
+    """Flat key k + l of the exponent pair (k, l), each of length `dim`."""
+    k, l = pair
+    k, l = MultiIndex(k), MultiIndex(l)
+    if len(k) != dim or len(l) != dim:
+        raise ValueError("exponent pair has wrong length")
+    return tuple.__new__(MultiIndex, k + l)  # both halves are validated
 
 
 def _conj(c):

@@ -41,9 +41,6 @@ class QuadratureRule:
     def node_count(self):
         return self.nodes.shape[0]
 
-    def total_measure(self):
-        return float(np.sum(self.weights))
-
     def integrate_values(self, values):
         return float(np.sum(self.weights * np.asarray(values, dtype=float)))
 

@@ -82,10 +82,6 @@ class QuasiProjector:
         return self.basis.combine(self.coeffs * c, self.indices)
 
 
-def apply(proj, f):
-    return proj.apply(f)
-
-
 def cesaro_mean(f, k, sigma, basis, _coeffs=None):
     """S_k^sigma(f): binomially weighted average of graded projections."""
     if sigma < 0 or k < 0:

@@ -1,8 +1,8 @@
 """Wirtinger polynomial calculus and complex ridge decomposition.
 
-Polynomials in z and conj(z) are differentiated termwise in the (k, l)
-exponent representation, so the monomial pairing identities hold exactly in
-rational arithmetic.  The decomposition expresses every bidegree component of
+Polynomials in z and conj(z) are differentiated termwise as polynomials in
+the 2d variables (z, conj z), so the monomial pairing identities hold exactly
+in rational arithmetic.  The decomposition expresses every bidegree component of
 a polynomial on C^d in the span of powers (a_j . z)^s (conj(a_j . z))^t of
 certified directions, yielding univariate profiles in (w, conj(w)).  As in
 the real case, the direction set holds one least-norm factor per bidegree and
@@ -17,9 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .compensated import dd_monomials, dd_mul
-from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex,
+from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex, _as_exact,
                        _conj, _homogeneous_exponents, _polynomials_from_rows,
-                       dim_complex_bihomogeneous, monomial_table, monomials_up_to)
+                       dim_complex_bihomogeneous, grlex_key, monomial_table,
+                       monomials_up_to)
 from .ridge_real import (DEFAULT_RETRIES, RANK_TOLERANCE, PowerSpan, SpanningError,
                          _multinomial, certify)
 
@@ -31,17 +32,14 @@ def wirtinger_derivative(P, kind, j):
         raise ValueError(f"variable index {j} out of range")
     if kind not in ("holomorphic", "antiholomorphic"):
         raise ValueError("kind must be 'holomorphic' or 'antiholomorphic'")
-    pos = j - 1
+    # the derivative in one of the 2 dim variables (z, conj z)
+    pos = j - 1 if kind == "holomorphic" else P.dim + j - 1
     out = {}
-    for (k, l), c in P.terms.items():
-        exps = k if kind == "holomorphic" else l
-        if exps[pos] == 0:
-            continue
-        lowered = list(exps)
-        lowered[pos] -= 1
-        key = (tuple(lowered), tuple(l)) if kind == "holomorphic" else (tuple(k), tuple(lowered))
-        out[key] = out.get(key, 0) + c * exps[pos]
-    return ComplexBiPolynomial(P.dim, out)
+    for k, c in P._terms.items():
+        if k[pos]:
+            lowered = k[:pos] + (k[pos] - 1,) + k[pos + 1:]
+            out[lowered] = out.get(lowered, 0) + c * k[pos]
+    return ComplexBiPolynomial._from_flat(P.dim, out)
 
 
 def apply_wirtinger(P, k, l):
@@ -70,11 +68,8 @@ def verify_wirtinger_monomial_identity(k, l, k_prime, l_prime):
     mono = ComplexBiPolynomial(len(k), {(k_prime, l_prime): 1})
     result = apply_wirtinger(mono, k, l)
     if (k, l) == (k_prime, l_prime):
-        expected = ComplexBiPolynomial(len(k), {
-            ((0,) * len(k), (0,) * len(k)):
-            math.prod(math.factorial(e) for e in k)
-            * math.prod(math.factorial(e) for e in l)
-        })
+        expected = ComplexBiPolynomial.constant(len(k), MultiIndex(k).factorial()
+                                                * MultiIndex(l).factorial())
     else:
         expected = ComplexBiPolynomial.zero(len(k))
     return result == expected
@@ -88,10 +83,7 @@ def _power_pair(a, s, t, dim):
         (tuple(1 if j == i else 0 for j in range(dim)), zero): a[i]
         for i in range(dim)
     })
-    lin_bar = ComplexBiPolynomial(dim, {
-        (zero, tuple(1 if j == i else 0 for j in range(dim))): _conj(a[i])
-        for i in range(dim)
-    })
+    lin_bar = lin.conjugate()
     out = ComplexBiPolynomial.constant(dim, _one_like(a))
     for _ in range(s):
         out = out * lin
@@ -124,15 +116,9 @@ def verify_power_identity(a, k, l, tol=1e-10):
     exact = any(isinstance(x, ExactComplex) for x in a) or all(
         isinstance(x, (int, Fraction)) for x in a)
     if exact:
-        diff = _as_exact_complex(result) - _as_exact_complex(expected)
+        diff = _as_exact(result) - _as_exact(expected)
         return diff.re == 0 and diff.im == 0
     return abs(complex(result) - complex(expected)) <= tol * (1 + abs(complex(expected)))
-
-
-def _as_exact_complex(c):
-    if isinstance(c, ExactComplex):
-        return c
-    return ExactComplex(Fraction(c), 0)
 
 
 def apply_differential_operator(Q, P):
@@ -314,8 +300,11 @@ def complex_decompose(P, dirs, grid_size=512, residual_tol=1e-8):
     certify(certificate, P.eval_many(complex_sup_grid(d, grid_size)), residual_tol,
             dirs.blocks, [f"bidegree {bidegree}" for bidegree in dirs.bidegrees])
 
-    keys = [(MultiIndex((sp,)), MultiIndex((tp,))) for sp, tp in dirs.bidegrees]
-    profiles = _polynomials_from_rows(ComplexBiPolynomial, 1, keys, np.hstack(solutions))
+    # profile keys (s', t'); `bidegrees` is lexicographic, profiles keep grlex order
+    order = sorted(range(len(dirs.bidegrees)), key=lambda b: grlex_key(dirs.bidegrees[b]))
+    keys = [MultiIndex(dirs.bidegrees[b]) for b in order]
+    profiles = _polynomials_from_rows(ComplexBiPolynomial, 1, keys,
+                                      np.hstack(solutions)[:, order])
     decomp = ComplexRidgeDecomposition(d, dirs.vectors, profiles)
     decomp.residual = certificate
     return decomp
@@ -335,21 +324,15 @@ def realify(f):
     half = Fraction(1, 2) if exact else 0.5
     zero = (0,) * d
 
-    def base(j, imag_slot):
+    def base(j, factor):
+        # w + conj(w) with w = z_j / 2 gives x_j, with w = -i z_j / 2 gives x_(d+j)
         e_j = tuple(1 if i == j else 0 for i in range(d))
-        if not imag_slot:
-            return ComplexBiPolynomial(d, {
-                (e_j, zero): ExactComplex(half, 0) if exact else complex(half),
-                (zero, e_j): ExactComplex(half, 0) if exact else complex(half),
-            })
-        factor = ExactComplex(0, -half) if exact else complex(0, -0.5)
-        return ComplexBiPolynomial(d, {
-            (e_j, zero): factor,
-            (zero, e_j): -factor if exact else complex(0, 0.5),
-        })
+        w = ComplexBiPolynomial(d, {(e_j, zero): factor})
+        return w + w.conjugate()
 
-    bases = [base(j, False) for j in range(d)] + [base(j, True) for j in range(d)]
-    one = ExactComplex(1, 0) if exact else complex(1.0)
+    re_half, im_half = ((ExactComplex(half, 0), ExactComplex(0, -half)) if exact
+                        else (complex(half), complex(0, -half)))
+    bases = [base(j, re_half) for j in range(d)] + [base(j, im_half) for j in range(d)]
     out = ComplexBiPolynomial.zero(d)
     for K, c in f.terms.items():
         coeff = (ExactComplex(Fraction(c), 0) if exact else complex(c))

@@ -286,10 +286,6 @@ class RidgeDecomposition:
         return cls(obj["d"], obj["ell"], mats, profs)
 
 
-def eval_ridge(decomp, x):
-    return float(decomp.eval_many(np.asarray(x, dtype=float)[None, :])[0])
-
-
 def decompose(P, dirs, d, ell, grid_size=512, residual_tol=1e-8):
     """Decompose P (degree <= dirs.s) into ridge terms along dirs.
 

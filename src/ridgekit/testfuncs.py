@@ -198,22 +198,6 @@ class ExpansionCertificate:
             out[k] = float(t)
         return out
 
-    def q_h_values(self, sigma, P):
-        """The polynomial side Q_h(sigma; P) for every composite index h,
-        as a tensor matching b_tensor's shape."""
-        comps = change_of_variables_coefficients(P, sigma)
-        shape = (2 * self.freq_count,) * self.ell
-        out = np.zeros(shape)
-        for k, pk in comps.items():
-            if k not in self.q:
-                continue
-            zeta = self.zeta_factors[k]
-            block = zeta[0]
-            for vec in zeta[1:]:
-                block = np.multiply.outer(block, vec)
-            out += self.q[k] * pk * block
-        return out
-
 
 def change_of_variables_coefficients(P, sigma):
     """Coefficients P_k(sigma; P) of P(sigma y) = sum_k P_k y^k."""
@@ -336,10 +320,6 @@ def make_bump_family(d, r, m, seed=None, safety=5e-3):
     side = 1.0 / math.sqrt(d)
     sups = _estimate_derivative_sups(side, r)
     return BumpFamily(d, r, m, theta, points, side, sups, safety)
-
-
-def eval_f_eps(family, eps, x):
-    return family.eval_f_eps(eps, x)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from ridgekit.networks import (BLEND_OUTER, CVNNetwork, ComplexPolynomialDiction
                                GTNetwork, PolynomialDictionary, cantor_pair,
                                cantor_unpair, cvnn_from_decomposition,
                                decode_rational, encode_rational,
-                               gtn_from_decomposition, network_eval, phi_eval,
+                               gtn_from_decomposition, phi_eval,
                                tau_eval, _blend_weight)
 from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
                                MultiIndexPolynomial, dim_homogeneous,
@@ -109,6 +109,33 @@ def test_complex_dictionary_round_trip_prefix():
         assert dictionary.index_of(poly) == index
 
 
+# indices recorded before complex polynomials were stored as polynomials in the
+# 2d variables (z, conj z); the enumeration must not depend on the storage
+COMPLEX_INDEX_GOLDEN = [
+    ({((1,), (0,)): ExactComplex(Fraction(1, 2), 0)}, 379),
+    ({((1,), (1,)): ExactComplex(1, 0)}, 67),
+    ({((0,), (2,)): ExactComplex(0, -1), ((2,), (0,)): ExactComplex(3, 0),
+      ((1,), (1,)): ExactComplex(Fraction(-1, 4), Fraction(1, 8))},
+     35164303072052553179681704145747162836775522095435343245381609739614320550530499689452),
+    ({((0,), (1,)): 0.25 - 0.5j, ((1,), (0,)): 2.0, ((0,), (0,)): -1.0},
+     99107969374075524869230536749207630889978655877),
+]
+
+
+@pytest.mark.parametrize("terms,index", COMPLEX_INDEX_GOLDEN)
+def test_complex_dictionary_golden_indices(terms, index):
+    assert ComplexPolynomialDictionary().index_of(ComplexBiPolynomial(1, terms)) == index
+
+
+def test_complex_dictionary_rejects_multivariate_polynomials():
+    dictionary = ComplexPolynomialDictionary()
+    poly = ComplexBiPolynomial(2, {((1, 0), (0, 1)): 1.0})
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        dictionary.index_of(poly)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        dictionary.find_index(poly, 1e-9, np.zeros(4, dtype=complex))
+
+
 def test_find_index_exact_rational_profile():
     dictionary = PolynomialDictionary(2)
     profile = MultiIndexPolynomial(2, {(1, 0): 0.5, (0, 2): -0.75})
@@ -147,7 +174,7 @@ def test_gtn_matches_ridge_sum():
     dictionary = PolynomialDictionary(dec.ell)
     net = gtn_from_decomposition(dec, dictionary, DELTA)
     grid = ball_sup_grid(dec.d, 1000)
-    err = np.max(np.abs(network_eval(net, grid) - P.eval_many(grid)))
+    err = np.max(np.abs(net.eval_many(grid) - P.eval_many(grid)))
     assert err <= net.n * DELTA
 
 

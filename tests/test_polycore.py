@@ -177,6 +177,37 @@ def test_complex_json_round_trip():
     assert abs(p.eval_many(z)[0] - q.eval_many(z)[0]) < EVAL_TOL
 
 
+def test_real_and_complex_polynomials_do_not_mix():
+    real = MultiIndexPolynomial(2, {(1, 0): 1.0})
+    cplx = ComplexBiPolynomial(1, {((1,), (0,)): 1.0})  # the same flat key (1, 0)
+    with pytest.raises(TypeError):
+        real + cplx
+    with pytest.raises(TypeError):
+        cplx * real
+    assert real != cplx and cplx != real
+    assert MultiIndexPolynomial.zero(2) != ComplexBiPolynomial.zero(1)
+
+
+# written when complex terms were ordered by (grlex k, grlex l)
+OLD_ORDER_COMPLEX_JSON = (
+    '{"dim": 2, "terms": [{"k": [0, 0], "l": [1, 0], "re": -0.0, "im": -1.5}, '
+    '{"k": [0, 0], "l": [0, 2], "re": 3.0, "im": 0.0}, '
+    '{"k": [0, 1], "l": [0, 0], "re": 2.0, "im": 0.0}, '
+    '{"k": [1, 0], "l": [0, 0], "re": 0.5, "im": 0.25}, '
+    '{"k": [2, 0], "l": [1, 1], "re": 1.0, "im": 0.0}]}')
+
+
+def test_complex_json_in_old_term_order_loads_equal():
+    p = ComplexBiPolynomial(2, {((2, 0), (1, 1)): 1.0, ((0, 1), (0, 0)): 2.0,
+                                ((0, 0), (1, 0)): -1.5j, ((1, 0), (0, 0)): 0.5 + 0.25j,
+                                ((0, 0), (0, 2)): 3.0})
+    q = ComplexBiPolynomial.from_json(OLD_ORDER_COMPLEX_JSON)
+    assert q == p
+    assert list(q.terms) == list(p.terms)
+    flat = [k + l for k, l in p.terms]
+    assert flat == sorted(flat, key=grlex_key)
+
+
 def random_bipoly(dim, max_deg, rng, coeff=complex):
     terms = {}
     for k in monomials_up_to(dim, max_deg):

@@ -133,6 +133,23 @@ def test_complex_decompose_reconstructs(d, s):
     assert np.max(np.abs(dec.eval_many(grid) - P.eval_many(grid))) < RESIDUAL_TOL
 
 
+def test_complex_profiles_match_constructor_path():
+    # `dirs.bidegrees` runs (0, 0), (0, 1), (0, 2), (1, 0), ...: lexicographic,
+    # not the grlex order the constructor gives the profile terms
+    d, s = 2, 2
+    rng = np.random.default_rng(5)
+    P = ComplexBiPolynomial(d, {(k, l): complex(rng.standard_normal(), rng.standard_normal())
+                                for k in monomials_up_to(d, s) for l in monomials_up_to(d, s)})
+    n = max(dim_complex_bihomogeneous(d, a, b) for a in range(s + 1) for b in range(s + 1))
+    dec = complex_decompose(P, sample_complex_directions(d, s, s, n, seed=1))
+    assert max(len(prof.terms) for prof in dec.profiles) == (s + 1) ** 2
+    for prof in dec.profiles:
+        expected = ComplexBiPolynomial(1, prof.terms)
+        assert prof == expected
+        assert list(prof.terms) == list(expected.terms)
+        assert prof.to_json() == expected.to_json()
+
+
 def test_complex_decomposition_profiles_univariate():
     d, s = 2, 1
     P = ComplexBiPolynomial(d, {((1, 0), (0, 1)): 1.0})

@@ -15,7 +15,7 @@ from ridgekit.quadrature import ball_sup_grid
 from ridgekit.ridge_real import (DecompositionError, DirectionSet,
                                  RidgeDecomposition, SpanningError,
                                  build_block_matrices,
-                                 decompose, eval_ridge, lifted_power_matrix,
+                                 decompose, lifted_power_matrix,
                                  orthonormalize_rows,
                                  sample_spanning_directions, spanning_rank)
 
@@ -100,7 +100,7 @@ def test_eval_ridge_matches_manual():
     x = np.array([0.2, -0.1, 0.4])
     manual = sum(float(P.eval_many((A @ x)[None, :])[0])
                  for A, P in zip(dec.matrices, dec.profiles))
-    assert abs(eval_ridge(dec, x) - manual) < 1e-12
+    assert abs(float(dec.eval_many(x[None, :])[0]) - manual) < 1e-12
 
 
 def test_fixed_seed_determinism():

@@ -7,7 +7,7 @@ import pytest
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
 from ridgekit.quadrature import build_ball_rule
 from ridgekit.testfuncs import (ExpansionCertificate, counterexample_ratio,
-                                eval_f_eps, make_bump_family, q_coefficient,
+                                make_bump_family, q_coefficient,
                                 random_coefficient_frame,
                                 sup_norm_counterexample, trig_reduce,
                                 verify_inner_product_expansion)
@@ -128,7 +128,7 @@ def test_bump_value_at_center():
     eps = np.array([1.0, -1.0])
     x = family.points[:1]
     expected = (2 * family.theta) ** (-family.r) / family.normalization
-    assert eval_f_eps(family, eps, x)[0] == pytest.approx(expected)
+    assert family.eval_f_eps(eps, x)[0] == pytest.approx(expected)
 
 
 def test_bump_values_bounded():
