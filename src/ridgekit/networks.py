@@ -180,14 +180,12 @@ class PolynomialDictionary:
         profile, found by rounding coefficients to denominators 2^j."""
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
         target = profile.eval_many(grid)
+        coeffs = {k: float(c) for k, c in profile.terms.items()}
         for j in range(max_denominator_exponent + 1):
             denom = 1 << j
-            terms = {
-                tuple(k): Fraction(round(float(c) * denom), denom)
-                for k, c in profile.terms.items()
-            }
+            terms = {k: Fraction(round(c * denom), denom) for k, c in coeffs.items()}
             candidate = MultiIndexPolynomial(self.var_count, terms)
-            values = candidate.map_coefficients(float).eval_many(grid)
+            values = candidate.eval_many(grid)
             if np.max(np.abs(values - target)) <= tol:
                 return self.index_of(candidate), candidate
         raise ValueError(

@@ -6,9 +6,17 @@ symmetric under coordinate sign flips, and the rule integrates every product
 of two basis monomials exactly, so monomials whose exponent-parity vectors
 differ are exactly orthogonal.  The problem therefore splits into one block
 per parity vector.  Gram-Schmidt in a fixed order is the QR factorization with
-a positive diagonal of R, so each block is orthonormalized by one Householder
-QR, and the coefficients of its basis elements over its monomials are
-inv(R).T.  Entries between different parities are exactly zero.
+a positive diagonal of R, so each block is orthonormalized by one QR, and the
+coefficients of its basis elements over its monomials are inv(R).T.  Entries
+between different parities are exactly zero.
+
+Each block is factored by LAPACK's blocked QR dgeqrt: np.linalg.qr factors a
+matrix narrower than 128 columns, as most blocks are, with the unblocked
+dgeqr2.  inv(R).T and the basis values inv(R).T @ block then come from
+triangular solves; an explicit triangular inverse loses orthogonality.  All
+dense work in the loop stays within scipy's LAPACK and BLAS: numpy and scipy
+each load their own BLAS, and the two thread pools contend when calls
+alternate between them.
 
 Within a block every product of two monomials is even in each coordinate, so
 its quadrature sums equal sums over one representative node per mirror orbit
@@ -21,10 +29,19 @@ import hashlib
 import math
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_triangular
+from scipy.linalg.lapack import dgeqrt
 
 from .polycore import (MultiIndex, MultiIndexPolynomial, _polynomials_from_rows,
                        grlex_key, monomial_table, monomials_up_to, point_chunks)
 from .quadrature import MirrorOrbits, evaluate_on_nodes
+
+
+QR_BLOCK = 32      # dgeqrt block size
+# Nodes per chunk of OrthoBasis.gram_matrix: large enough for an efficient
+# rank-k update, small enough that the (size, GRAM_CHUNK) values stay far
+# below the full (size, node_count) array.
+GRAM_CHUNK = 2048
 
 
 class ConditioningError(RuntimeError):
@@ -101,15 +118,26 @@ class OrthoBasis:
     def node_values(self):
         """Basis values at every node of the rule (rows: basis elements),
         expanded from the representatives on each access."""
-        values = np.empty((self.size, self.rule.node_count))
+        return self._node_values(slice(None))
+
+    def _node_values(self, nodes):
+        """Basis values at the nodes selected by the slice `nodes`."""
+        index = self.orbits.index[nodes]
+        values = np.empty((self.size, index.size))
         for parity, rows, block in self.blocks:
-            values[rows] = block[:, self.orbits.index] * self.orbits.signs(parity)
+            values[rows] = block[:, index] * self.orbits.signs(parity)[nodes]
         return values
 
     def gram_matrix(self):
-        """Gram matrix on the full rule, independent of the orbit fold."""
-        values = self.node_values
-        return (values * self.rule.weights) @ values.T
+        """Gram matrix on the full rule, independent of the orbit fold,
+        accumulated over GRAM_CHUNK nodes at a time."""
+        gram = np.zeros((self.size, self.size))
+        sqrt_w = np.sqrt(self.rule.weights)
+        for lo in range(0, self.rule.node_count, GRAM_CHUNK):
+            chunk = slice(lo, lo + GRAM_CHUNK)
+            values = self._node_values(chunk) * sqrt_w[chunk]
+            gram += values @ values.T
+        return gram
 
     def rule_digest(self):
         h = hashlib.sha256()
@@ -166,10 +194,15 @@ def build_basis(d, s_max, rule, order="grlex"):
                 f"monomial {exponents[rows[orbits.count]]} is numerically dependent "
                 f"({len(rows)} monomials of its parity on {orbits.count} node orbits)")
         block = monomial_values([exponents[i] for i in rows], orbits.representatives)
-        weighted = (block * sqrt_w).T
-        r = np.linalg.qr(weighted, mode="r")
+        weighted = block * sqrt_w
+        floor = 1e-12 * np.maximum(1.0, np.linalg.norm(weighted, axis=1))
+        # the QR of weighted.T, factored in place
+        factored, _, info = dgeqrt(min(QR_BLOCK, len(rows)), weighted.T, overwrite_a=True)
+        if info != 0:
+            raise LinAlgError(f"dgeqrt failed with info {info}")
+        r = np.triu(factored[:len(rows)])
+        del weighted, factored      # free the block-sized buffer before the solves
         diag = np.diag(r)
-        floor = 1e-12 * np.maximum(1.0, np.linalg.norm(weighted, axis=0))
         bad = np.flatnonzero(np.abs(diag) < floor)
         if bad.size:
             i = bad[0]
@@ -177,9 +210,11 @@ def build_basis(d, s_max, rule, order="grlex"):
                 f"monomial {exponents[rows[i]]} is numerically dependent "
                 f"(residual {abs(diag[i]):.2e})")
         r *= np.sign(diag)[:, None]
-        block_coeffs = np.linalg.inv(r).T
+        # inv(R).T and inv(R).T @ block, each by one triangular solve
+        block_coeffs = solve_triangular(r, np.eye(len(rows)), trans="T")
         coeffs[np.ix_(rows, rows)] = block_coeffs
-        blocks.append((parity, np.array(rows, dtype=np.intp), block_coeffs @ block))
+        blocks.append((parity, np.array(rows, dtype=np.intp),
+                       solve_triangular(r, block, trans="T")))
     return OrthoBasis(d, s_max, exponents, coeffs, blocks, orbits, rule)
 
 

@@ -192,7 +192,7 @@ def approximate_by_ridge(f, n, cfg, basis=None, rule=None):
     target = make_target(cfg.target, d, cfg.target_params) if isinstance(f, str) else f
 
     fitted = fit_polynomial(target, s, basis)
-    sup_grid = ball_sup_grid(d, cfg.sup_grid_size)
+    sup_grid = ball_sup_grid(d, cfg.sup_grid_size) if cfg.q == math.inf else None
     fit_error = _lq_error(target, fitted, rule, cfg.q, sup_grid)
 
     n_dirs = dim_homogeneous(m, s)

@@ -179,18 +179,30 @@ class MirrorOrbits:
     at the node's representative times the node's signs on the odd axes, so a
     quadrature sum of f * g over the rule is fold(f, parity of g) @ g at the
     representatives.  A rule with no exact mirror has one-node orbits.
+
+    One sort of the rows (|x|, w) groups the nodes that differ only in signs.
+    A node's code is its group and its sign bits, a zero coordinate of either
+    sign counting as positive (it is its own mirror).  Axis j is a mirror when
+    every code with x_j != 0 occurs as often as the code with bit j flipped.
+    A second row sort numbers the orbits in lexicographic order of their
+    representatives.
     """
 
     def __init__(self, rule):
-        table = np.column_stack([rule.nodes, rule.weights])
-        self.axes = [j for j in range(rule.dim) if _is_mirror(table, j)]
-        keys = rule.nodes.copy()
-        keys[:, self.axes] = np.abs(keys[:, self.axes])
-        self.representatives, index = np.unique(keys, axis=0, return_inverse=True)
-        self.index = index.reshape(-1)          # orbit of each node
+        nodes, dim = rule.nodes, rule.dim
+        magnitudes = np.abs(nodes)
+        group, first = _row_groups(np.column_stack([magnitudes, rule.weights]))
+        bits = (nodes < 0) @ (1 << np.arange(dim, dtype=np.int64))
+        codes, counts = np.unique((group << dim) | bits, return_counts=True)
+        moved = nodes[first[codes >> dim]] != 0
+        self.axes = [j for j in range(dim) if _is_mirror(codes, counts, moved[:, j], 1 << j)]
+        keys = nodes.copy()
+        keys[:, self.axes] = magnitudes[:, self.axes]
+        self.index, first = _row_groups(keys)   # orbit of each node
+        self.representatives = keys[first]
         self.weights = np.bincount(self.index, weights=rule.weights)
         self.node_weights = rule.weights
-        self.node_signs = np.sign(rule.nodes[:, self.axes])
+        self.node_signs = np.sign(nodes[:, self.axes])
 
     @property
     def count(self):
@@ -208,15 +220,23 @@ class MirrorOrbits:
                            minlength=self.count)
 
 
-def _is_mirror(table, j):
-    """Whether negating column j maps the rows of `table` onto themselves exactly."""
-    flipped = table.copy()
-    flipped[:, j] = -flipped[:, j]
-    return np.array_equal(_sorted_rows(table), _sorted_rows(flipped))
+def _row_groups(table):
+    """Per row of `table`, the number of its set of equal rows in
+    lexicographic order, and one row index per set."""
+    order = np.lexsort(table.T[::-1])
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(np.diff(table[order], axis=0) != 0, axis=1)
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    return group, order[starts]
 
 
-def _sorted_rows(table):
-    return table[np.lexsort(table.T[::-1])]
+def _is_mirror(codes, counts, moved, bit):
+    """Whether each of the sorted `codes` where `moved` holds occurs as often
+    (`counts`) as the code with `bit` flipped."""
+    partner = codes[moved] ^ bit
+    at = np.minimum(np.searchsorted(codes, partner), codes.size - 1)
+    return bool(np.all((codes[at] == partner) & (counts[at] == counts[moved])))
 
 
 def pointwise(f):

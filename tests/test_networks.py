@@ -156,6 +156,34 @@ def test_find_index_within_tolerance():
     assert dictionary.polynomial_at(index) == candidate
 
 
+# (dim, profile terms, tol, grid, index, candidate terms), recorded before
+# find_index kept the profile's validated keys and evaluated candidates directly
+FIND_INDEX_GOLDEN = [
+    (1, {(0,): 0.3, (1,): -1.2345, (3,): 0.017}, 2e-2, "line",
+     6051740873391729099509331744214680031128796631625342186712608344879735430208089152,
+     {(0,): Fraction(5, 16), (1,): Fraction(-5, 4), (3,): Fraction(1, 32)}),
+    (1, {(2,): 1 / 3, (5,): -0.1}, 1e-2, "line",
+     1088255297779822026963798979433540643256254703035036486127934622265981575894882752905530,
+     {(2,): Fraction(43, 128), (5,): Fraction(-13, 128)}),
+    (2, {(0, 0): 0.1, (1, 1): -math.e / 3, (2, 0): 0.625}, 1e-3, "ball",
+     475870354165006394239570836473528978999304541911870613823006278339319568497735022153752,
+     {(0, 0): Fraction(51, 512), (1, 1): Fraction(-29, 32), (2, 0): Fraction(5, 8)}),
+    # the (0, 1, 1) coefficient rounds to zero and drops out
+    (3, {(1, 0, 0): 0.5, (0, 1, 1): -0.25, (0, 0, 2): 0.8}, 0.3, "ball",
+     12090, {(1, 0, 0): Fraction(1, 2), (0, 0, 2): Fraction(1)}),
+]
+
+
+@pytest.mark.parametrize("dim,terms,tol,grid,index,expected", FIND_INDEX_GOLDEN)
+def test_find_index_golden(dim, terms, tol, grid, index, expected):
+    grid = np.linspace(-1, 1, 33)[:, None] if grid == "line" else ball_sup_grid(dim, 64)
+    dictionary = PolynomialDictionary(dim)
+    found, candidate = dictionary.find_index(MultiIndexPolynomial(dim, terms), tol, grid)
+    assert found == index
+    assert candidate.terms == expected
+    assert all(type(c) is Fraction for c in candidate.terms.values())
+
+
 def make_ortho_decomposition(seed=5):
     rng = np.random.default_rng(seed)
     d, ell, s = 3, 2, 2

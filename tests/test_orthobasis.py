@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+from ridgekit import orthobasis
 from ridgekit.orthobasis import (ConditioningError, build_basis,
                                  project_coefficients)
 from ridgekit.polycore import MultiIndex, MultiIndexPolynomial, monomials_up_to
@@ -114,7 +116,7 @@ def test_cross_parity_coefficients_are_exact_zeros(order):
     assert np.all(basis.coeff_matrix[differs] == 0.0)
 
 
-@pytest.mark.parametrize("d,s_max,exactness", [(2, 15, 32), (4, 7, 16)])
+@pytest.mark.parametrize("d,s_max,exactness", [(2, 15, 32), (3, 15, 32), (4, 7, 16)])
 def test_gram_identity_high_degree(d, s_max, exactness):
     basis = build_basis(d, s_max, build_ball_rule(d, exactness))
     gram = basis.gram_matrix()
@@ -187,3 +189,23 @@ def test_basis_on_rule_without_mirror():
     basis = build_basis(3, 5, rotated)
     assert basis.orbits.axes == []
     assert np.max(np.abs(basis.gram_matrix() - np.eye(basis.size))) <= 1e-10
+
+
+def test_chunked_gram_matches_dense(monkeypatch):
+    rule = build_ball_rule(3, 10)
+    basis = build_basis(3, 5, rule)
+    values = basis.node_values
+    dense = (values * rule.weights) @ values.T
+    # 7 does not divide the node count, so the last chunk is short
+    monkeypatch.setattr(orthobasis, "GRAM_CHUNK", 7)
+    assert rule.node_count % 7
+    assert np.max(np.abs(basis.gram_matrix() - dense)) <= 1e-14
+
+
+def test_qr_failure_is_raised(monkeypatch):
+    def failing_dgeqrt(nb, a, overwrite_a=False):
+        return a, np.zeros((nb, min(a.shape))), -2
+
+    monkeypatch.setattr(orthobasis, "dgeqrt", failing_dgeqrt)
+    with pytest.raises(LinAlgError, match="info -2"):
+        build_basis(2, 3, build_ball_rule(2, 6))

@@ -8,8 +8,9 @@ import pytest
 from ridgekit.pipeline import (CSV_HEADER, ExperimentConfig, RateReport,
                                approximate_by_ridge, fit_polynomial,
                                make_target, rate_sweep, select_degree, verify)
+from ridgekit.orthobasis import build_basis
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
-from ridgekit.quadrature import build_ball_rule
+from ridgekit.quadrature import ball_sup_grid, build_ball_rule
 
 
 def coeff_max(poly):
@@ -106,6 +107,17 @@ def test_approximate_by_ridge_error_report_fields():
     for key in ("n", "s", "fit_error", "residual", "error_lq", "n_directions"):
         assert key in report
     assert report["error_lq"] <= report["fit_error"] + report["residual"] + 1e-10
+
+
+def test_sup_norm_errors_are_taken_on_the_sup_grid():
+    cfg = small_cfg(q=math.inf)
+    target = make_target("gaussian", 3)
+    dec, report = approximate_by_ridge(target, 8, cfg)
+    rule = build_ball_rule(3, 2 * report["s"] + cfg.rule_extra_exactness)
+    fitted = fit_polynomial(target, report["s"], build_basis(3, report["s"], rule))
+    grid = ball_sup_grid(3, cfg.sup_grid_size)
+    assert report["fit_error"] == np.max(np.abs(target(grid) - fitted.eval_many(grid)))
+    assert report["error_lq"] == np.max(np.abs(target(grid) - dec.eval_many(grid)))
 
 
 def test_approximate_by_ridge_rejects_tiny_budget():

@@ -197,3 +197,61 @@ def test_rule_without_mirror_has_one_node_orbits():
     assert orbits.count == rotated.node_count
     values = np.cos(rotated.nodes[:, 0])
     assert np.array_equal(orbits.fold(values, (1, 1))[orbits.index], rotated.weights * values)
+
+
+def test_one_ulp_weight_mismatch_loses_the_axis():
+    rule = build_ball_rule(2, 6)
+    weights = rule.weights.copy()
+    i = np.flatnonzero(rule.nodes[:, 1] != 0.0)[0]
+    weights[i] = np.nextafter(weights[i], np.inf)
+    perturbed = QuadratureRule("ball", 2, rule.nodes, weights, rule.exactness_degree)
+    assert MirrorOrbits(rule).axes == [1]
+    assert MirrorOrbits(perturbed).axes == []
+
+
+def test_negative_zero_coordinates_keep_the_axis():
+    rule = build_ball_rule(3, 6)
+    nodes = rule.nodes.copy()
+    # the x_2-mirror of this node keeps x_1 = +0.0
+    i = np.flatnonzero((nodes[:, 1] == 0.0) & (nodes[:, 2] != 0.0))[0]
+    nodes[i, 1] = -0.0
+    signed = QuadratureRule("ball", 3, nodes, rule.weights, rule.exactness_degree)
+    plain, orbits = MirrorOrbits(rule), MirrorOrbits(signed)
+    assert orbits.axes == plain.axes == [1, 2]
+    assert np.array_equal(orbits.representatives, plain.representatives)
+    assert np.array_equal(orbits.index, plain.index)
+    assert np.array_equal(orbits.weights, plain.weights)
+
+
+def test_centrally_symmetric_rule_has_no_mirror():
+    # x -> -x flips every coordinate at once, so each axis sees balanced signs
+    # in every group of equal |x|, but no single coordinate flip is a symmetry
+    half = np.random.default_rng(5).uniform(-0.6, 0.6, size=(6, 2))
+    rule = QuadratureRule("ball", 2, np.vstack([half, -half]), np.full(12, math.pi / 12), 1)
+    orbits = MirrorOrbits(rule)
+    assert orbits.axes == []
+    assert orbits.count == 12
+
+
+def brute_force_orbits(rule):
+    """Mirror axes by comparing the sorted (node, weight) rows with their
+    reflections, and orbit weights keyed by representative."""
+    rows = [tuple(x) + (w,) for x, w in zip(rule.nodes.tolist(), rule.weights.tolist())]
+    axes = [j for j in range(rule.dim)
+            if sorted(r[:j] + (-r[j],) + r[j + 1:] for r in rows) == sorted(rows)]
+    weights = {}
+    for r in rows:
+        key = tuple(abs(v) if j in axes else v for j, v in enumerate(r[:-1]))
+        weights[key] = weights.get(key, 0.0) + r[-1]
+    return axes, weights
+
+
+@pytest.mark.parametrize("d,exactness", [(2, 9), (2, 12), (3, 7), (3, 10), (4, 6)])
+def test_mirror_orbits_match_brute_force(d, exactness):
+    rule = build_ball_rule(d, exactness)
+    orbits = MirrorOrbits(rule)
+    axes, weights = brute_force_orbits(rule)
+    assert orbits.axes == axes
+    representatives = [tuple(x) for x in orbits.representatives.tolist()]
+    assert set(representatives) == set(weights)
+    assert [weights[x] for x in representatives] == orbits.weights.tolist()
