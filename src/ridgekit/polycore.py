@@ -274,6 +274,17 @@ class _SparsePolynomial:
     def map_coefficients(self, fn):
         return self._from_flat(self.dim, {k: fn(c) for k, c in self._terms.items()})
 
+    def axis_values(self):
+        """Values at the origin and at u e_i (i = 1..dim), read from the
+        coefficients: only the constant and the monomials in the variables of
+        coordinate i are nonzero at u e_i.  u runs over (1, -1) for a real
+        polynomial and over (1, 1j, -1, -1j) for a complex one.  Returns the
+        origin's value, then the values at u e_1, ..., u e_dim for each u in
+        turn."""
+        top = next(reversed(self._terms)).order() if self._terms else 0
+        keys, phases = _axis_terms(self.dim, self._halves, top)
+        return phases @ np.array([self._terms.get(k, 0) for k in keys], dtype=phases.dtype)
+
     def to_json(self):
         return json.dumps(self.to_json_dict())
 
@@ -298,9 +309,10 @@ class MultiIndexPolynomial(_SparsePolynomial):
         return cls(len(exponents), {tuple(exponents): coeff})
 
     def degree(self):
-        if not self.terms:
+        # the terms are in grlex order, so the last key has the top degree
+        if not self._terms:
             return -math.inf
-        return max(k.order() for k in self.terms)
+        return next(reversed(self._terms)).order()
 
     def eval(self, x):
         if len(x) != self.dim:
@@ -451,6 +463,30 @@ def _eval_terms(keys, coeffs, points):
         heads_table = monomial_table(head_exponents, points[chunk, :-1])
         out[chunk] = np.einsum("hn,hn->n", inner, heads_table)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_terms(dim, halves, top):
+    """The flat keys of the constant and of every monomial of order <= top in
+    the variables of one coordinate (x_i, or z_i and conj z_i), and the
+    read-only matrix of their values at the points of `axis_values`: z_i^k
+    conj(z_i)^l is u^(k - l) at u e_i (|u| = 1) and 0 at the other points."""
+    units = 2 * halves
+    roots = np.array([1.0, -1.0]) if halves == 1 else np.array([1, 1j, -1, -1j])
+    local = monomials_up_to(halves, top)[1:]
+    keys = [(0,) * (halves * dim)]
+    phases = np.zeros((1 + units * dim, 1 + dim * len(local)), dtype=roots.dtype)
+    phases[:, 0] = 1
+    for i in range(dim):
+        for e in local:
+            key = [0] * (halves * dim)
+            key[i::dim] = e
+            power = e[0] - sum(e[1:])
+            phases[1 + i + dim * np.arange(units), len(keys)] = roots[
+                power * np.arange(units) % units]
+            keys.append(tuple(key))
+    phases.setflags(write=False)
+    return tuple(keys), phases
 
 
 def _polynomials_from_rows(cls, dim, keys, rows):

@@ -274,14 +274,16 @@ def complex_sup_grid(d, count, seed=0):
     return pts
 
 
-def complex_decompose(P, dirs, grid_size=512, residual_tol=1e-8):
+def complex_decompose(P, dirs, residual_tol=1e-8):
     """Decompose P in P_s(C^d) along directions certified at bidegree (s, s).
 
     Directions spanning at (s, s) span every lower bidegree, so each bidegree
     component of P is solved independently by the set's least-norm factor.
     `residual` is the certificate of `PowerSpan.solve`, a bound on the sup
-    error over the unit ball; it must not exceed residual_tol * (1 + max|P|)
-    on a grid_size-point grid.
+    error over the unit ball; it must not exceed residual_tol * (1 + max|P|),
+    with the maximum taken at the origin and at the points u e_j,
+    u in {1, i, -1, -i}, read from P's coefficients (a lower bound of the sup
+    of |P| over the ball).
     """
     s = dirs.s
     if dirs.t != s:
@@ -297,8 +299,8 @@ def complex_decompose(P, dirs, grid_size=512, residual_tol=1e-8):
     for key, c in P.terms.items():
         rhs[rows[key]] = complex(c)
     solutions, certificate = dirs.span.solve(rhs)
-    certify(certificate, P.eval_many(complex_sup_grid(d, grid_size)), residual_tol,
-            dirs.blocks, [f"bidegree {bidegree}" for bidegree in dirs.bidegrees])
+    certify(certificate, P.axis_values(), residual_tol,
+            dirs.blocks, (f"bidegree {bidegree}" for bidegree in dirs.bidegrees))
 
     # profile keys (s', t'); `bidegrees` is lexicographic, profiles keep grlex order
     order = sorted(range(len(dirs.bidegrees)), key=lambda b: grlex_key(dirs.bidegrees[b]))

@@ -24,7 +24,6 @@ from .compensated import U, dd_monomials, residual_dot
 from .polycore import (ZERO_PRUNE_FLOAT, MultiIndex, MultiIndexPolynomial,
                        dim_homogeneous, grlex_key, monomial_table, monomials_up_to,
                        _homogeneous_exponents, _polynomials_from_rows)
-from .quadrature import ball_sup_grid
 
 RANK_TOLERANCE = 1e-10
 DEFAULT_RETRIES = 50
@@ -162,7 +161,8 @@ class PowerSpan:
 def certify(certificate, target, residual_tol, blocks, labels):
     """Raise DecompositionError unless the certificate is at most
     residual_tol * (1 + max|target|); the message names the rank-deficient
-    blocks from their stored factors."""
+    blocks from their stored factors, labelled by the iterable `labels`,
+    which is read only on failure."""
     scale = 1.0 + float(np.max(np.abs(target), initial=0.0))
     if certificate <= residual_tol * scale:
         return
@@ -286,7 +286,7 @@ class RidgeDecomposition:
         return cls(obj["d"], obj["ell"], mats, profs)
 
 
-def decompose(P, dirs, d, ell, grid_size=512, residual_tol=1e-8):
+def decompose(P, dirs, d, ell, residual_tol=1e-8):
     """Decompose P (degree <= dirs.s) into ridge terms along dirs.
 
     The leading-block components of P, grouped by trailing-block exponent, are
@@ -294,8 +294,9 @@ def decompose(P, dirs, d, ell, grid_size=512, residual_tol=1e-8):
     the profile of unit i collects those power coefficients together with the
     trailing variables, which the block matrix passes through unchanged.
     `residual` is the certificate of `PowerSpan.solve`, a bound on the sup
-    error over B^d; it must not exceed residual_tol * (1 + max|P|) on a
-    grid_size-point grid.
+    error over B^d; it must not exceed residual_tol * (1 + max|P|), with the
+    maximum taken at the origin and at the points +-e_i, read from P's
+    coefficients (a lower bound of the sup of |P| over B^d).
     """
     if not 1 <= ell < d:
         raise ValueError("need 1 <= ell < d")
@@ -316,14 +317,15 @@ def decompose(P, dirs, d, ell, grid_size=512, residual_tol=1e-8):
     for K, c in P.terms.items():
         rhs[heads[K[:m]], columns[K[m:]]] = float(c)
     solutions, certificate = dirs.span.solve(rhs)
-    certify(certificate, P.eval_many(ball_sup_grid(d, grid_size)), residual_tol,
-            dirs.blocks, [f"degree {j}" for j in range(s + 1)])
+    certify(certificate, P.axis_values(), residual_tol,
+            dirs.blocks, (f"degree {j}" for j in range(s + 1)))
 
-    # profile keys (j,) + tail; P has degree <= s, so j <= s - |tail|
-    keys = sorted(((j,) + t for t in tails for j in range(s - sum(t) + 1)), key=grlex_key)
+    # profile keys (j,) + tail; P has degree <= s, so j <= s - |tail|.  The
+    # tails are slices of validated keys, so the keys need no validation.
+    keys = sorted((tuple.__new__(MultiIndex, (j,) + t) for t in tails
+                   for j in range(s - sum(t) + 1)), key=grlex_key)
     coeffs = np.stack(solutions)[[key[0] for key in keys], :, [columns[key[1:]] for key in keys]]
-    profiles = _polynomials_from_rows(MultiIndexPolynomial, ell, [MultiIndex(key) for key in keys],
-                                      coeffs.T)
+    profiles = _polynomials_from_rows(MultiIndexPolynomial, ell, keys, coeffs.T)
     decomp = RidgeDecomposition(d, ell, build_block_matrices(dirs, d, ell), profiles)
     decomp.residual = certificate
     return decomp

@@ -130,6 +130,70 @@ def test_degree_and_zero_conventions():
     assert (one - one).is_zero()
 
 
+def random_sparse_poly(dim, rng):
+    """Random polynomial of degree <= 5 on a random subset of the monomials
+    (possibly none)."""
+    keys = monomials_up_to(dim, int(rng.integers(0, 6)))
+    chosen = rng.choice(len(keys), size=int(rng.integers(0, len(keys) + 1)), replace=False)
+    return MultiIndexPolynomial(dim, {keys[i]: rng.standard_normal() for i in chosen})
+
+
+def test_degree_is_the_top_order_of_the_terms():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        dim = int(rng.integers(1, 5))
+        p, q = random_sparse_poly(dim, rng), random_sparse_poly(dim, rng)
+        top = {k: -c for k, c in p.terms.items() if k.order() == p.degree()}
+        results = [p, q, p + q, p - p, p * q, p + MultiIndexPolynomial(dim, top),
+                   p.map_coefficients(lambda c: 3 * c),
+                   p.map_coefficients(lambda c: c if c > 0 else 0)]  # prunes terms
+        for poly in results:
+            assert poly.degree() == max((k.order() for k in poly.terms), default=-math.inf)
+
+
+def axis_points(dim, units):
+    """The origin, then u e_1, ..., u e_dim for each unit u in turn."""
+    return np.vstack([np.zeros((1, dim))] + [u * np.eye(dim) for u in units])
+
+
+def check_axis_values(poly, units):
+    values = poly.axis_values()
+    expected = poly.eval_many(axis_points(poly.dim, units))
+    assert values.shape == expected.shape
+    scale = sum(abs(complex(c)) for c in poly.terms.values())
+    assert np.max(np.abs(values - expected)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_axis_values_match_evaluation_real(dim):
+    rng = np.random.default_rng(dim)
+    polys = [MultiIndexPolynomial.zero(dim), MultiIndexPolynomial.constant(dim, -2.5),
+             MultiIndexPolynomial(dim, {k: rng.standard_normal()
+                                        for k in monomials_up_to(dim, 6)}),
+             MultiIndexPolynomial(dim, {k: Fraction(i + 1, 3)
+                                        for i, k in enumerate(monomials_up_to(dim, 3))})]
+    polys += [random_sparse_poly(dim, rng) for _ in range(10)]
+    for poly in polys:
+        check_axis_values(poly, (1, -1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_axis_values_match_evaluation_complex(dim):
+    rng = np.random.default_rng(10 + dim)
+    exps = monomials_up_to(dim, 3)
+    pairs = [(k, l) for k in exps for l in exps]
+    polys = [ComplexBiPolynomial.zero(dim), ComplexBiPolynomial.constant(dim, 1.5 - 2j),
+             ComplexBiPolynomial(dim, {key: complex(*rng.standard_normal(2)) for key in pairs}),
+             ComplexBiPolynomial(dim, {key: ExactComplex(i, Fraction(-1, i + 2))
+                                       for i, key in enumerate(pairs[:40])})]
+    for _ in range(10):
+        chosen = rng.choice(len(pairs), size=int(rng.integers(0, len(pairs) + 1)), replace=False)
+        polys.append(ComplexBiPolynomial(dim, {pairs[i]: complex(*rng.standard_normal(2))
+                                               for i in chosen}))
+    for poly in polys:
+        check_axis_values(poly, (1, 1j, -1, -1j))
+
+
 def test_coefficient_vector_round_trip():
     rng = np.random.default_rng(1)
     p = MultiIndexPolynomial(2, {k: rng.standard_normal() for k in monomials_up_to(2, 3)})

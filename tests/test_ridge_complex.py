@@ -259,6 +259,25 @@ def test_non_spanning_complex_direction_set_raises_with_rank_and_condition():
     assert "condition number" in str(info.value)
 
 
+def test_complex_decompose_reads_the_gate_scale_from_coefficients(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("P evaluated or a sup grid built")
+
+    for owner, name in ((ComplexBiPolynomial, "eval_many"), (ComplexBiPolynomial, "__call__"),
+                        (ridgekit.ridge_complex, "complex_sup_grid"),
+                        (ridgekit.quadrature, "ball_sup_grid"), (ridgekit, "ball_sup_grid")):
+        monkeypatch.setattr(owner, name, forbidden)
+    d, s = 2, 2
+    exponents = monomials_up_to(d, s)
+    rng = np.random.default_rng(6)
+    P = ComplexBiPolynomial(d, {(k, l): complex(*rng.standard_normal(2))
+                                for k in exponents for l in exponents})
+    dirs = sample_complex_directions(d, s, s, dim_complex_bihomogeneous(d, s, s), seed=7)
+    assert complex_decompose(P, dirs).residual <= 1e-2 * RESIDUAL_TOL
+    with pytest.raises(ridgekit.DecompositionError):
+        complex_decompose(P, dirs, residual_tol=-1.0)
+
+
 @st.composite
 def complex_cases(draw):
     d = draw(st.integers(1, 2))

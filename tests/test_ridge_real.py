@@ -181,6 +181,20 @@ def test_non_spanning_direction_set_raises_with_rank_and_condition():
     assert "condition number" in str(info.value)
 
 
+def test_decompose_reads_the_gate_scale_from_coefficients(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("P evaluated or a sup grid built")
+
+    for owner, name in ((MultiIndexPolynomial, "eval_many"), (MultiIndexPolynomial, "__call__"),
+                        (ridgekit.quadrature, "ball_sup_grid"), (ridgekit, "ball_sup_grid")):
+        monkeypatch.setattr(owner, name, forbidden)
+    dirs = sample_spanning_directions(3, 4, dim_homogeneous(3, 4), seed=4)
+    P = random_poly(4, 4, seed=5)
+    assert decompose(P, dirs, 4, 2).residual <= 1e-2 * RESIDUAL_TOL
+    with pytest.raises(ridgekit.DecompositionError):
+        decompose(P, dirs, 4, 2, residual_tol=-1.0)
+
+
 @st.composite
 def real_cases(draw):
     d = draw(st.integers(2, 4))
