@@ -20,6 +20,8 @@ from .quasiproj import smooth_step
 
 CELL_SPACING = 3.0
 BLEND_OUTER = 1.4  # cell value fades to zero by this radius; cells stay disjoint
+# largest excess of a unit's input-map norm over 1 that the builders accept
+UNIT_NORM_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +89,11 @@ def _rational_unrank(rank):
         terms = [seq[0] + 1]
     else:
         terms = [seq[0]] + [t + 1 for t in seq[1:-1]] + [seq[-1] + 2]
-    value = Fraction(terms[-1])
+    # convergent recurrence: t + 1 / (p / q) = (t p + q) / p, already in lowest terms
+    p, q = terms[-1], 1
     for t in reversed(terms[:-1]):
-        value = t + 1 / value
-    return value.numerator, value.denominator
+        p, q = t * p + q, p
+    return p, q
 
 
 def encode_rational(value):
@@ -134,31 +137,20 @@ def _decode_term_list(code):
     return pairs
 
 
-class PolynomialDictionary:
-    """Indexed enumeration of rational-coefficient polynomials in `var_count`
-    real variables.  Index 1 is the zero polynomial; the index <-> polynomial
-    maps are mutually inverse for every index."""
-
-    def __init__(self, var_count):
-        if var_count < 1:
-            raise ValueError("need at least one variable")
-        self.var_count = var_count
-        self._cache = {}
+class _Dictionary:
+    """Index <-> polynomial maps shared by both dictionaries: index 1 is the
+    zero polynomial, and index i > 1 encodes the sorted list of
+    (monomial rank, coefficient code) pairs of a nonzero polynomial.
+    Subclasses give the polynomial class and the codec of one term."""
 
     def polynomial_at(self, index):
         if index < 1:
             raise ValueError("indices start at 1")
         if index in self._cache:
             return self._cache[index]
-        if index == 1:
-            poly = MultiIndexPolynomial.zero(self.var_count)
-        else:
-            pairs = _decode_term_list(index - 2)
-            terms = {
-                unrank_grlex(self.var_count, rank): decode_rational(code)
-                for rank, code in pairs
-            }
-            poly = MultiIndexPolynomial(self.var_count, terms)
+        pairs = _decode_term_list(index - 2) if index > 1 else []
+        poly = self._polynomial(self.var_count,
+                                dict(self._decode_term(rank, code) for rank, code in pairs))
         if len(self._cache) < 4096:
             self._cache[index] = poly
         return poly
@@ -168,112 +160,104 @@ class PolynomialDictionary:
             raise ValueError("variable count mismatch")
         if poly.is_zero():
             return 1
-        pairs = []
-        for k, c in poly.terms.items():
-            code = encode_rational(c)
-            pairs.append((rank_grlex(tuple(k)), code))
-        pairs.sort()
-        return _encode_term_list(pairs) + 2
-
-    def find_index(self, profile, tol, grid, max_denominator_exponent=60):
-        """Dictionary entry within sup-grid distance `tol` of a float-coefficient
-        profile, found by rounding coefficients to denominators 2^j."""
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        target = profile.eval_many(grid)
-        coeffs = {k: float(c) for k, c in profile.terms.items()}
-        for j in range(max_denominator_exponent + 1):
-            denom = 1 << j
-            terms = {k: Fraction(round(c * denom), denom) for k, c in coeffs.items()}
-            candidate = MultiIndexPolynomial(self.var_count, terms)
-            values = candidate.eval_many(grid)
-            if np.max(np.abs(values - target)) <= tol:
-                return self.index_of(candidate), candidate
-        raise ValueError(
-            f"no dictionary entry within {tol} up to denominator 2^{max_denominator_exponent}; "
-            "raise the denominator bound")
+        return _encode_term_list(sorted(self._encode_term(key, c)
+                                        for key, c in poly.terms.items())) + 2
 
 
-class ComplexPolynomialDictionary:
+class PolynomialDictionary(_Dictionary):
+    """Indexed enumeration of rational-coefficient polynomials in `var_count`
+    real variables.  Index 1 is the zero polynomial; the index <-> polynomial
+    maps are mutually inverse for every index."""
+
+    _polynomial = MultiIndexPolynomial
+
+    def __init__(self, var_count):
+        if var_count < 1:
+            raise ValueError("need at least one variable")
+        self.var_count = var_count
+        self._cache = {}
+
+    def _decode_term(self, rank, code):
+        return unrank_grlex(self.var_count, rank), decode_rational(code)
+
+    def _encode_term(self, key, c):
+        return rank_grlex(tuple(key)), encode_rational(c)
+
+    def find_index(self, profile, tol):
+        """Dictionary entry within `tol` of a float-coefficient profile in the
+        l1 norm of the coefficients, by one dyadic rounding: each of the T
+        coefficients goes to the nearest multiple of 2^-j with
+        j = ceil(log2(T / tol)) - 1 (at least 0), so it moves by at most
+        2^(-j-1) <= tol / T.  Every monomial is at most 1 in modulus on the
+        unit ball, so the entry is within `tol` of the profile there too.
+        Returns (index, entry)."""
+        if profile.dim != self.var_count:
+            raise ValueError("variable count mismatch")
+        j = _denominator_exponent(len(profile.terms), tol)
+        entry = MultiIndexPolynomial(self.var_count, {
+            k: _round_dyadic(Fraction(c), j) for k, c in profile.terms.items()})
+        return self.index_of(entry), entry
+
+
+class ComplexPolynomialDictionary(_Dictionary):
     """Enumeration of univariate bidegree polynomials (in w and conj w) with
     Gaussian-rational coefficients."""
+
+    _polynomial = ComplexBiPolynomial
+    var_count = 1
 
     def __init__(self):
         self._cache = {}
 
     @staticmethod
-    def _rank_bidegree(key):
-        (s,), (t,) = key
-        return cantor_pair(s, t)
+    def _decode_term(rank, code):
+        (s, t), (re_code, im_code) = cantor_unpair(rank), cantor_unpair(code)
+        return ((s,), (t,)), ExactComplex(decode_rational(re_code), decode_rational(im_code))
 
     @staticmethod
-    def _unrank_bidegree(rank):
-        s, t = cantor_unpair(rank)
-        return ((s,), (t,))
+    def _encode_term(key, c):
+        ((s,), (t,)), (re, im) = key, _exact_parts(c)
+        return cantor_pair(s, t), cantor_pair(encode_rational(re), encode_rational(im))
 
-    def polynomial_at(self, index):
-        if index < 1:
-            raise ValueError("indices start at 1")
-        if index in self._cache:
-            return self._cache[index]
-        if index == 1:
-            poly = ComplexBiPolynomial.zero(1)
-        else:
-            pairs = _decode_term_list(index - 2)
-            terms = {}
-            for rank, code in pairs:
-                re_code, im_code = cantor_unpair(code)
-                value = ExactComplex(decode_rational(re_code), decode_rational(im_code))
-                terms[self._unrank_bidegree(rank)] = value
-            poly = ComplexBiPolynomial(1, terms)
-        if len(self._cache) < 4096:
-            self._cache[index] = poly
-        return poly
-
-    def index_of_exact(self, terms):
-        """Index of the polynomial with the given {((s,),(t,)): (re Fraction,
-        im Fraction)} terms."""
-        pairs = []
-        for key, (re, im) in terms.items():
-            if re == 0 and im == 0:
-                continue
-            code = cantor_pair(encode_rational(re), encode_rational(im))
-            pairs.append((self._rank_bidegree(key), code))
-        if not pairs:
-            return 1
-        pairs.sort()
-        return _encode_term_list(pairs) + 2
-
-    def index_of(self, poly):
-        if poly.dim != 1:
+    def find_index(self, profile, tol):
+        """Complex counterpart of `PolynomialDictionary.find_index`: real and
+        imaginary parts are rounded separately, so the bound is on
+        sum |d re| + |d im| (at least the l1 distance, with no square roots),
+        with j = ceil(log2(2 T / tol)) - 1, one more bit than the real rule."""
+        if profile.dim != self.var_count:
             raise ValueError("variable count mismatch")
-        terms = {}
-        for key, c in poly.terms.items():
-            if isinstance(c, ExactComplex):
-                terms[key] = (c.re, c.im)
-            else:
-                c = complex(c)
-                terms[key] = (Fraction(c.real), Fraction(c.imag))
-        return self.index_of_exact(terms)
+        j = _denominator_exponent(2 * len(profile.terms), tol)
+        entry = ComplexBiPolynomial(1, {
+            key: ExactComplex(*(_round_dyadic(part, j) for part in _exact_parts(c)))
+            for key, c in profile.terms.items()})
+        return self.index_of(entry), entry
 
-    def find_index(self, profile, tol, grid, max_denominator_exponent=60):
-        if profile.dim != 1:
-            raise ValueError("variable count mismatch")
-        grid = np.asarray(grid, dtype=complex).reshape(-1, 1)
-        target = profile.eval_many(grid)
-        coeffs = {key: complex(c) for key, c in profile.terms.items()}
-        for j in range(max_denominator_exponent + 1):
-            denom = 1 << j
-            terms = {}
-            for key, c in coeffs.items():
-                terms[key] = (Fraction(round(c.real * denom), denom),
-                              Fraction(round(c.imag * denom), denom))
-            candidate = ComplexBiPolynomial(1, {
-                key: ExactComplex(re, im) for key, (re, im) in terms.items()
-            })
-            values = candidate.eval_many(grid)
-            if np.max(np.abs(values - target)) <= tol:
-                return self.index_of_exact(terms), candidate
-        raise ValueError("no dictionary entry within tolerance; raise the denominator bound")
+
+def _exact_parts(c):
+    """Real and imaginary parts of a coefficient, as Fractions."""
+    if isinstance(c, ExactComplex):
+        return c.re, c.im
+    if isinstance(c, (complex, np.complexfloating)):
+        return Fraction(c.real), Fraction(c.imag)
+    return Fraction(c), Fraction(0)
+
+
+def _denominator_exponent(count, tol):
+    """Least j >= 0 with count * 2^(-j-1) <= tol, that is
+    ceil(log2(count / tol)) - 1 when tol < count, found without rounding:
+    rounding `count` numbers to multiples of 2^-j moves them by at most tol
+    in total."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    j = 0
+    while math.ldexp(tol, j + 1) < count:
+        j += 1
+    return j
+
+
+def _round_dyadic(value, j):
+    """Nearest multiple of 2^-j to the Fraction `value`."""
+    return Fraction(round(value * (1 << j)), 1 << j)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +313,8 @@ class GTNetwork:
         self.d = d
         self.units = units  # list of dicts: A, b (in-cell bias), c, dict_index
         self.dictionary = dictionary
+        self._profiles = [dictionary.polynomial_at(u["dict_index"]).map_coefficients(float)
+                          for u in units]
 
     @property
     def n(self):
@@ -337,9 +323,8 @@ class GTNetwork:
     def eval_many(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(points.shape[0])
-        for unit in self.units:
+        for unit, poly in zip(self.units, self._profiles):
             local = points @ unit["A"].T + unit["b"]
-            poly = self.dictionary.polynomial_at(unit["dict_index"]).map_coefficients(float)
             values = poly.eval_many(local)
             radii = np.linalg.norm(local, axis=1)
             weights = _blend_weight(radii)
@@ -385,6 +370,8 @@ class CVNNetwork:
         self.d = d
         self.units = units  # list of dicts: alpha, beta (in-cell bias), gamma, dict_index
         self.dictionary = dictionary
+        self._profiles = [dictionary.polynomial_at(u["dict_index"]).map_coefficients(complex)
+                          for u in units]
 
     @property
     def n(self):
@@ -393,9 +380,8 @@ class CVNNetwork:
     def eval_many(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=complex))
         out = np.zeros(points.shape[0], dtype=complex)
-        for unit in self.units:
+        for unit, poly in zip(self.units, self._profiles):
             local = points @ unit["alpha"] + unit["beta"]
-            poly = self.dictionary.polynomial_at(unit["dict_index"])
             values = poly.eval_many(local[:, None])
             weights = _blend_weight(np.abs(local.real)) * _blend_weight(np.abs(local.imag))
             out += unit["gamma"] * weights * values
@@ -433,45 +419,57 @@ class CVNNetwork:
         return cls(obj["d"], units, dictionary)
 
 
-def _profile_grid(ell, count=400, seed=123):
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((count, ell))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts *= rng.random((count, 1)) ** (1.0 / ell)
-    return pts
-
-
 def gtn_from_decomposition(decomp, dictionary, tol):
-    """Network with one unit per ridge block: the profile is rounded into the
-    dictionary and the unit's bias shifts into that entry's cell, so the
-    network matches the ridge sum within n * tol on the ball."""
+    """Network with one unit per ridge block: each profile P_k is rounded into
+    the dictionary by `find_index`, and the unit's input A_k x stays in that
+    entry's cell.  `net.certificate`, at most n * tol, bounds
+    sup |net - sum_k P_k(A_k x)| over the unit ball (see `_round_units`)."""
     if dictionary.var_count != decomp.ell:
         raise ValueError("dictionary variable count must match ell")
-    grid = _profile_grid(decomp.ell)
-    units = []
-    for A, P in zip(decomp.matrices, decomp.profiles):
-        index, _ = dictionary.find_index(P, tol, grid)
-        units.append({
-            "A": np.asarray(A, dtype=float),
-            "b": np.zeros(decomp.ell),
-            "c": 1.0,
-            "dict_index": index,
-        })
-    return GTNetwork(decomp.ell, decomp.d, units, dictionary)
+    mats = [np.asarray(A, dtype=float) for A in decomp.matrices]
+    indices, certificate = _round_units(
+        dictionary, decomp.profiles, tol, [np.linalg.norm(A, 2) for A in mats],
+        "spectral norm of A", "row-orthonormalize it with orthonormalize_rows(A, P)")
+    units = [{"A": A, "b": np.zeros(decomp.ell), "c": 1.0, "dict_index": index}
+             for A, index in zip(mats, indices)]
+    net = GTNetwork(decomp.ell, decomp.d, units, dictionary)
+    net.certificate = certificate
+    return net
 
 
 def cvnn_from_decomposition(cdecomp, dictionary, tol):
-    rng = np.random.default_rng(321)
-    angles = 2 * math.pi * rng.random(400)
-    radii = np.sqrt(rng.random(400))
-    grid = radii * np.exp(1j * angles)
-    units = []
-    for alpha, P in zip(cdecomp.vectors, cdecomp.profiles):
-        index, _ = dictionary.find_index(P, tol, grid)
-        units.append({
-            "alpha": np.asarray(alpha, dtype=complex),
-            "beta": 0j,
-            "gamma": 1.0,
-            "dict_index": index,
-        })
-    return CVNNetwork(cdecomp.d, units, dictionary)
+    """Complex counterpart of `gtn_from_decomposition`, one unit
+    phi(alpha_k . z) per ridge term."""
+    vectors = [np.asarray(alpha, dtype=complex) for alpha in cdecomp.vectors]
+    indices, certificate = _round_units(
+        dictionary, cdecomp.profiles, tol, [np.linalg.norm(alpha) for alpha in vectors],
+        "norm of alpha", "divide alpha by its norm r and use the profile P(r w)")
+    units = [{"alpha": alpha, "beta": 0j, "gamma": 1.0, "dict_index": index}
+             for alpha, index in zip(vectors, indices)]
+    net = CVNNetwork(cdecomp.d, units, dictionary)
+    net.certificate = certificate
+    return net
+
+
+def _round_units(dictionary, profiles, tol, norms, name, remedy):
+    """Dictionary indices of the rounded profiles, and the network certificate
+    sum_k mismatch_k * max(1, norm_k)^deg P_k, rounded up to a float, for units
+    of weight 1 whose input maps have the given norms.  mismatch_k, the exact
+    sum |d re| + |d im| over the coefficients, is at most tol, and every
+    monomial of degree e is at most r^e in modulus where |y| <= r.  A unit's
+    input stays in the unit ball, where the blend weight is 1, only while its
+    norm is at most 1; past 1 + UNIT_NORM_SLACK this raises ValueError."""
+    indices, certificate = [], Fraction(0)
+    for unit, (P, norm) in enumerate(zip(profiles, norms)):
+        if norm > 1 + UNIT_NORM_SLACK:
+            raise ValueError(f"unit {unit}: {name} is {norm:.6g} > 1, so its input can leave "
+                             f"the cell where the activation equals its profile; {remedy}")
+        index, entry = dictionary.find_index(P, tol)
+        rounded = entry.terms
+        mismatch = sum(abs(a - b) for key, c in P.terms.items()
+                       for a, b in zip(_exact_parts(c), _exact_parts(rounded.get(key, 0))))
+        degree = max((key.order() for key in P._terms), default=0)
+        certificate += mismatch * Fraction(max(1.0, float(norm))) ** degree
+        indices.append(index)
+    out = float(certificate)  # rounded up below if float() rounded down
+    return indices, out if out >= certificate else math.nextafter(out, math.inf)

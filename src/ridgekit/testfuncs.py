@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from .polycore import MultiIndexPolynomial, monomial_table, monomials_up_to
@@ -335,6 +334,8 @@ def counterexample_ratio(n, d):
     """Ratio 2 ||P_n||_2^2 / (||P_n||_inf ||P_n||_1) for the family
     P_n(x) = x_1^(-1/3) * ramp_n(x_1) on the unit ball; tends to zero as the
     mass concentrates near the boundary of integrability."""
+    from scipy.integrate import quad
+
     if n < math.ceil(4 * math.sqrt(d)):
         raise ValueError(f"n below the family's regime (need n >= {math.ceil(4 * math.sqrt(d))})")
     slab = ball_volume(d - 1) if d > 1 else 1.0

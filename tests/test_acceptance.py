@@ -277,7 +277,7 @@ def test_acceptance_10_bump_family_derivative_bounds():
 
 
 # ---------------------------------------------------------------------------
-# 11. Dictionary networks emulate ridge sums within n * delta
+# 11. Dictionary networks emulate ridge sums within a certificate of at most n * delta
 
 
 def test_acceptance_11_network_emulation():
@@ -313,6 +313,10 @@ def test_acceptance_11_network_emulation():
     grid = ball_sup_grid(d, 1000)
     gtn_err = float(np.max(np.abs(net.eval_many(grid) - P.eval_many(grid))))
     assert gtn_err <= net.n * NETWORK_DELTA, gtn_err
+    # the certificate bounds the emulation error itself, net against ridge sum
+    emulation_err = float(np.max(np.abs(net.eval_many(grid) - dec.eval_many(grid))))
+    assert emulation_err <= net.certificate <= net.n * NETWORK_DELTA, (
+        emulation_err, net.certificate)
 
     # CVNN emulation
     from ridgekit.ridge_complex import (complex_decompose, complex_sup_grid,
@@ -333,6 +337,9 @@ def test_acceptance_11_network_emulation():
     cgrid = complex_sup_grid(dc, 1000)
     cvnn_err = float(np.max(np.abs(cnet.eval_many(cgrid) - PC.eval_many(cgrid))))
     assert cvnn_err <= cnet.n * NETWORK_DELTA, cvnn_err
+    emulation_err = float(np.max(np.abs(cnet.eval_many(cgrid) - cdec.eval_many(cgrid))))
+    assert emulation_err <= cnet.certificate <= cnet.n * NETWORK_DELTA, (
+        emulation_err, cnet.certificate)
 
 
 # ---------------------------------------------------------------------------

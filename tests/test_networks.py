@@ -17,6 +17,7 @@ from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
                                MultiIndexPolynomial, dim_homogeneous,
                                monomials_up_to)
 from ridgekit.quadrature import ball_sup_grid
+from ridgekit.ridge_complex import ComplexRidgeDecomposition, complex_sup_grid
 from ridgekit.ridge_real import (RidgeDecomposition, decompose,
                                  orthonormalize_rows,
                                  sample_spanning_directions)
@@ -133,14 +134,26 @@ def test_complex_dictionary_rejects_multivariate_polynomials():
     with pytest.raises(ValueError, match="variable count mismatch"):
         dictionary.index_of(poly)
     with pytest.raises(ValueError, match="variable count mismatch"):
-        dictionary.find_index(poly, 1e-9, np.zeros(4, dtype=complex))
+        dictionary.find_index(poly, 1e-9)
+
+
+def test_find_index_validates_inputs():
+    profile = MultiIndexPolynomial(3, {(1, 0, 0): 0.3})
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        PolynomialDictionary(2).find_index(profile, 1e-6)
+    real_profile = MultiIndexPolynomial(1, {(1,): 0.3})
+    complex_profile = ComplexBiPolynomial(1, {((1,), (0,)): 0.3 + 0.1j})
+    for tol in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            PolynomialDictionary(1).find_index(real_profile, tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ComplexPolynomialDictionary().find_index(complex_profile, tol)
 
 
 def test_find_index_exact_rational_profile():
     dictionary = PolynomialDictionary(2)
     profile = MultiIndexPolynomial(2, {(1, 0): 0.5, (0, 2): -0.75})
-    grid = ball_sup_grid(2, 100)
-    index, candidate = dictionary.find_index(profile, 1e-12, grid)
+    index, candidate = dictionary.find_index(profile, 1e-12)
     assert candidate.terms == {(1, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4)}
     assert dictionary.polynomial_at(index) == candidate
 
@@ -149,39 +162,103 @@ def test_find_index_within_tolerance():
     dictionary = PolynomialDictionary(1)
     profile = MultiIndexPolynomial(1, {(1,): math.pi / 4})
     grid = np.linspace(-1, 1, 64)[:, None]
-    index, candidate = dictionary.find_index(profile, 1e-7, grid)
+    index, candidate = dictionary.find_index(profile, 1e-7)
     target = profile.eval_many(grid)
     found = candidate.map_coefficients(float).eval_many(grid)
     assert np.max(np.abs(found - target)) <= 1e-7
     assert dictionary.polynomial_at(index) == candidate
 
 
-# (dim, profile terms, tol, grid, index, candidate terms), recorded before
-# find_index kept the profile's validated keys and evaluated candidates directly
-FIND_INDEX_GOLDEN = [
-    (1, {(0,): 0.3, (1,): -1.2345, (3,): 0.017}, 2e-2, "line",
-     6051740873391729099509331744214680031128796631625342186712608344879735430208089152,
-     {(0,): Fraction(5, 16), (1,): Fraction(-5, 4), (3,): Fraction(1, 32)}),
-    (1, {(2,): 1 / 3, (5,): -0.1}, 1e-2, "line",
-     1088255297779822026963798979433540643256254703035036486127934622265981575894882752905530,
-     {(2,): Fraction(43, 128), (5,): Fraction(-13, 128)}),
-    (2, {(0, 0): 0.1, (1, 1): -math.e / 3, (2, 0): 0.625}, 1e-3, "ball",
-     475870354165006394239570836473528978999304541911870613823006278339319568497735022153752,
-     {(0, 0): Fraction(51, 512), (1, 1): Fraction(-29, 32), (2, 0): Fraction(5, 8)}),
-    # the (0, 1, 1) coefficient rounds to zero and drops out
-    (3, {(1, 0, 0): 0.5, (0, 1, 1): -0.25, (0, 0, 2): 0.8}, 0.3, "ball",
-     12090, {(1, 0, 0): Fraction(1, 2), (0, 0, 2): Fraction(1)}),
-]
+# (dim, profile terms, tol, index, candidate terms), recorded from the direct
+# rule: T coefficients rounded to multiples of 2^-j, j = ceil(log2(T / tol)) - 1
+FIND_INDEX_GOLDEN = {
+    "d1-cubic": (
+        1, {(0,): 0.3, (1,): -1.2345, (3,): 0.017}, 2e-2,
+        174367148158747139604998247539413390782333670679278898199926216343759321168883141131178745831129886377,
+        {(0,): Fraction(19, 64), (1,): Fraction(-79, 64), (3,): Fraction(1, 64)}),
+    "d1-sparse": (
+        1, {(2,): 1 / 3, (5,): -0.1}, 1e-2,
+        1088255297779822026963798979433540643256254703035036486127934622265981575894882752905530,
+        {(2,): Fraction(43, 128), (5,): Fraction(-13, 128)}),
+    "d2": (
+        2, {(0, 0): 0.1, (1, 1): -math.e / 3, (2, 0): 0.625}, 1e-3,
+        int("28993553215197399122704382098546336995300254212279328451417834969493714696917"
+            "12492006562258513553738651059617087639040247554335915413931433387429725109880"
+            "6951358685339066858371828257827675684461243131571201879535423876952"),
+        {(0, 0): Fraction(205, 2048), (1, 1): Fraction(-29, 32), (2, 0): Fraction(5, 8)}),
+    # j = 3: the (0, 1, 1) coefficient is below 2^-4, rounds to zero and drops out
+    "d3-drops-term": (
+        3, {(1, 0, 0): 0.5, (0, 1, 1): -0.05, (0, 0, 2): 0.8}, 0.3,
+        3470675820690, {(1, 0, 0): Fraction(1, 2), (0, 0, 2): Fraction(3, 4)}),
+}
 
 
-@pytest.mark.parametrize("dim,terms,tol,grid,index,expected", FIND_INDEX_GOLDEN)
-def test_find_index_golden(dim, terms, tol, grid, index, expected):
-    grid = np.linspace(-1, 1, 33)[:, None] if grid == "line" else ball_sup_grid(dim, 64)
+@pytest.mark.parametrize("dim,terms,tol,index,expected", FIND_INDEX_GOLDEN.values(),
+                         ids=FIND_INDEX_GOLDEN.keys())
+def test_find_index_golden(dim, terms, tol, index, expected):
     dictionary = PolynomialDictionary(dim)
-    found, candidate = dictionary.find_index(MultiIndexPolynomial(dim, terms), tol, grid)
+    found, candidate = dictionary.find_index(MultiIndexPolynomial(dim, terms), tol)
     assert found == index
     assert candidate.terms == expected
     assert all(type(c) is Fraction for c in candidate.terms.values())
+    # the recorded terms follow from the rule itself
+    j = math.ceil(math.log2(len(terms) / tol)) - 1
+    rounded = {k: Fraction(round(c * 2 ** j), 2 ** j) for k, c in terms.items()}
+    assert expected == {k: c for k, c in rounded.items() if c != 0}
+    assert sum(abs(Fraction(c) - rounded[k]) for k, c in terms.items()) <= tol
+
+
+def _coefficient_errors(profile, entry):
+    """{key: (d re, d im)} of entry - profile, exactly, in Fractions."""
+    def parts(c):
+        if isinstance(c, ExactComplex):
+            return c.re, c.im
+        c = complex(c)
+        return Fraction(c.real), Fraction(c.imag)
+    zero = ExactComplex(0, 0)
+    return {key: tuple(e - p for e, p in zip(parts(entry.terms.get(key, zero)), parts(c)))
+            for key, c in profile.terms.items()}
+
+
+def check_rounding_certificate(profile, entry, tol, points):
+    """The exact mismatch sum |d re| + |d im| is at most tol, and the
+    difference entry - profile is at most the mismatch on the points."""
+    errors = _coefficient_errors(profile, entry)
+    mismatch = sum(abs(re) + abs(im) for re, im in errors.values())
+    assert mismatch <= tol
+    diff = {key: complex(re, im) for key, (re, im) in errors.items()}
+    if isinstance(profile, MultiIndexPolynomial):
+        diff = {key: c.real for key, c in diff.items()}
+    diff = type(profile)(profile.dim, diff)
+    # float evaluation of the difference adds rounding of order
+    # (term count) * 2^-53 relative to the sum of its coefficients' moduli
+    assert np.max(np.abs(diff.eval_many(points))) <= float(mismatch) * (1 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4),
+       st.floats(min_value=1e-10, max_value=1e-1), st.integers(min_value=0, max_value=2 ** 32))
+def test_real_rounding_certificate(ell, degree, tol, seed):
+    rng = np.random.default_rng(seed)
+    profile = MultiIndexPolynomial(ell, {k: rng.standard_normal() * 10 ** rng.uniform(-3, 1)
+                                         for k in monomials_up_to(ell, degree)})
+    _, entry = PolynomialDictionary(ell).find_index(profile, tol)
+    inner = ball_sup_grid(ell, 5000, seed=seed % 1000)[1:]
+    points = np.vstack([inner, inner / np.linalg.norm(inner, axis=1, keepdims=True)])
+    check_rounding_certificate(profile, entry, tol, points)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=4), st.floats(min_value=1e-10, max_value=1e-1),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_complex_rounding_certificate(degree, tol, seed):
+    rng = np.random.default_rng(seed)
+    profile = ComplexBiPolynomial(1, {
+        ((a,), (b,)): complex(*rng.standard_normal(2)) * 10 ** rng.uniform(-3, 1)
+        for a in range(degree + 1) for b in range(degree + 1)})
+    _, entry = ComplexPolynomialDictionary().find_index(profile, tol)
+    inner = complex_sup_grid(1, 5000, seed=seed % 1000)
+    check_rounding_certificate(profile, entry, tol, np.vstack([inner, inner / np.abs(inner)]))
 
 
 def make_ortho_decomposition(seed=5):
@@ -204,6 +281,20 @@ def test_gtn_matches_ridge_sum():
     grid = ball_sup_grid(dec.d, 1000)
     err = np.max(np.abs(net.eval_many(grid) - P.eval_many(grid)))
     assert err <= net.n * DELTA
+    assert net.certificate <= net.n * DELTA
+
+
+def test_builders_reject_unit_maps_past_norm_one():
+    _, dec = make_ortho_decomposition()
+    stretched = RidgeDecomposition(dec.d, dec.ell, [1.01 * A for A in dec.matrices],
+                                   dec.profiles)
+    with pytest.raises(ValueError, match="unit 0: spectral norm of A is 1.01 .*orthonormalize_rows"):
+        gtn_from_decomposition(stretched, PolynomialDictionary(dec.ell), DELTA)
+    profile = ComplexBiPolynomial(1, {((1,), (1,)): 0.5})
+    vectors = np.array([[0.6, 0.8j], [0.606, 0.808j]])  # norms 1 and 1.01
+    cdec = ComplexRidgeDecomposition(2, vectors, [profile, profile])
+    with pytest.raises(ValueError, match="unit 1: norm of alpha is 1.01"):
+        cvnn_from_decomposition(cdec, ComplexPolynomialDictionary(), DELTA)
 
 
 def test_gtn_json_round_trip():
@@ -238,6 +329,7 @@ def test_cvnn_matches_ridge_sum():
     grid = complex_sup_grid(d, 1000)
     err = np.max(np.abs(net.eval_many(grid) - P.eval_many(grid)))
     assert err <= net.n * DELTA
+    assert net.certificate <= net.n * DELTA
 
 
 def test_cvnn_json_round_trip():

@@ -1,9 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ridgekit
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
 from ridgekit.quadrature import build_ball_rule
 from ridgekit.testfuncs import (ExpansionCertificate, counterexample_ratio,
@@ -12,6 +17,8 @@ from ridgekit.testfuncs import (ExpansionCertificate, counterexample_ratio,
                                 sup_norm_counterexample, trig_reduce,
                                 verify_inner_product_expansion)
 
+# the directory that holds the ridgekit package under test
+SRC = str(pathlib.Path(ridgekit.__file__).resolve().parents[1])
 TRIG_TOL = 1e-12
 EXPANSION_TOL = 1e-6
 
@@ -157,3 +164,12 @@ def test_counterexample_sup_norm_exact():
 def test_counterexample_rejects_small_n():
     with pytest.raises(ValueError):
         counterexample_ratio(4, 2)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only counterexample_ratio needs quad, and it imports it when called
+    code = "import sys, ridgekit; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             [SRC, os.environ.get("PYTHONPATH", "")])})
+    assert out.stdout.strip() == "False"
