@@ -54,11 +54,13 @@ def _cmd_decompose(args):
     dec = decompose(poly, dirs, args.dim, args.ell)
     out = dec.to_json_dict()
     out["residual"] = dec.residual
+    out["direction_condition"] = dirs.condition_number
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(out, handle)
-        print(json.dumps({"residual": dec.residual, "terms": dec.count,
-                          "output": args.output}, indent=2))
+        print(json.dumps({"residual": dec.residual,
+                          "direction_condition": dirs.condition_number,
+                          "terms": dec.count, "output": args.output}, indent=2))
     else:
         print(json.dumps(out))
     return 0

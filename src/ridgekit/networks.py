@@ -149,8 +149,11 @@ class _Dictionary:
         if index in self._cache:
             return self._cache[index]
         pairs = _decode_term_list(index - 2) if index > 1 else []
-        poly = self._polynomial(self.var_count,
-                                dict(self._decode_term(rank, code) for rank, code in pairs))
+        return self._remember(index, self._polynomial(
+            self.var_count, dict(self._decode_term(rank, code) for rank, code in pairs)))
+
+    def _remember(self, index, poly):
+        """Cache the entry `poly` at `index` (up to 4096 entries) and return it."""
         if len(self._cache) < 4096:
             self._cache[index] = poly
         return poly
@@ -190,13 +193,15 @@ class PolynomialDictionary(_Dictionary):
         j = ceil(log2(T / tol)) - 1 (at least 0), so it moves by at most
         2^(-j-1) <= tol / T.  Every monomial is at most 1 in modulus on the
         unit ball, so the entry is within `tol` of the profile there too.
-        Returns (index, entry)."""
+        Returns (index, entry) and caches the entry, so `polynomial_at(index)`
+        need not decode it."""
         if profile.dim != self.var_count:
             raise ValueError("variable count mismatch")
         j = _denominator_exponent(len(profile.terms), tol)
         entry = MultiIndexPolynomial(self.var_count, {
             k: _round_dyadic(Fraction(c), j) for k, c in profile.terms.items()})
-        return self.index_of(entry), entry
+        index = self.index_of(entry)
+        return index, self._remember(index, entry)
 
 
 class ComplexPolynomialDictionary(_Dictionary):
@@ -230,7 +235,8 @@ class ComplexPolynomialDictionary(_Dictionary):
         entry = ComplexBiPolynomial(1, {
             key: ExactComplex(*(_round_dyadic(part, j) for part in _exact_parts(c)))
             for key, c in profile.terms.items()})
-        return self.index_of(entry), entry
+        index = self.index_of(entry)
+        return index, self._remember(index, entry)
 
 
 def _exact_parts(c):

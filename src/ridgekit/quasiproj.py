@@ -29,13 +29,13 @@ def smooth_step(t):
     """Smooth monotone step: 0 for t <= 0, 1 for t >= 1."""
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    a = np.zeros_like(t)
-    pos = t > 0
-    a[pos] = np.exp(-1.0 / t[pos])
-    b = np.zeros_like(t)
-    neg = t < 1
-    b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
-    out = a / (a + b)
+    # a / (a + b) with a = exp(-1/t), b = exp(-1/(1-t)) is exactly 0 where
+    # t <= 0 (a = 0) and exactly 1 where t >= 1 (b = 0), so only the points
+    # strictly between (and NaN, which propagates) need the exponentials
+    out = np.where(t >= 1, 1.0, 0.0)
+    mid = ~((t <= 0) | (t >= 1))
+    a, b = np.exp(-1.0 / t[mid]), np.exp(-1.0 / (1.0 - t[mid]))
+    out[mid] = a / (a + b)
     return float(out[0]) if scalar else out
 
 

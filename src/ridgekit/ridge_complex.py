@@ -21,8 +21,8 @@ from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex, _as_exact,
                        _conj, _homogeneous_exponents, _polynomials_from_rows,
                        dim_complex_bihomogeneous, grlex_key, monomial_table,
                        monomials_up_to)
-from .ridge_real import (DEFAULT_RETRIES, RANK_TOLERANCE, PowerSpan, SpanningError,
-                         _multinomial, certify)
+from .ridge_real import (CLOUD_FACTOR, RANK_TOLERANCE, PowerSpan, SpanningError,
+                         _Directions, _multinomial, certify, pick_directions, unit_cloud)
 
 
 def wirtinger_derivative(P, kind, j):
@@ -52,11 +52,6 @@ def apply_wirtinger(P, k, l):
         for _ in range(e):
             out = wirtinger_derivative(out, "antiholomorphic", j)
     return out
-
-
-def _constant_term(P):
-    zero = ((0,) * P.dim, (0,) * P.dim)
-    return P.terms.get(zero, 0)
 
 
 def verify_wirtinger_monomial_identity(k, l, k_prime, l_prime):
@@ -106,7 +101,7 @@ def verify_power_identity(a, k, l, tol=1e-10):
         raise ValueError("dimension mismatch")
     s, t = sum(k), sum(l)
     power = _power_pair(list(a), s, t, dim)
-    result = _constant_term(apply_wirtinger(power, k, l))
+    result = apply_wirtinger(power, k, l).terms.get(((0,) * dim, (0,) * dim), 0)
     expected = _one_like(a) * math.factorial(s) * math.factorial(t)
     for i in range(dim):
         for _ in range(k[i]):
@@ -147,7 +142,7 @@ def bidegree_power_matrix(vectors, s, t):
     return rows.reshape(vectors.shape[0], -1), [(k, l) for k in k_exps for l in l_exps]
 
 
-class ComplexDirectionSet:
+class ComplexDirectionSet(_Directions):
     """Unit vectors in C^d whose powers span the bidegree-(s, t) space.
 
     The vectors are copied and frozen.  `span` holds the powers
@@ -188,35 +183,22 @@ class ComplexDirectionSet:
         self.span = PowerSpan(keys, blocks, (np.vstack(high), np.vstack(low)),
                               self.s + self.t + 1, tol)
 
-    @property
-    def blocks(self):
-        return self.span.blocks
 
-    @property
-    def count(self):
-        return self.vectors.shape[0]
-
-    @property
-    def condition_number(self):
-        """Condition number of the bidegree-(s, t) powers."""
-        return self.blocks[-1].condition
-
-
-def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE,
-                              max_retries=DEFAULT_RETRIES):
-    """Random unit directions in C^d certified to span the bidegree-(s, t)
-    homogeneous space."""
+def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE):
+    """Unit directions in C^d certified to span the bidegree-(s, t)
+    homogeneous space, picked by `pick_directions` from CLOUD_FACTOR * n
+    random unit vectors."""
     required = dim_complex_bihomogeneous(d, s, t)
     if n < required:
         raise ValueError(f"need at least {required} directions, got {n}")
-    rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
-        vectors = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        dirs = ComplexDirectionSet(d, s, t, vectors, tol)
-        if dirs.blocks[-1].rank == required:
-            return dirs
-    raise SpanningError(f"no spanning complex directions (d={d}, s={s}, t={t})")
+    cloud = unit_cloud(np.random.default_rng(seed), CLOUD_FACTOR * n, d, complex)
+    dirs = ComplexDirectionSet(
+        d, s, t, pick_directions(cloud, bidegree_power_matrix(cloud, s, t)[0], n), tol)
+    rank = dirs.blocks[-1].rank
+    if rank < required:
+        raise SpanningError(
+            f"picked directions have bidegree-({s}, {t}) rank {rank} of {required}")
+    return dirs
 
 
 class ComplexRidgeDecomposition:
@@ -243,16 +225,9 @@ class ComplexRidgeDecomposition:
     __call__ = eval_many
 
     def to_json_dict(self):
-        return {
-            "d": self.d,
-            "blocks": [
-                {
-                    "alpha": [{"re": a.real, "im": a.imag} for a in vec],
-                    "P": P.to_json_dict(),
-                }
-                for vec, P in zip(self.vectors, self.profiles)
-            ],
-        }
+        blocks = [{"alpha": [{"re": a.real, "im": a.imag} for a in vec], "P": P.to_json_dict()}
+                  for vec, P in zip(self.vectors, self.profiles)]
+        return {"d": self.d, "blocks": blocks}
 
     @classmethod
     def from_json_dict(cls, obj):
@@ -267,11 +242,7 @@ class ComplexRidgeDecomposition:
 
 def complex_sup_grid(d, count, seed=0):
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    pts /= norms
-    pts *= rng.random((count, 1)) ** (1.0 / (2 * d))
-    return pts
+    return unit_cloud(rng, count, d, complex) * rng.random((count, 1)) ** (1.0 / (2 * d))
 
 
 def complex_decompose(P, dirs, residual_tol=1e-8):

@@ -26,11 +26,12 @@ from .polycore import (ZERO_PRUNE_FLOAT, MultiIndex, MultiIndexPolynomial,
                        _homogeneous_exponents, _polynomials_from_rows)
 
 RANK_TOLERANCE = 1e-10
-DEFAULT_RETRIES = 50
+# candidate vectors drawn per direction requested
+CLOUD_FACTOR = 3
 
 
 class SpanningError(RuntimeError):
-    """Raised when no spanning direction set is found within the retry budget."""
+    """Raised when a picked direction set does not span."""
 
 
 class DecompositionError(RuntimeError):
@@ -176,7 +177,25 @@ def certify(certificate, target, residual_tol, blocks, labels):
         + (f"rank-deficient blocks: {deficient}" if deficient else "every block has full rank"))
 
 
-class DirectionSet:
+class _Directions:
+    """What real and complex direction sets share: a frozen `vectors` array
+    and a `span` whose last block is the top degree or bidegree."""
+
+    @property
+    def blocks(self):
+        return self.span.blocks
+
+    @property
+    def count(self):
+        return self.vectors.shape[0]
+
+    @property
+    def condition_number(self):
+        """Condition number of the top block's powers."""
+        return self.blocks[-1].condition
+
+
+class DirectionSet(_Directions):
     """Unit vectors in R^m whose s-fold powers span the homogeneous space.
 
     The vectors are copied and frozen.  `span` holds the powers (a_i . x)^j,
@@ -198,36 +217,49 @@ class DirectionSet:
                                self.vectors, factors)
         self.span = PowerSpan(keys, degrees, columns, self.s, tol)
 
-    @property
-    def blocks(self):
-        return self.span.blocks
 
-    @property
-    def count(self):
-        return self.vectors.shape[0]
-
-    @property
-    def condition_number(self):
-        """Condition number of the degree-s powers."""
-        return self.blocks[-1].condition
+def unit_cloud(rng, count, dim, dtype=float):
+    """`count` random unit vectors of R^dim, or of C^dim for a complex dtype."""
+    cloud = rng.standard_normal((count, dim))
+    if np.dtype(dtype).kind == "c":
+        cloud = cloud + 1j * rng.standard_normal((count, dim))
+    return cloud / np.linalg.norm(cloud, axis=1, keepdims=True)
 
 
-def sample_spanning_directions(m, s, n, seed=0, tol=RANK_TOLERANCE,
-                               max_retries=DEFAULT_RETRIES):
-    """Random unit directions certified to span the degree-s homogeneous space."""
+def pick_directions(cloud, rows, n):
+    """The n vectors of `cloud` picked by Gaussian elimination with partial
+    row pivoting on their power rows `rows` (discrete Leja points, Bos, De
+    Marchi, Sommariva & Vianello, SIAM J. Numer. Anal. 2010): the pivot rows
+    in elimination order, then the other rows in cloud order.  The
+    elimination is left-looking: step k forms only column k of the reduced
+    rows, and no row is moved."""
+    free = np.ones(len(rows), dtype=bool)
+    picked = []
+    lower = np.zeros_like(rows)  # the multipliers, one row per cloud vector
+    upper = np.zeros_like(rows[:rows.shape[1]])
+    for k in range(rows.shape[1]):
+        col = rows[:, k] - lower[:, :k] @ upper[:k, k]
+        p = int(np.argmax(np.where(free, np.abs(col), -1.0)))
+        picked.append(p)
+        free[p] = False
+        upper[k, k:] = rows[p, k:] - lower[p, :k] @ upper[:k, k:]
+        if col[p] != 0:
+            lower[:, k] = col / col[p]
+    return cloud[np.concatenate([picked, np.flatnonzero(free)])[:n]]
+
+
+def sample_spanning_directions(m, s, n, seed=0, tol=RANK_TOLERANCE):
+    """Unit directions certified to span the degree-s homogeneous space,
+    picked by `pick_directions` from CLOUD_FACTOR * n random unit vectors."""
     required = dim_homogeneous(m, s)
     if n < required:
         raise ValueError(f"need at least {required} directions, got {n}")
-    rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
-        vectors = rng.standard_normal((n, m))
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        rank, _ = spanning_rank(vectors, s, tol)
-        if rank == required:
-            return DirectionSet(m, s, vectors, tol)
-    raise SpanningError(
-        f"no spanning set of {n} directions in {max_retries} tries "
-        f"(m={m}, s={s}; check the rank tolerance)")
+    cloud = unit_cloud(np.random.default_rng(seed), CLOUD_FACTOR * n, m)
+    vectors = pick_directions(cloud, lifted_power_matrix(cloud, s), n)
+    rank, _ = spanning_rank(vectors, s, tol)
+    if rank < required:
+        raise SpanningError(f"picked directions have degree-{s} rank {rank} of {required}")
+    return DirectionSet(m, s, vectors, tol)
 
 
 def build_block_matrices(dirs, d, ell):
@@ -270,14 +302,9 @@ class RidgeDecomposition:
     __call__ = eval_many
 
     def to_json_dict(self):
-        return {
-            "d": self.d,
-            "ell": self.ell,
-            "blocks": [
-                {"A": A.tolist(), "P": P.to_json_dict()}
-                for A, P in zip(self.matrices, self.profiles)
-            ],
-        }
+        blocks = [{"A": A.tolist(), "P": P.to_json_dict()}
+                  for A, P in zip(self.matrices, self.profiles)]
+        return {"d": self.d, "ell": self.ell, "blocks": blocks}
 
     @classmethod
     def from_json_dict(cls, obj):
@@ -336,7 +363,6 @@ def orthonormalize_rows(A, profile):
     profile: A = U S V^T gives A' = V^T and P'(y) = P(U S y), so that
     P(A x) = P'(A' x) pointwise."""
     A = np.asarray(A, dtype=float)
-    ell = A.shape[0]
     U, svals, Vt = np.linalg.svd(A, full_matrices=False)
     new_profile = profile.compose_linear(U * svals)
     return Vt, new_profile

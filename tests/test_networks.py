@@ -307,10 +307,9 @@ def test_gtn_json_round_trip():
     assert np.array_equal(clone.eval_many(grid), net.eval_many(grid))
 
 
-def test_cvnn_matches_ridge_sum():
+def make_complex_decomposition():
     from ridgekit.polycore import _homogeneous_exponents, dim_complex_bihomogeneous
-    from ridgekit.ridge_complex import (complex_decompose, complex_sup_grid,
-                                        sample_complex_directions)
+    from ridgekit.ridge_complex import complex_decompose, sample_complex_directions
     rng = np.random.default_rng(9)
     d, s = 2, 1
     terms = {}
@@ -323,13 +322,37 @@ def test_cvnn_matches_ridge_sum():
     n = max(dim_complex_bihomogeneous(d, a, b)
             for a in range(s + 1) for b in range(s + 1))
     dirs = sample_complex_directions(d, s, s, n, seed=3)
-    dec = complex_decompose(P, dirs)
+    return P, complex_decompose(P, dirs)
+
+
+def test_cvnn_matches_ridge_sum():
+    P, dec = make_complex_decomposition()
     dictionary = ComplexPolynomialDictionary()
     net = cvnn_from_decomposition(dec, dictionary, DELTA)
-    grid = complex_sup_grid(d, 1000)
+    grid = complex_sup_grid(dec.d, 1000)
     err = np.max(np.abs(net.eval_many(grid) - P.eval_many(grid)))
     assert err <= net.n * DELTA
     assert net.certificate <= net.n * DELTA
+
+
+@pytest.mark.parametrize("kind", ["gtn", "cvnn"])
+def test_built_networks_hold_the_entries_their_indices_decode_to(kind):
+    # find_index caches the entry it returns, so the network reads each unit's
+    # profile from the builder's dictionary without decoding its index; a
+    # fresh dictionary decodes the same polynomial from the index
+    if kind == "gtn":
+        dec = make_ortho_decomposition()[1]
+        dictionary, fresh = PolynomialDictionary(dec.ell), PolynomialDictionary(dec.ell)
+        net = gtn_from_decomposition(dec, dictionary, DELTA)
+    else:
+        dec = make_complex_decomposition()[1]
+        dictionary, fresh = ComplexPolynomialDictionary(), ComplexPolynomialDictionary()
+        net = cvnn_from_decomposition(dec, dictionary, DELTA)
+    for unit, profile in zip(net.units, dec.profiles):
+        index, entry = dictionary.find_index(profile, DELTA)
+        assert index == unit["dict_index"]
+        assert dictionary.polynomial_at(index) is entry
+        assert fresh.polynomial_at(index) == entry
 
 
 def test_cvnn_json_round_trip():

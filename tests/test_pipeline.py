@@ -176,8 +176,18 @@ def test_cli_decompose_and_basis(tmp_path, capsys):
                  "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["residual"] < 1e-8
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["direction_condition"] == payload["direction_condition"] >= 1.0
     assert main(["basis", "--dim", "2", "--max-degree", "3"]) == 0
     capsys.readouterr()
+
+
+def test_cli_decompose_prints_direction_condition(capsys):
+    from ridgekit.cli import main
+    assert main(["decompose", "--dim", "3", "--ell", "1", "--degree", "3", "--seed", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["residual"] < 1e-8
+    assert 1.0 <= payload["direction_condition"] < 1e3
 
 
 def test_cli_rate_sweep(tmp_path, capsys):

@@ -27,6 +27,27 @@ def test_mollifier_and_step_limits():
     assert np.all(np.diff(mid) > 0)
 
 
+def test_smooth_step_matches_two_exponential_formula_bitwise():
+    # the formula that evaluates both exponentials everywhere, which the
+    # step skips outside (0, 1) where it is exactly 0 or 1
+    def reference(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        a, b = np.zeros_like(t), np.zeros_like(t)
+        a[t > 0] = np.exp(-1.0 / t[t > 0])
+        b[t < 1] = np.exp(-1.0 / (1.0 - t[t < 1]))
+        return a / (a + b)
+
+    ts = np.concatenate([[-np.inf, -3.0, -1e-300, -0.0, 0.0, 1e-300, 1e-3, 0.5,
+                          1 - 2 ** -53, 1.0, 1 + 2 ** -52, 2.0, np.inf],
+                         np.linspace(-0.5, 1.5, 201)])
+    assert smooth_step(ts).tobytes() == reference(ts).tobytes()
+    for t in ts:
+        value = smooth_step(float(t))
+        assert isinstance(value, float)
+        assert np.float64(value).tobytes() == reference(t)[0].tobytes()
+    assert math.isnan(smooth_step(math.nan))
+
+
 def test_cutoff_plateau_and_support():
     eta = CutoffFunction()
     assert eta(0.0) == 1.0

@@ -163,7 +163,27 @@ def test_complex_decomposition_profiles_univariate():
 def test_complex_spanning_failure_is_package_spanning_error():
     # tol=1.0 leaves no singular value above the threshold, so no set spans
     with pytest.raises(ridgekit.SpanningError):
-        sample_complex_directions(2, 1, 1, 4, tol=1.0, max_retries=1)
+        sample_complex_directions(2, 1, 1, 4, tol=1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_picked_complex_set_is_well_conditioned(seed):
+    d, s = 2, 3
+    dirs = sample_complex_directions(d, s, s, dim_complex_bihomogeneous(d, s, s), seed=seed)
+    assert dirs.condition_number < 1e2
+
+
+def test_extra_complex_directions_are_distinct_and_span():
+    d, s, n = 2, 2, 15
+    dirs = sample_complex_directions(d, s, s, n, seed=5)
+    assert dirs.count == n and len(np.unique(dirs.vectors, axis=0)) == n
+    assert np.allclose(np.linalg.norm(dirs.vectors, axis=1), 1.0)
+    assert dirs.blocks[-1].rank == dim_complex_bihomogeneous(d, s, s)
+
+
+def test_complex_pick_is_deterministic():
+    a, b = (sample_complex_directions(2, 2, 2, 9, seed=13) for _ in range(2))
+    assert np.array_equal(a.vectors, b.vectors)
 
 
 def test_complex_residual_failure_is_package_decomposition_error():

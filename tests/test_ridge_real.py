@@ -16,7 +16,7 @@ from ridgekit.ridge_real import (DecompositionError, DirectionSet,
                                  RidgeDecomposition, SpanningError,
                                  build_block_matrices,
                                  decompose, lifted_power_matrix,
-                                 orthonormalize_rows,
+                                 orthonormalize_rows, pick_directions,
                                  sample_spanning_directions, spanning_rank)
 
 RESIDUAL_TOL = 1e-8
@@ -107,6 +107,37 @@ def test_fixed_seed_determinism():
     a = sample_spanning_directions(3, 2, dim_homogeneous(3, 2), seed=11)
     b = sample_spanning_directions(3, 2, dim_homogeneous(3, 2), seed=11)
     assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_pivot_pick_skips_repeated_rows():
+    # rows 0 and 1 are equal, so after row 0 (the first column's largest
+    # entry) eliminates row 1 to zero the second pivot is row 2
+    cloud = np.arange(4.0).reshape(4, 1)
+    rows = np.array([[2.0, 1.0], [2.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    assert pick_directions(cloud, rows, 2).ravel().tolist() == [0.0, 2.0]
+    assert pick_directions(cloud, rows, 4).ravel().tolist() == [0.0, 2.0, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_picked_top_degree_set_is_well_conditioned(seed):
+    # m=2, s=15 is the reference sweep's top degree; a random draw of 16
+    # directions has a median condition number near 2e4 and a tail past 1e6
+    dirs = sample_spanning_directions(2, 15, dim_homogeneous(2, 15), seed=seed)
+    assert dirs.condition_number < 1e3
+
+
+def test_extra_directions_are_distinct_and_span():
+    m, s, n = 3, 3, 25
+    dirs = sample_spanning_directions(m, s, n, seed=4)
+    assert dirs.count == n and len(np.unique(dirs.vectors, axis=0)) == n
+    assert np.allclose(np.linalg.norm(dirs.vectors, axis=1), 1.0)
+    assert spanning_rank(dirs.vectors, s)[0] == dim_homogeneous(m, s)
+
+
+def test_spanning_failure_raises_spanning_error():
+    # tol=1.0 leaves no singular value above the threshold
+    with pytest.raises(SpanningError, match="rank 0 of 4"):
+        sample_spanning_directions(2, 3, 4, tol=1.0)
 
 
 def test_orthonormalize_rows_preserves_values():
@@ -231,7 +262,9 @@ def test_residual_certifies_ill_conditioned_high_degree_set():
     # d=4, ell=1, s=7 along a set of condition number about 5e4.  A bound on
     # a mismatch computed in plain double, n U sum(|columns| @ |x| + |rhs|),
     # is 1.7e-9 here; the certificate tracks the mismatch itself (3.3e-11).
-    dirs = sample_spanning_directions(4, 7, dim_homogeneous(4, 7), seed=9)
+    # The set is a plain random draw, as ill-conditioned as chance makes it.
+    vectors = np.random.default_rng(9).standard_normal((dim_homogeneous(4, 7), 4))
+    dirs = DirectionSet(4, 7, vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
     assert dirs.condition_number > 1e4
     dec = decompose(random_poly(4, 7, seed=12), dirs, 4, 1)
     assert dec.residual <= 1e-2 * RESIDUAL_TOL
