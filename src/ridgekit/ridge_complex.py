@@ -6,9 +6,10 @@ in rational arithmetic.  The decomposition expresses every bidegree component of
 a polynomial on C^d in the span of powers (a_j . z)^s (conj(a_j . z))^t of
 certified directions, yielding univariate profiles in (w, conj(w)).  As in
 the real case, the direction set holds one least-norm factor per bidegree and
-the residual, the l1 norm of the coefficient mismatch plus a bound on its
-rounding, bounds the sup error on the unit ball of C^d because
-|z^k conj(z)^l| <= 1 there.
+the mismatch bounds (a plain-double screen first, the double-double
+certificate only when the screen exceeds the gate or `residual` is read)
+bound the sup error on the unit ball of C^d because |z^k conj(z)^l| <= 1
+there.
 """
 
 import math
@@ -21,8 +22,9 @@ from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex, _as_exact,
                        _conj, _homogeneous_exponents, _polynomials_from_rows,
                        dim_complex_bihomogeneous, grlex_key, monomial_table,
                        monomials_up_to)
-from .ridge_real import (CLOUD_FACTOR, RANK_TOLERANCE, PowerSpan, SpanningError,
-                         _Directions, _multinomial, certify, pick_directions, unit_cloud)
+from .ridge_real import (CLOUD_FACTOR, RANK_TOLERANCE, CertifiedResidual, PowerSpan,
+                         SpanningError, _Directions, _multinomial, certify, pick_directions,
+                         unit_cloud)
 
 
 def wirtinger_derivative(P, kind, j):
@@ -201,15 +203,19 @@ def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE):
     return dirs
 
 
-class ComplexRidgeDecomposition:
+class ComplexRidgeDecomposition(CertifiedResidual):
     """Represents z -> sum_j P_j(a_j . z) with univariate (w, conj w) profiles."""
 
     def __init__(self, d, vectors, profiles):
         self.d = int(d)
-        self.vectors = np.asarray(vectors, dtype=complex)
         self.profiles = list(profiles)
-        if self.vectors.shape[0] != len(self.profiles):
+        # one frozen copy, so the caller's array stays writeable
+        self.vectors = np.array(vectors, dtype=complex)
+        if len(self.vectors) and (self.vectors.ndim != 2 or self.vectors.shape[1] != self.d):
+            raise ValueError(f"vectors must have shape (n, {self.d})")
+        if len(self.vectors) != len(self.profiles):
             raise ValueError("vector/profile count mismatch")
+        self.vectors.setflags(write=False)
 
     @property
     def count(self):
@@ -250,11 +256,13 @@ def complex_decompose(P, dirs, residual_tol=1e-8):
 
     Directions spanning at (s, s) span every lower bidegree, so each bidegree
     component of P is solved independently by the set's least-norm factor.
-    `residual` is the certificate of `PowerSpan.solve`, a bound on the sup
-    error over the unit ball; it must not exceed residual_tol * (1 + max|P|),
-    with the maximum taken at the origin and at the points u e_j,
-    u in {1, i, -1, -i}, read from P's coefficients (a lower bound of the sup
-    of |P| over the ball).
+    The coefficient mismatch, a bound on the sup error over the unit ball,
+    must not exceed residual_tol * (1 + max|P|), with the maximum taken at
+    the origin and at the points u e_j, u in {1, i, -1, -i}, read from P's
+    coefficients (a lower bound of the sup of |P| over the ball).
+    `PowerSpan.screen` decides first, and `PowerSpan.certificate` only when
+    the screen exceeds the gate (see `ridge_real.certify`).  `residual` is
+    the certificate, computed on its first read when the screen decided.
     """
     s = dirs.s
     if dirs.t != s:
@@ -269,9 +277,9 @@ def complex_decompose(P, dirs, residual_tol=1e-8):
     rhs = np.zeros((len(rows), 1), dtype=complex)
     for key, c in P.terms.items():
         rhs[rows[key]] = complex(c)
-    solutions, certificate = dirs.span.solve(rhs)
-    certify(certificate, P.axis_values(), residual_tol,
-            dirs.blocks, (f"bidegree {bidegree}" for bidegree in dirs.bidegrees))
+    solutions = dirs.span.least_norm(rhs)
+    certificate = certify(dirs.span, solutions, rhs, P.axis_values(), residual_tol,
+                          (f"bidegree {bidegree}" for bidegree in dirs.bidegrees))
 
     # profile keys (s', t'); `bidegrees` is lexicographic, profiles keep grlex order
     order = sorted(range(len(dirs.bidegrees)), key=lambda b: grlex_key(dirs.bidegrees[b]))
@@ -279,7 +287,7 @@ def complex_decompose(P, dirs, residual_tol=1e-8):
     profiles = _polynomials_from_rows(ComplexBiPolynomial, 1, keys,
                                       np.hstack(solutions)[:, order])
     decomp = ComplexRidgeDecomposition(d, dirs.vectors, profiles)
-    decomp.residual = certificate
+    decomp._keep_residual(certificate, dirs.span, solutions, rhs)
     return decomp
 
 

@@ -8,11 +8,15 @@ certified spanning directions, and assembles block matrices whose top row is
 a direction and whose lower-right block is the identity.
 
 A direction set factors its power span once, one degree block at a time, so a
-decomposition is a scatter of P's coefficients and one matmul per block.  Its
-`residual` is the l1 norm of the coefficient mismatch, computed from power
-columns held in double-double, plus a bound on the rounding in computing it;
-it bounds the sup error on the unit ball because every monomial is at most 1
-in modulus there.
+decomposition is a scatter of P's coefficients and one matmul per block.  Two
+bounds on the l1 norm of the coefficient mismatch decide its gate: a
+plain-double screen (one more matmul per block with the high parts of the
+power columns, plus a gamma_(n+1) rounding bound) and, only when the screen
+exceeds the gate, the certificate: the mismatch from power columns held in
+double-double by a compensated dot product, plus a bound on its rounding.
+The decomposition's `residual` is that certificate, computed on first read
+when the screen decided.  Either bounds the sup error on the unit ball
+because every monomial is at most 1 in modulus there.
 """
 
 import math
@@ -105,9 +109,14 @@ class PowerSpan:
     `compensated.dd_monomials`, real or complex, of shape (rows, directions),
     whose entries took at most `products` double-double products each.
     `rows` maps a key to its row and `blocks[b]` is the PowerBlock of block b.
-    For the certificate, complex columns C are kept as the real matrix
+    For the bounds, complex columns C are kept as the real matrix
     [Re C, -Im C]: against [Re x; Im x] it gives Re(C x), against
-    [Im x; -Re x] it gives Im(C x).  All arrays are read-only."""
+    [Im x; -Re x] it gives Im(C x).  All arrays are read-only.
+
+    Both `screen` and `certificate` bound the l1 norm of the exact
+    coefficient mismatch sum_b |columns_b @ x_b - rhs_b| (moduli of complex
+    entries) of a least-norm solve; the screen costs one matmul per block,
+    the certificate a compensated dot product per row."""
 
     def __init__(self, keys, block_of_row, columns, products, tol=RANK_TOLERANCE):
         high, low = columns
@@ -119,54 +128,104 @@ class PowerSpan:
         self._complex = np.iscomplexobj(high)
         if self._complex:
             high, low = (np.hstack([a.real, -a.imag]) for a in (high, low))
-        # per block, the column sums of |high|, which the rounding bound
-        # scales with
-        self._weights = np.stack([np.abs(high[block_of_row == b]).sum(axis=0)
-                                  for b in range(count)])
+        # per block, the column sums of |high| and of |low|, which the
+        # rounding bounds scale with
+        self._weights, self._low_weights = (
+            np.stack([np.abs(a[block_of_row == b]).sum(axis=0) for b in range(count)])
+            for a in (high, low))
         self._high, self._low, self._row_block = high, low, block_of_row
         self._products = int(products)
-        for array in (self._bounds, high, low, block_of_row, self._weights):
+        for array in (self._bounds, high, low, block_of_row, self._weights, self._low_weights):
             array.setflags(write=False)
 
-    def solve(self, rhs):
+    def least_norm(self, rhs):
         """Split the 2-D `rhs` (one row per key) into the blocks and solve each
         with its stored factor.  Solution entries that profiles drop (below
-        ZERO_PRUNE_FLOAT in modulus) are set to 0.
-
-        Returns the solutions and the certificate, an upper bound on the l1
-        norm of the exact coefficient mismatch sum_b |columns_b @ x_b - rhs_b|
-        (moduli of complex entries).  `compensated.residual_dot` computes the
-        mismatch; the bound adds its rounding and the columns' own error, both
-        of order U^2 (sum(|columns| @ |x|) + sum|rhs|)."""
+        ZERO_PRUNE_FLOAT in modulus) are set to 0."""
         solutions = [block.pinv @ part
                      for block, part in zip(self.blocks, np.split(rhs, self._bounds))]
         for x in solutions:
             x[np.abs(x) < ZERO_PRUNE_FLOAT] = 0
+        return solutions
+
+    def solve(self, rhs):
+        """The solutions of `least_norm` and their `certificate`."""
+        solutions = self.least_norm(rhs)
+        return solutions, self.certificate(solutions, rhs)
+
+    def _real_form(self, solutions, rhs):
+        """The solutions stacked by block, shape (blocks, columns, c), and
+        `rhs`, both in the real form of the columns."""
         x = np.stack(solutions)
         if self._complex:
             x = np.concatenate([np.concatenate([x.real, x.imag], axis=1),
                                 np.concatenate([x.imag, -x.real], axis=1)], axis=2)
             rhs = np.hstack([rhs.real, rhs.imag])
+        return x, rhs
+
+    def _modulus(self, mismatch):
+        return np.hypot(*np.split(mismatch, 2, axis=1)) if self._complex else mismatch
+
+    def certificate(self, solutions, rhs):
+        """The tight bound on the mismatch of `solutions` against `rhs`.
+        `compensated.residual_dot` computes the mismatch; the bound adds its
+        rounding and the columns' own error, both of order
+        U^2 (sum(|columns| @ |x|) + sum|rhs|)."""
+        x, rhs = self._real_form(solutions, rhs)
         mismatch, rounding = residual_dot(self._high, self._low, x[self._row_block], rhs)
-        if self._complex:
-            mismatch = np.hypot(*np.split(mismatch, 2, axis=1))
+        mismatch = self._modulus(mismatch)
         magnitude = float((self._weights * np.abs(x).sum(axis=2)).sum() + np.abs(rhs).sum())
         # a column entry built from D products is within 16 D U^2 of the exact
         # one, relative to its modulus; the factor 2 covers the rounding of
         # the bound itself
-        certificate = (float(np.abs(mismatch).sum()) * (1 + (mismatch.size + 8) * U)
-                       + 2 * (rounding + 16 * self._products) * U ** 2 * magnitude)
-        return solutions, certificate
+        return (float(np.abs(mismatch).sum()) * (1 + (mismatch.size + 8) * U)
+                + 2 * (rounding + 16 * self._products) * U ** 2 * magnitude)
+
+    def screen(self, solutions, rhs):
+        """A bound on the mismatch of `solutions` against `rhs` in plain
+        double, from one matmul per block with the high columns:
+
+            sum|fl(high_b @ x_b - rhs_b)| + gamma_(n+1) (weights . |x| + sum|rhs|)
+            + (low_weights + 32 D U^2 weights) . |x|,
+
+        with n columns (of the real form), gamma_k = kU / (1 - kU) and D the
+        products per column entry.  A dot product of length n minus one more
+        term is within gamma_(n+1) of its exact value, relative to the sum of
+        its terms' moduli, in any order of summation (Higham, Accuracy and
+        Stability of Numerical Algorithms, 3.1); the last term is the mismatch
+        of low and of the columns' own error (16 D U^2 relative), and the
+        factor 2 in it bounds the real and imaginary parts of a complex entry
+        by one sum each.  The moduli of complex entries are at most the sums
+        of their real-form parts.  The whole is rounded up by (1 + 2KU), K
+        bounding the rounded steps of any term."""
+        x, rhs = self._real_form(solutions, rhs)
+        mismatch = np.concatenate([high @ x_b for high, x_b in
+                                   zip(np.split(self._high, self._bounds), x)]) - rhs
+        n = self._high.shape[1]
+        gamma = (n + 1) * U / (1 - (n + 1) * U)
+        size = np.abs(x).sum(axis=2)
+        magnitude = float((self._weights * size).sum() + np.abs(rhs).sum())
+        columns = float(((self._low_weights + 32 * self._products * U ** 2 * self._weights)
+                         * size).sum())
+        steps = len(rhs) + x.size + rhs.size + 16
+        return ((float(np.abs(self._modulus(mismatch)).sum()) + gamma * magnitude + columns)
+                * (1 + 2 * steps * U))
 
 
-def certify(certificate, target, residual_tol, blocks, labels):
-    """Raise DecompositionError unless the certificate is at most
-    residual_tol * (1 + max|target|); the message names the rank-deficient
-    blocks from their stored factors, labelled by the iterable `labels`,
-    which is read only on failure."""
+def certify(span, solutions, rhs, target, residual_tol, labels):
+    """Raise DecompositionError unless the mismatch of `solutions` against
+    `rhs` is at most residual_tol * (1 + max|target|).  `span.screen` decides
+    first; when it exceeds the gate, `span.certificate` decides and is
+    returned, else None is.  The message names the certificate and the
+    rank-deficient blocks from their stored factors, labelled by the iterable
+    `labels`, which is read only on failure."""
     scale = 1.0 + float(np.max(np.abs(target), initial=0.0))
+    if span.screen(solutions, rhs) <= residual_tol * scale:
+        return None
+    certificate = span.certificate(solutions, rhs)
     if certificate <= residual_tol * scale:
-        return
+        return certificate
+    blocks = span.blocks
     deficient = ", ".join(
         f"{label} rank {block.rank} of {block.size}"
         for label, block in zip(labels, blocks) if block.rank < block.size)
@@ -175,6 +234,30 @@ def certify(certificate, target, residual_tol, blocks, labels):
         f"{residual_tol:.1e} * {scale:.3e}; direction condition number "
         f"{blocks[-1].condition:.3e}; "
         + (f"rank-deficient blocks: {deficient}" if deficient else "every block has full rank"))
+
+
+class CertifiedResidual:
+    """What real and complex ridge decompositions share: `residual`, the
+    `PowerSpan.certificate` of the solve they were built from.  A
+    decomposition whose gate the screen decided keeps the solve's inputs and
+    computes the certificate on first read; one built otherwise (say, from
+    JSON) has none."""
+
+    _residual_inputs = None
+
+    def _keep_residual(self, certificate, span, solutions, rhs):
+        """Keep `certificate`, or when it is None the inputs to compute it."""
+        self._residual = certificate
+        if certificate is None:
+            self._residual_inputs = span, solutions, rhs
+
+    @property
+    def residual(self):
+        if self._residual_inputs is not None:
+            span, solutions, rhs = self._residual_inputs
+            self._residual = span.certificate(solutions, rhs)
+            self._residual_inputs = None
+        return self._residual
 
 
 class _Directions:
@@ -272,7 +355,7 @@ def build_block_matrices(dirs, d, ell):
     return list(mats)
 
 
-class RidgeDecomposition:
+class RidgeDecomposition(CertifiedResidual):
     """Represents x -> sum_k P_k(A_k x) with ell-variate profiles P_k."""
 
     def __init__(self, d, ell, matrices, profiles):
@@ -320,10 +403,13 @@ def decompose(P, dirs, d, ell, residual_tol=1e-8):
     expressed in span{(a_i . x)^j : j <= s} by the set's least-norm factors;
     the profile of unit i collects those power coefficients together with the
     trailing variables, which the block matrix passes through unchanged.
-    `residual` is the certificate of `PowerSpan.solve`, a bound on the sup
-    error over B^d; it must not exceed residual_tol * (1 + max|P|), with the
-    maximum taken at the origin and at the points +-e_i, read from P's
-    coefficients (a lower bound of the sup of |P| over B^d).
+    The coefficient mismatch, a bound on the sup error over B^d, must not
+    exceed residual_tol * (1 + max|P|), with the maximum taken at the origin
+    and at the points +-e_i, read from P's coefficients (a lower bound of the
+    sup of |P| over B^d).  `PowerSpan.screen` decides first, and
+    `PowerSpan.certificate` only when the screen exceeds the gate (see
+    `certify`).  `residual` is the certificate, computed on its first read
+    when the screen decided.
     """
     if not 1 <= ell < d:
         raise ValueError("need 1 <= ell < d")
@@ -343,9 +429,9 @@ def decompose(P, dirs, d, ell, residual_tol=1e-8):
     rhs = np.zeros((len(heads), max(1, len(tails))))
     for K, c in P.terms.items():
         rhs[heads[K[:m]], columns[K[m:]]] = float(c)
-    solutions, certificate = dirs.span.solve(rhs)
-    certify(certificate, P.axis_values(), residual_tol,
-            dirs.blocks, (f"degree {j}" for j in range(s + 1)))
+    solutions = dirs.span.least_norm(rhs)
+    certificate = certify(dirs.span, solutions, rhs, P.axis_values(), residual_tol,
+                          (f"degree {j}" for j in range(s + 1)))
 
     # profile keys (j,) + tail; P has degree <= s, so j <= s - |tail|.  The
     # tails are slices of validated keys, so the keys need no validation.
@@ -354,7 +440,7 @@ def decompose(P, dirs, d, ell, residual_tol=1e-8):
     coeffs = np.stack(solutions)[[key[0] for key in keys], :, [columns[key[1:]] for key in keys]]
     profiles = _polynomials_from_rows(MultiIndexPolynomial, ell, keys, coeffs.T)
     decomp = RidgeDecomposition(d, ell, build_block_matrices(dirs, d, ell), profiles)
-    decomp.residual = certificate
+    decomp._keep_residual(certificate, dirs.span, solutions, rhs)
     return decomp
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import ridgekit.ridge_real
 from ridgekit.compensated import dd_add, dd_monomials, dd_mul
 from ridgekit.orthobasis import build_basis
 from ridgekit.quadrature import build_ball_rule
@@ -33,6 +34,21 @@ def rule_factory():
 @pytest.fixture(scope="session")
 def basis_factory():
     return cached_basis
+
+
+@pytest.fixture
+def residual_dot_calls(monkeypatch):
+    """A list that grows by one entry per `compensated.residual_dot` call
+    made for a ridge certificate."""
+    calls = []
+    residual_dot = ridgekit.ridge_real.residual_dot
+
+    def counting(*args):
+        calls.append(args)
+        return residual_dot(*args)
+
+    monkeypatch.setattr(ridgekit.ridge_real, "residual_dot", counting)
+    return calls
 
 
 # Double-double evaluation, for tests whose reference must be far more

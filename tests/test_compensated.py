@@ -9,8 +9,8 @@ import pytest
 
 from ridgekit.compensated import U, dd_monomials, residual_dot, two_prod, two_sum
 from ridgekit.polycore import dim_complex_bihomogeneous, dim_homogeneous, monomials_up_to
-from ridgekit.ridge_complex import sample_complex_directions
-from ridgekit.ridge_real import _multinomial, sample_spanning_directions
+from ridgekit.ridge_complex import ComplexDirectionSet, sample_complex_directions
+from ridgekit.ridge_real import DirectionSet, _multinomial, sample_spanning_directions
 
 
 def wide_doubles(rng, count):
@@ -81,23 +81,68 @@ def test_residual_dot_within_bound(n):
             assert abs(Fraction(result[r, j]) - true) <= bound
 
 
+def dyadic(value):
+    """The double `value` exactly, as (n, e) with value = n * 2 ** e."""
+    mantissa, exponent = math.frexp(value)
+    return int(mantissa * 2 ** 53), exponent - 53
+
+
+def dyadic_add(a, b):
+    low = min(a[1], b[1])
+    return (a[0] << (a[1] - low)) + (b[0] << (b[1] - low)), low
+
+
+def dyadic_mul(a, b):
+    return a[0] * b[0], a[1] + b[1]
+
+
+def complex_mul(a, b):
+    """Product of complex dyadics, each a pair (re, im) of dyadics."""
+    (ar, ai), (br, bi) = a, b
+    negative = dyadic_mul(ai, bi)
+    return (dyadic_add(dyadic_mul(ar, br), (-negative[0], negative[1])),
+            dyadic_add(dyadic_mul(ar, bi), dyadic_mul(ai, br)))
+
+
+def complex_dyadic(value):
+    value = complex(value)
+    return dyadic(value.real), dyadic(value.imag)
+
+
+def exact_monomials(point, exponents):
+    """prod point[j] ** exponent[j] for every exponent, as complex dyadics,
+    each built from a lower one by one more factor."""
+    coords = [complex_dyadic(z) for z in point]
+    values = {(0,) * len(coords): ((1, 0), (0, 0))}
+
+    def value(exponent):
+        if exponent not in values:
+            j = next(j for j, e in enumerate(exponent) if e)
+            lower = value(exponent[:j] + (exponent[j] - 1,) + exponent[j + 1:])
+            values[exponent] = complex_mul(lower, coords[j])
+        return values[exponent]
+
+    return [value(tuple(exponent)) for exponent in exponents]
+
+
 def exact_l1_mismatch(span, vectors, solutions, rhs, keys_to_exponents):
     """Upper bound (to 4 U relative) on the exact sum over the rows of the
-    modulus of columns @ x - rhs, from Fraction columns of the exact powers."""
+    modulus of columns @ x - rhs, from exact dyadic columns of the powers."""
     x = np.stack(solutions)
     block_of_row = np.repeat(np.arange(len(span.blocks)), [block.size for block in span.blocks])
-    total = 0.0
-    for key, row in span.rows.items():
-        block = block_of_row[row]
-        exponent, factor = keys_to_exponents(key)
-        for j in range(rhs.shape[1]):
-            re, im = -Fraction(complex(rhs[row, j]).real), -Fraction(complex(rhs[row, j]).imag)
-            for i, point in enumerate(vectors):
-                cr, ci = exact_monomial(point, exponent, factor)
-                xr, xi = Fraction(complex(x[block, i, j]).real), Fraction(complex(x[block, i, j]).imag)
-                re, im = re + cr * xr - ci * xi, im + cr * xi + ci * xr
-            total += math.sqrt(float(re * re + im * im))
-    return total
+    exponents, factors = zip(*(keys_to_exponents(key) for key in span.rows))
+    rows = list(span.rows.values())
+    sums = {(row, j): tuple((-n, e) for n, e in complex_dyadic(rhs[row, j]))
+            for row in rows for j in range(rhs.shape[1])}
+    for i, point in enumerate(vectors):
+        for row, factor, column in zip(rows, factors, exact_monomials(point, exponents)):
+            column = complex_mul(column, ((factor, 0), (0, 0)))
+            for j in range(rhs.shape[1]):
+                term = complex_mul(column, complex_dyadic(x[block_of_row[row], i, j]))
+                sums[row, j] = tuple(map(dyadic_add, sums[row, j], term))
+    return sum(math.sqrt(float(Fraction(re[0] ** 2) * Fraction(2) ** (2 * re[1])
+                               + Fraction(im[0] ** 2) * Fraction(2) ** (2 * im[1])))
+               for re, im in sums.values())
 
 
 def test_real_certificate_bounds_exact_mismatch():
@@ -123,3 +168,53 @@ def test_complex_certificate_bounds_exact_mismatch():
                              lambda kl: (kl[0] + kl[1], _multinomial(sum(kl[0]), kl[0])
                                          * _multinomial(sum(kl[1]), kl[1])))
     assert true * (1 - 4 * U) <= certificate <= true * (1 + 1e-12) + 1e-25
+
+
+def ill_conditioned_set():
+    # condition number 4.7e4, where the screen is 50 times the certificate
+    vectors = np.random.default_rng(9).standard_normal((dim_homogeneous(4, 7), 4))
+    return DirectionSet(4, 7, vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+
+
+SCREENED_SETS = {
+    "pivoted-real": lambda: sample_spanning_directions(3, 3, dim_homogeneous(3, 3), seed=4),
+    "pivoted-complex": lambda: sample_complex_directions(
+        2, 2, 2, dim_complex_bihomogeneous(2, 2, 2), seed=6),
+    "ill-conditioned": ill_conditioned_set,
+    # one direction, repeated: the mismatch is of the order of rhs
+    "rank-deficient": lambda: DirectionSet(2, 3, np.tile([[0.6, 0.8]], (4, 1))),
+}
+
+
+@pytest.mark.parametrize("name", SCREENED_SETS)
+def test_screen_bounds_exact_mismatch(name):
+    dirs = SCREENED_SETS[name]()
+    rng = np.random.default_rng(7)
+    shape = (len(dirs.span.rows), 1 if name == "ill-conditioned" else 2)
+    rhs = rng.standard_normal(shape)
+    if isinstance(dirs, ComplexDirectionSet):
+        rhs = rhs + 1j * rng.standard_normal(shape)
+        vectors = np.hstack([dirs.vectors, np.conj(dirs.vectors)])
+        keys = lambda kl: (kl[0] + kl[1], _multinomial(sum(kl[0]), kl[0])
+                           * _multinomial(sum(kl[1]), kl[1]))
+    else:
+        vectors, keys = dirs.vectors, lambda k: (k, _multinomial(sum(k), k))
+    solutions = dirs.span.least_norm(rhs)
+    true = exact_l1_mismatch(dirs.span, vectors, solutions, rhs, keys)
+    assert true * (1 - 4 * U) <= dirs.span.screen(solutions, rhs)
+
+
+def test_screen_bounds_exact_mismatch_when_the_double_mismatch_vanishes():
+    # a right-hand side equal to high_b @ x_b in double, so the computed
+    # mismatch is 0 and the bound rests on its rounding and column terms
+    dirs = sample_spanning_directions(3, 4, dim_homogeneous(3, 4), seed=5)
+    keys = list(dirs.span.rows)
+    factors = np.array([_multinomial(sum(k), k) for k in keys], dtype=float)
+    high, _ = dd_monomials(np.array(keys), dirs.vectors, factors)
+    solutions = dirs.span.least_norm(np.random.default_rng(8).standard_normal((len(keys), 2)))
+    degrees = np.array([sum(k) for k in keys])
+    rhs = np.vstack([high[degrees == j] @ x for j, x in enumerate(solutions)])
+    true = exact_l1_mismatch(dirs.span, dirs.vectors, solutions, rhs,
+                             lambda k: (k, _multinomial(sum(k), k)))
+    assert true > 0
+    assert true * (1 - 4 * U) <= dirs.span.screen(solutions, rhs)

@@ -334,3 +334,34 @@ def test_complex_residual_bounds_sampled_error(case):
     error = dd_total(tuple(np.stack(part) for part in zip(*values)))
     slack = 1e3 * U ** 2 * sum(abs(c) for _, coeffs, _ in terms for c in coeffs)
     assert np.max(np.abs(error[0])) * (1 - 4 * U) - slack <= dec.residual
+
+
+def test_complex_decompose_defers_the_certificate_to_the_first_read(residual_dot_calls):
+    d, s = 2, 2
+    exponents = monomials_up_to(d, s)
+    rng = np.random.default_rng(8)
+    P = ComplexBiPolynomial(d, {(k, l): complex(*rng.standard_normal(2))
+                                for k in exponents for l in exponents})
+    dirs = sample_complex_directions(d, s, s, dim_complex_bihomogeneous(d, s, s), seed=9)
+    dec = complex_decompose(P, dirs)
+    assert residual_dot_calls == []
+    residual = dec.residual
+    assert len(residual_dot_calls) == 1
+    assert dec.residual == residual
+    assert len(residual_dot_calls) == 1
+    rhs = np.zeros((len(dirs.span.rows), 1), dtype=complex)
+    for key, c in P.terms.items():
+        rhs[dirs.span.rows[key]] = c
+    assert residual == dirs.span.solve(rhs)[1]
+
+
+def test_complex_ridge_decomposition_copies_freezes_and_checks_vectors():
+    vectors = np.array([[0.6 + 0j, 0.8j]])
+    profiles = [ComplexBiPolynomial(1, {((1,), (0,)): 1.0})]
+    dec = ComplexRidgeDecomposition(2, vectors, profiles)
+    assert vectors.flags.writeable
+    assert not dec.vectors.flags.writeable
+    vectors[0, 0] = 0.0
+    assert dec.vectors[0, 0] == 0.6
+    with pytest.raises(ValueError, match="shape"):
+        ComplexRidgeDecomposition(3, vectors, profiles)

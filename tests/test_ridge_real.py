@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ridgekit
 from conftest import dd_linear, dd_poly_values, dd_total
 from ridgekit.compensated import U
-from ridgekit.polycore import (MultiIndexPolynomial, dim_homogeneous,
+from ridgekit.polycore import (MultiIndexPolynomial, dim_homogeneous, grlex_key,
                                _homogeneous_exponents, monomials_up_to)
 from ridgekit.quadrature import ball_sup_grid
 from ridgekit.ridge_real import (DecompositionError, DirectionSet,
@@ -268,3 +268,43 @@ def test_residual_certifies_ill_conditioned_high_degree_set():
     assert dirs.condition_number > 1e4
     dec = decompose(random_poly(4, 7, seed=12), dirs, 4, 1)
     assert dec.residual <= 1e-2 * RESIDUAL_TOL
+
+
+def ridge_rhs(P, dirs):
+    """The right-hand side `decompose` solves for P: one row per
+    leading-block monomial, one column per trailing-block exponent."""
+    m = dirs.m
+    tails = sorted({K[m:] for K in P.terms}, key=grlex_key)
+    rhs = np.zeros((len(dirs.span.rows), len(tails)))
+    for K, c in P.terms.items():
+        rhs[dirs.span.rows[K[:m]], tails.index(K[m:])] = c
+    return rhs
+
+
+def test_decompose_defers_the_certificate_to_the_first_read(residual_dot_calls):
+    dirs = sample_spanning_directions(2, 5, dim_homogeneous(2, 5), seed=3)
+    P = random_poly(3, 5, seed=4)
+    dec = decompose(P, dirs, 3, 2)
+    assert residual_dot_calls == []
+    residual = dec.residual
+    assert len(residual_dot_calls) == 1
+    assert dec.residual == residual
+    assert len(residual_dot_calls) == 1
+    assert residual == dirs.span.solve(ridge_rhs(P, dirs))[1]
+
+
+def test_ill_conditioned_set_falls_through_to_the_certificate(residual_dot_calls):
+    # the set of the test above: at residual_tol=1e-10 the gate is 6.3e-10,
+    # which the plain screen (1.8e-9) misses and the certificate (3.3e-11)
+    # meets
+    vectors = np.random.default_rng(9).standard_normal((dim_homogeneous(4, 7), 4))
+    dirs = DirectionSet(4, 7, vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+    P = random_poly(4, 7, seed=12)
+    rhs = ridge_rhs(P, dirs)
+    gate = 1e-10 * (1 + np.max(np.abs(P.axis_values())))
+    assert dirs.span.screen(dirs.span.least_norm(rhs), rhs) > gate
+    dec = decompose(P, dirs, 4, 1, residual_tol=1e-10)
+    assert len(residual_dot_calls) == 1
+    assert dec.residual <= gate
+    assert len(residual_dot_calls) == 1
+    assert dec.residual == dirs.span.solve(rhs)[1]
