@@ -53,7 +53,6 @@ def _cmd_decompose(args):
     dirs = sample_spanning_directions(m, s, dim_homogeneous(m, s), seed=args.seed)
     dec = decompose(poly, dirs, args.dim, args.ell)
     out = dec.to_json_dict()
-    out["residual"] = dec.residual
     out["direction_condition"] = dirs.condition_number
     if args.output:
         with open(args.output, "w") as handle:

@@ -5,11 +5,10 @@ the 2d variables (z, conj z), so the monomial pairing identities hold exactly
 in rational arithmetic.  The decomposition expresses every bidegree component of
 a polynomial on C^d in the span of powers (a_j . z)^s (conj(a_j . z))^t of
 certified directions, yielding univariate profiles in (w, conj(w)).  As in
-the real case, the direction set holds one least-norm factor per bidegree and
-the mismatch bounds (a plain-double screen first, the double-double
-certificate only when the screen exceeds the gate or `residual` is read)
-bound the sup error on the unit ball of C^d because |z^k conj(z)^l| <= 1
-there.
+the real case, the direction set holds its powers in plain double with one
+least-norm factor per bidegree, and the decomposition's `residual`, the
+plain-double bound on its coefficient mismatch that decides the gate, bounds
+the sup error on the unit ball of C^d because |z^k conj(z)^l| <= 1 there.
 """
 
 import math
@@ -17,14 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .compensated import dd_monomials, dd_mul
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex, _as_exact,
                        _conj, _homogeneous_exponents, _polynomials_from_rows,
-                       dim_complex_bihomogeneous, grlex_key, monomial_table,
-                       monomials_up_to)
-from .ridge_real import (CLOUD_FACTOR, RANK_TOLERANCE, CertifiedResidual, PowerSpan,
-                         SpanningError, _Directions, _multinomial, certify, pick_directions,
-                         unit_cloud)
+                       dim_complex_bihomogeneous, grlex_key, monomial_table)
+from .ridge_real import (CLOUD_FACTOR, RANK_TOLERANCE, PowerSpan, SpanningError, _Directions,
+                         _multinomial, certify, pick_directions, unit_cloud)
 
 
 def wirtinger_derivative(P, kind, j):
@@ -162,28 +158,12 @@ class ComplexDirectionSet(_Directions):
             raise ValueError(f"vectors must have shape (n, {self.d})")
         self.vectors.setflags(write=False)
         self.bidegrees = tuple((sp, tp) for sp in range(self.s + 1) for tp in range(self.t + 1))
-        # the z-part and the conj(z)-part of every power, then their products
-        halves = []
-        for top, points in ((self.s, self.vectors), (self.t, np.conj(self.vectors))):
-            exps = monomials_up_to(self.d, top)
-            factors = np.array([_multinomial(sum(e), e) for e in exps], dtype=float)
-            rows = {e: r for r, e in enumerate(exps)}
-            halves.append((rows, dd_monomials(np.array(exps, dtype=np.intp).reshape(-1, self.d),
-                                              points, factors)))
-        (k_rows, k_part), (l_rows, l_part) = halves
-        keys, blocks, high, low = [], [], [], []
-        for b, (sp, tp) in enumerate(self.bidegrees):
-            pairs = [(k, l) for k in _homogeneous_exponents(self.d, sp)
-                     for l in _homogeneous_exponents(self.d, tp)]
-            k_index = [k_rows[k] for k, _ in pairs]
-            l_index = [l_rows[l] for _, l in pairs]
-            hi, lo = dd_mul(tuple(a[k_index] for a in k_part), tuple(a[l_index] for a in l_part))
-            keys.extend(pairs)
-            blocks.extend([b] * len(pairs))
-            high.append(hi)
-            low.append(lo)
-        self.span = PowerSpan(keys, blocks, (np.vstack(high), np.vstack(low)),
-                              self.s + self.t + 1, tol)
+        # an entry of bidegree (s', t') takes s' + t' + 1 rounded products:
+        # s' and t' for the two halves with their factors, one for their product
+        powers = [bidegree_power_matrix(self.vectors, sp, tp) for sp, tp in self.bidegrees]
+        self.span = PowerSpan([key for _, keys in powers for key in keys],
+                              np.repeat(np.arange(len(powers)), [len(keys) for _, keys in powers]),
+                              np.vstack([rows.T for rows, _ in powers]), self.s + self.t + 1, tol)
 
 
 def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE):
@@ -203,12 +183,14 @@ def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE):
     return dirs
 
 
-class ComplexRidgeDecomposition(CertifiedResidual):
-    """Represents z -> sum_j P_j(a_j . z) with univariate (w, conj w) profiles."""
+class ComplexRidgeDecomposition:
+    """Represents z -> sum_j P_j(a_j . z) with univariate (w, conj w) profiles.
+    `residual` is the certified bound `complex_decompose` found, or None."""
 
-    def __init__(self, d, vectors, profiles):
+    def __init__(self, d, vectors, profiles, residual=None):
         self.d = int(d)
         self.profiles = list(profiles)
+        self.residual = residual
         # one frozen copy, so the caller's array stays writeable
         self.vectors = np.array(vectors, dtype=complex)
         if len(self.vectors) and (self.vectors.ndim != 2 or self.vectors.shape[1] != self.d):
@@ -233,7 +215,10 @@ class ComplexRidgeDecomposition(CertifiedResidual):
     def to_json_dict(self):
         blocks = [{"alpha": [{"re": a.real, "im": a.imag} for a in vec], "P": P.to_json_dict()}
                   for vec, P in zip(self.vectors, self.profiles)]
-        return {"d": self.d, "blocks": blocks}
+        out = {"d": self.d, "blocks": blocks}
+        if self.residual is not None:
+            out["residual"] = self.residual
+        return out
 
     @classmethod
     def from_json_dict(cls, obj):
@@ -243,7 +228,7 @@ class ComplexRidgeDecomposition(CertifiedResidual):
         ]
         profiles = [ComplexBiPolynomial.from_json_dict(block["P"])
                     for block in obj["blocks"]]
-        return cls(obj["d"], vectors, profiles)
+        return cls(obj["d"], vectors, profiles, obj.get("residual"))
 
 
 def complex_sup_grid(d, count, seed=0):
@@ -259,10 +244,9 @@ def complex_decompose(P, dirs, residual_tol=1e-8):
     The coefficient mismatch, a bound on the sup error over the unit ball,
     must not exceed residual_tol * (1 + max|P|), with the maximum taken at
     the origin and at the points u e_j, u in {1, i, -1, -i}, read from P's
-    coefficients (a lower bound of the sup of |P| over the ball).
-    `PowerSpan.screen` decides first, and `PowerSpan.certificate` only when
-    the screen exceeds the gate (see `ridge_real.certify`).  `residual` is
-    the certificate, computed on its first read when the screen decided.
+    coefficients (a lower bound of the sup of |P| over the ball).  The
+    decomposition's `residual` is that bound, `PowerSpan.bound` (see
+    `ridge_real.certify`).
     """
     s = dirs.s
     if dirs.t != s:
@@ -278,17 +262,15 @@ def complex_decompose(P, dirs, residual_tol=1e-8):
     for key, c in P.terms.items():
         rhs[rows[key]] = complex(c)
     solutions = dirs.span.least_norm(rhs)
-    certificate = certify(dirs.span, solutions, rhs, P.axis_values(), residual_tol,
-                          (f"bidegree {bidegree}" for bidegree in dirs.bidegrees))
+    residual = certify(dirs.span, solutions, rhs, P.axis_values(), residual_tol,
+                       (f"bidegree {bidegree}" for bidegree in dirs.bidegrees))
 
     # profile keys (s', t'); `bidegrees` is lexicographic, profiles keep grlex order
     order = sorted(range(len(dirs.bidegrees)), key=lambda b: grlex_key(dirs.bidegrees[b]))
     keys = [MultiIndex(dirs.bidegrees[b]) for b in order]
     profiles = _polynomials_from_rows(ComplexBiPolynomial, 1, keys,
                                       np.hstack(solutions)[:, order])
-    decomp = ComplexRidgeDecomposition(d, dirs.vectors, profiles)
-    decomp._keep_residual(certificate, dirs.span, solutions, rhs)
-    return decomp
+    return ComplexRidgeDecomposition(d, dirs.vectors, profiles, residual)
 
 
 def realify(f):

@@ -7,16 +7,14 @@ ell - 1, expresses every leading-block component in the span of powers of
 certified spanning directions, and assembles block matrices whose top row is
 a direction and whose lower-right block is the identity.
 
-A direction set factors its power span once, one degree block at a time, so a
-decomposition is a scatter of P's coefficients and one matmul per block.  Two
-bounds on the l1 norm of the coefficient mismatch decide its gate: a
-plain-double screen (one more matmul per block with the high parts of the
-power columns, plus a gamma_(n+1) rounding bound) and, only when the screen
-exceeds the gate, the certificate: the mismatch from power columns held in
-double-double by a compensated dot product, plus a bound on its rounding.
-The decomposition's `residual` is that certificate, computed on first read
-when the screen decided.  Either bounds the sup error on the unit ball
-because every monomial is at most 1 in modulus there.
+A direction set computes its power span in plain double and factors it
+once, one degree block at a time, so a decomposition is a scatter of P's
+coefficients and one matmul per block.  One more matmul per block gives the
+decomposition's `residual`, a bound on the l1 norm of the exact coefficient
+mismatch: the mismatch computed in double plus gamma_k rounding bounds for
+its dot products and for the power columns themselves.  It decides the gate,
+and it bounds the sup error on the unit ball because every monomial is at
+most 1 in modulus there.
 """
 
 import math
@@ -24,12 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compensated import U, dd_monomials, residual_dot
 from .polycore import (ZERO_PRUNE_FLOAT, MultiIndex, MultiIndexPolynomial,
                        dim_homogeneous, grlex_key, monomial_table, monomials_up_to,
                        _homogeneous_exponents, _polynomials_from_rows)
 
 RANK_TOLERANCE = 1e-10
+# unit roundoff of double precision
+U = np.finfo(float).eps / 2
 # candidate vectors drawn per direction requested
 CLOUD_FACTOR = 3
 
@@ -40,6 +39,12 @@ class SpanningError(RuntimeError):
 
 class DecompositionError(RuntimeError):
     """Raised when the reconstructed ridge sum misses the target polynomial."""
+
+
+def gamma(k):
+    """Higham's gamma_k = kU / (1 - kU), which bounds k relative roundings
+    of at most U each, multiplied or divided together."""
+    return k * U / (1 - k * U)
 
 
 def _multinomial(total, exponents):
@@ -105,37 +110,31 @@ class PowerSpan:
 
     `keys[r]` names row r and `block_of_row[r]` its block (a degree or a
     bidegree), numbered from 0; the rows of a block are contiguous.
-    `columns` is the double-double pair (hi, lo) from
-    `compensated.dd_monomials`, real or complex, of shape (rows, directions),
-    whose entries took at most `products` double-double products each.
-    `rows` maps a key to its row and `blocks[b]` is the PowerBlock of block b.
-    For the bounds, complex columns C are kept as the real matrix
-    [Re C, -Im C]: against [Re x; Im x] it gives Re(C x), against
-    [Im x; -Re x] it gives Im(C x).  All arrays are read-only.
-
-    Both `screen` and `certificate` bound the l1 norm of the exact
-    coefficient mismatch sum_b |columns_b @ x_b - rhs_b| (moduli of complex
-    entries) of a least-norm solve; the screen costs one matmul per block,
-    the certificate a compensated dot product per row."""
+    `columns`, real or complex of shape (rows, directions), holds the powers
+    computed in plain double, each entry by at most `products` rounded real
+    or complex products.  `rows` maps a key to its row and `blocks[b]` is the
+    PowerBlock of block b.  The span keeps `columns` in real form: complex
+    columns C become [Re C, -Im C], which gives Re(C x) against
+    [Re x; Im x] and Im(C x) against [Im x; -Re x].  All arrays are
+    read-only."""
 
     def __init__(self, keys, block_of_row, columns, products, tol=RANK_TOLERANCE):
-        high, low = columns
-        block_of_row = np.asarray(block_of_row, dtype=np.intp)
-        count = int(block_of_row[-1]) + 1
         self.rows = {key: r for r, key in enumerate(keys)}
-        self.blocks = tuple(factor_block(high[block_of_row == b], tol) for b in range(count))
-        self._bounds = np.cumsum([block.size for block in self.blocks])[:-1]
-        self._complex = np.iscomplexobj(high)
+        self._bounds = np.flatnonzero(np.diff(block_of_row)) + 1
+        self.blocks = tuple(factor_block(part, tol) for part in np.split(columns, self._bounds))
+        self._complex = np.iscomplexobj(columns)
         if self._complex:
-            high, low = (np.hstack([a.real, -a.imag]) for a in (high, low))
-        # per block, the column sums of |high| and of |low|, which the
-        # rounding bounds scale with
-        self._weights, self._low_weights = (
-            np.stack([np.abs(a[block_of_row == b]).sum(axis=0) for b in range(count)])
-            for a in (high, low))
-        self._high, self._low, self._row_block = high, low, block_of_row
-        self._products = int(products)
-        for array in (self._bounds, high, low, block_of_row, self._weights, self._low_weights):
+            columns = np.hstack([columns.real, -columns.imag])
+        self.columns = columns
+        # per block, the column sums of |columns|, which the rounding bounds scale with
+        self._weights = np.stack([np.abs(part).sum(axis=0)
+                                  for part in np.split(columns, self._bounds)])
+        # a real or complex product rounds by at most sqrt(2) gamma_2 < 3U,
+        # relative to its modulus (Higham, Accuracy and Stability of Numerical
+        # Algorithms, Lemma 3.5), so by Lemma 3.1 there an exact entry is
+        # within gamma_(3D) of the computed one, relative to its modulus
+        self._column_error = gamma(3 * int(products))
+        for array in (self._bounds, columns, self._weights):
             array.setflags(write=False)
 
     def least_norm(self, rhs):
@@ -148,116 +147,58 @@ class PowerSpan:
             x[np.abs(x) < ZERO_PRUNE_FLOAT] = 0
         return solutions
 
-    def solve(self, rhs):
-        """The solutions of `least_norm` and their `certificate`."""
-        solutions = self.least_norm(rhs)
-        return solutions, self.certificate(solutions, rhs)
+    def bound(self, solutions, rhs):
+        """A bound on the l1 norm of the exact coefficient mismatch
+        sum_b |C_b @ x_b - rhs_b| of `solutions` x against `rhs` (moduli of
+        complex entries), C being the exact powers, in plain double from one
+        matmul per block:
 
-    def _real_form(self, solutions, rhs):
-        """The solutions stacked by block, shape (blocks, columns, c), and
-        `rhs`, both in the real form of the columns."""
+            sum|fl(columns_b @ x_b - rhs_b)| + gamma_(n+1) (weights . |x| + sum|rhs|)
+            + gamma_(3D) weights . |x|,
+
+        with n columns (of the real form), gamma_k = kU / (1 - kU) and D the
+        products per column entry.  A dot product of length n minus one more
+        term is within gamma_(n+1) of its exact value, relative to the sum of
+        its terms' moduli, in any order of summation (Higham, 3.1); the last
+        term bounds the columns' own rounding.  The moduli of complex entries
+        are at most the sums of their real-form parts.  The whole is rounded
+        up by (1 + 2KU), K bounding the rounded steps of any term.  Barring
+        underflow and overflow."""
         x = np.stack(solutions)
         if self._complex:
             x = np.concatenate([np.concatenate([x.real, x.imag], axis=1),
                                 np.concatenate([x.imag, -x.real], axis=1)], axis=2)
             rhs = np.hstack([rhs.real, rhs.imag])
-        return x, rhs
-
-    def _modulus(self, mismatch):
-        return np.hypot(*np.split(mismatch, 2, axis=1)) if self._complex else mismatch
-
-    def certificate(self, solutions, rhs):
-        """The tight bound on the mismatch of `solutions` against `rhs`.
-        `compensated.residual_dot` computes the mismatch; the bound adds its
-        rounding and the columns' own error, both of order
-        U^2 (sum(|columns| @ |x|) + sum|rhs|)."""
-        x, rhs = self._real_form(solutions, rhs)
-        mismatch, rounding = residual_dot(self._high, self._low, x[self._row_block], rhs)
-        mismatch = self._modulus(mismatch)
-        magnitude = float((self._weights * np.abs(x).sum(axis=2)).sum() + np.abs(rhs).sum())
-        # a column entry built from D products is within 16 D U^2 of the exact
-        # one, relative to its modulus; the factor 2 covers the rounding of
-        # the bound itself
-        return (float(np.abs(mismatch).sum()) * (1 + (mismatch.size + 8) * U)
-                + 2 * (rounding + 16 * self._products) * U ** 2 * magnitude)
-
-    def screen(self, solutions, rhs):
-        """A bound on the mismatch of `solutions` against `rhs` in plain
-        double, from one matmul per block with the high columns:
-
-            sum|fl(high_b @ x_b - rhs_b)| + gamma_(n+1) (weights . |x| + sum|rhs|)
-            + (low_weights + 32 D U^2 weights) . |x|,
-
-        with n columns (of the real form), gamma_k = kU / (1 - kU) and D the
-        products per column entry.  A dot product of length n minus one more
-        term is within gamma_(n+1) of its exact value, relative to the sum of
-        its terms' moduli, in any order of summation (Higham, Accuracy and
-        Stability of Numerical Algorithms, 3.1); the last term is the mismatch
-        of low and of the columns' own error (16 D U^2 relative), and the
-        factor 2 in it bounds the real and imaginary parts of a complex entry
-        by one sum each.  The moduli of complex entries are at most the sums
-        of their real-form parts.  The whole is rounded up by (1 + 2KU), K
-        bounding the rounded steps of any term."""
-        x, rhs = self._real_form(solutions, rhs)
-        mismatch = np.concatenate([high @ x_b for high, x_b in
-                                   zip(np.split(self._high, self._bounds), x)]) - rhs
-        n = self._high.shape[1]
-        gamma = (n + 1) * U / (1 - (n + 1) * U)
-        size = np.abs(x).sum(axis=2)
-        magnitude = float((self._weights * size).sum() + np.abs(rhs).sum())
-        columns = float(((self._low_weights + 32 * self._products * U ** 2 * self._weights)
-                         * size).sum())
+        mismatch = np.concatenate([part @ x_b for part, x_b in
+                                   zip(np.split(self.columns, self._bounds), x)]) - rhs
+        if self._complex:
+            mismatch = np.hypot(*np.split(mismatch, 2, axis=1))
+        n = self.columns.shape[1]
+        size = float((self._weights * np.abs(x).sum(axis=2)).sum())
         steps = len(rhs) + x.size + rhs.size + 16
-        return ((float(np.abs(self._modulus(mismatch)).sum()) + gamma * magnitude + columns)
-                * (1 + 2 * steps * U))
+        return ((float(np.abs(mismatch).sum()) + gamma(n + 1) * (size + float(np.abs(rhs).sum()))
+                 + self._column_error * size) * (1 + 2 * steps * U))
 
 
 def certify(span, solutions, rhs, target, residual_tol, labels):
-    """Raise DecompositionError unless the mismatch of `solutions` against
-    `rhs` is at most residual_tol * (1 + max|target|).  `span.screen` decides
-    first; when it exceeds the gate, `span.certificate` decides and is
-    returned, else None is.  The message names the certificate and the
-    rank-deficient blocks from their stored factors, labelled by the iterable
-    `labels`, which is read only on failure."""
+    """`span.bound` on the mismatch of `solutions` against `rhs`.  Raise
+    DecompositionError when it exceeds residual_tol * (1 + max|target|),
+    naming the bound, the condition number and the rank-deficient blocks from
+    their stored factors, labelled by the iterable `labels`, which is read
+    only on failure."""
+    bound = span.bound(solutions, rhs)
     scale = 1.0 + float(np.max(np.abs(target), initial=0.0))
-    if span.screen(solutions, rhs) <= residual_tol * scale:
-        return None
-    certificate = span.certificate(solutions, rhs)
-    if certificate <= residual_tol * scale:
-        return certificate
+    if bound <= residual_tol * scale:
+        return bound
     blocks = span.blocks
     deficient = ", ".join(
         f"{label} rank {block.rank} of {block.size}"
         for label, block in zip(labels, blocks) if block.rank < block.size)
     raise DecompositionError(
-        f"ridge coefficient mismatch {certificate:.3e} exceeds tolerance "
+        f"ridge coefficient mismatch {bound:.3e} exceeds tolerance "
         f"{residual_tol:.1e} * {scale:.3e}; direction condition number "
         f"{blocks[-1].condition:.3e}; "
         + (f"rank-deficient blocks: {deficient}" if deficient else "every block has full rank"))
-
-
-class CertifiedResidual:
-    """What real and complex ridge decompositions share: `residual`, the
-    `PowerSpan.certificate` of the solve they were built from.  A
-    decomposition whose gate the screen decided keeps the solve's inputs and
-    computes the certificate on first read; one built otherwise (say, from
-    JSON) has none."""
-
-    _residual_inputs = None
-
-    def _keep_residual(self, certificate, span, solutions, rhs):
-        """Keep `certificate`, or when it is None the inputs to compute it."""
-        self._residual = certificate
-        if certificate is None:
-            self._residual_inputs = span, solutions, rhs
-
-    @property
-    def residual(self):
-        if self._residual_inputs is not None:
-            span, solutions, rhs = self._residual_inputs
-            self._residual = span.certificate(solutions, rhs)
-            self._residual_inputs = None
-        return self._residual
 
 
 class _Directions:
@@ -294,11 +235,10 @@ class DirectionSet(_Directions):
             raise ValueError(f"vectors must have shape (n, {self.m})")
         self.vectors.setflags(write=False)
         keys = monomials_up_to(self.m, self.s)
-        degrees = [sum(k) for k in keys]
-        factors = np.array([_multinomial(j, k) for j, k in zip(degrees, keys)], dtype=float)
-        columns = dd_monomials(np.array(keys, dtype=np.intp).reshape(-1, self.m),
-                               self.vectors, factors)
-        self.span = PowerSpan(keys, degrees, columns, self.s, tol)
+        # an entry of degree j takes j rounded products: j - 1 for the
+        # monomial, one for its multinomial factor
+        columns = np.vstack([lifted_power_matrix(self.vectors, j).T for j in range(self.s + 1)])
+        self.span = PowerSpan(keys, [sum(k) for k in keys], columns, self.s, tol)
 
 
 def unit_cloud(rng, count, dim, dtype=float):
@@ -355,10 +295,11 @@ def build_block_matrices(dirs, d, ell):
     return list(mats)
 
 
-class RidgeDecomposition(CertifiedResidual):
-    """Represents x -> sum_k P_k(A_k x) with ell-variate profiles P_k."""
+class RidgeDecomposition:
+    """Represents x -> sum_k P_k(A_k x) with ell-variate profiles P_k.
+    `residual` is the certified bound `decompose` found, or None."""
 
-    def __init__(self, d, ell, matrices, profiles):
+    def __init__(self, d, ell, matrices, profiles, residual=None):
         if len(matrices) != len(profiles):
             raise ValueError("matrix/profile count mismatch")
         self.d = int(d)
@@ -370,6 +311,7 @@ class RidgeDecomposition(CertifiedResidual):
         stack.setflags(write=False)
         self.matrices = list(stack)
         self.profiles = list(profiles)
+        self.residual = residual
 
     @property
     def count(self):
@@ -387,13 +329,16 @@ class RidgeDecomposition(CertifiedResidual):
     def to_json_dict(self):
         blocks = [{"A": A.tolist(), "P": P.to_json_dict()}
                   for A, P in zip(self.matrices, self.profiles)]
-        return {"d": self.d, "ell": self.ell, "blocks": blocks}
+        out = {"d": self.d, "ell": self.ell, "blocks": blocks}
+        if self.residual is not None:
+            out["residual"] = self.residual
+        return out
 
     @classmethod
     def from_json_dict(cls, obj):
         mats = [b["A"] for b in obj["blocks"]]
         profs = [MultiIndexPolynomial.from_json_dict(b["P"]) for b in obj["blocks"]]
-        return cls(obj["d"], obj["ell"], mats, profs)
+        return cls(obj["d"], obj["ell"], mats, profs, obj.get("residual"))
 
 
 def decompose(P, dirs, d, ell, residual_tol=1e-8):
@@ -406,10 +351,8 @@ def decompose(P, dirs, d, ell, residual_tol=1e-8):
     The coefficient mismatch, a bound on the sup error over B^d, must not
     exceed residual_tol * (1 + max|P|), with the maximum taken at the origin
     and at the points +-e_i, read from P's coefficients (a lower bound of the
-    sup of |P| over B^d).  `PowerSpan.screen` decides first, and
-    `PowerSpan.certificate` only when the screen exceeds the gate (see
-    `certify`).  `residual` is the certificate, computed on its first read
-    when the screen decided.
+    sup of |P| over B^d).  The decomposition's `residual` is that bound,
+    `PowerSpan.bound` (see `certify`).
     """
     if not 1 <= ell < d:
         raise ValueError("need 1 <= ell < d")
@@ -430,8 +373,8 @@ def decompose(P, dirs, d, ell, residual_tol=1e-8):
     for K, c in P.terms.items():
         rhs[heads[K[:m]], columns[K[m:]]] = float(c)
     solutions = dirs.span.least_norm(rhs)
-    certificate = certify(dirs.span, solutions, rhs, P.axis_values(), residual_tol,
-                          (f"degree {j}" for j in range(s + 1)))
+    residual = certify(dirs.span, solutions, rhs, P.axis_values(), residual_tol,
+                       (f"degree {j}" for j in range(s + 1)))
 
     # profile keys (j,) + tail; P has degree <= s, so j <= s - |tail|.  The
     # tails are slices of validated keys, so the keys need no validation.
@@ -439,9 +382,7 @@ def decompose(P, dirs, d, ell, residual_tol=1e-8):
                    for j in range(s - sum(t) + 1)), key=grlex_key)
     coeffs = np.stack(solutions)[[key[0] for key in keys], :, [columns[key[1:]] for key in keys]]
     profiles = _polynomials_from_rows(MultiIndexPolynomial, ell, keys, coeffs.T)
-    decomp = RidgeDecomposition(d, ell, build_block_matrices(dirs, d, ell), profiles)
-    decomp._keep_residual(certificate, dirs.span, solutions, rhs)
-    return decomp
+    return RidgeDecomposition(d, ell, build_block_matrices(dirs, d, ell), profiles, residual)
 
 
 def orthonormalize_rows(A, profile):

@@ -182,6 +182,17 @@ def test_cli_decompose_and_basis(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_decompose_output_loads_with_its_residual(tmp_path, capsys):
+    from ridgekit.cli import main
+    from ridgekit.ridge_real import RidgeDecomposition
+    out = tmp_path / "dec.json"
+    assert main(["decompose", "--dim", "4", "--ell", "1", "--degree", "4", "--seed", "3",
+                 "--output", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)["residual"]
+    with open(out) as handle:
+        assert RidgeDecomposition.from_json_dict(json.load(handle)).residual == printed
+
+
 def test_cli_decompose_prints_direction_condition(capsys):
     from ridgekit.cli import main
     assert main(["decompose", "--dim", "3", "--ell", "1", "--degree", "3", "--seed", "2"]) == 0

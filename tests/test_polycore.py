@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dd_poly_values
-from ridgekit.compensated import U
 from ridgekit.orthobasis import monomial_values
 from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex,
                                MultiIndexPolynomial, dim_complex_bihomogeneous,
@@ -16,6 +15,7 @@ from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex,
                                monomials_up_to, point_chunks, rank_grlex,
                                unrank_grlex)
 from ridgekit.quadrature import ball_sup_grid
+from ridgekit.ridge_real import U
 
 EVAL_TOL = 1e-12
 

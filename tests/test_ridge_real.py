@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import strategies as st
 
 import ridgekit
 from conftest import dd_linear, dd_poly_values, dd_total
-from ridgekit.compensated import U
-from ridgekit.polycore import (MultiIndexPolynomial, dim_homogeneous, grlex_key,
-                               _homogeneous_exponents, monomials_up_to)
+from ridgekit.polycore import (MultiIndexPolynomial, dim_complex_bihomogeneous,
+                               dim_homogeneous, _homogeneous_exponents, monomials_up_to)
 from ridgekit.quadrature import ball_sup_grid
-from ridgekit.ridge_real import (DecompositionError, DirectionSet,
+from ridgekit.ridge_complex import ComplexDirectionSet, sample_complex_directions
+from ridgekit.ridge_real import (U, DecompositionError, DirectionSet,
                                  RidgeDecomposition, SpanningError,
                                  build_block_matrices,
-                                 decompose, lifted_power_matrix,
+                                 decompose, lifted_power_matrix, _multinomial,
                                  orthonormalize_rows, pick_directions,
                                  sample_spanning_directions, spanning_rank)
 
@@ -258,53 +259,167 @@ def test_residual_bounds_sampled_error(case):
     assert np.max(np.abs(error[0])) * (1 - 4 * U) - slack <= dec.residual
 
 
+def ill_conditioned_set():
+    # d=4, ell=1, s=7: a plain random draw of condition number 4.7e4, as
+    # ill-conditioned as chance makes it
+    vectors = np.random.default_rng(9).standard_normal((dim_homogeneous(4, 7), 4))
+    return DirectionSet(4, 7, vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+
+
 def test_residual_certifies_ill_conditioned_high_degree_set():
-    # d=4, ell=1, s=7 along a set of condition number about 5e4.  A bound on
-    # a mismatch computed in plain double, n U sum(|columns| @ |x| + |rhs|),
-    # is 1.7e-9 here; the certificate tracks the mismatch itself (3.3e-11).
-    # The set is a plain random draw, as ill-conditioned as chance makes it.
-    vectors = np.random.default_rng(9).standard_normal((dim_homogeneous(4, 7), 4))
-    dirs = DirectionSet(4, 7, vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+    # the bound reads 2.1e-9 against a gate of 6.3e-8
+    dirs = ill_conditioned_set()
     assert dirs.condition_number > 1e4
-    dec = decompose(random_poly(4, 7, seed=12), dirs, 4, 1)
-    assert dec.residual <= 1e-2 * RESIDUAL_TOL
-
-
-def ridge_rhs(P, dirs):
-    """The right-hand side `decompose` solves for P: one row per
-    leading-block monomial, one column per trailing-block exponent."""
-    m = dirs.m
-    tails = sorted({K[m:] for K in P.terms}, key=grlex_key)
-    rhs = np.zeros((len(dirs.span.rows), len(tails)))
-    for K, c in P.terms.items():
-        rhs[dirs.span.rows[K[:m]], tails.index(K[m:])] = c
-    return rhs
-
-
-def test_decompose_defers_the_certificate_to_the_first_read(residual_dot_calls):
-    dirs = sample_spanning_directions(2, 5, dim_homogeneous(2, 5), seed=3)
-    P = random_poly(3, 5, seed=4)
-    dec = decompose(P, dirs, 3, 2)
-    assert residual_dot_calls == []
-    residual = dec.residual
-    assert len(residual_dot_calls) == 1
-    assert dec.residual == residual
-    assert len(residual_dot_calls) == 1
-    assert residual == dirs.span.solve(ridge_rhs(P, dirs))[1]
-
-
-def test_ill_conditioned_set_falls_through_to_the_certificate(residual_dot_calls):
-    # the set of the test above: at residual_tol=1e-10 the gate is 6.3e-10,
-    # which the plain screen (1.8e-9) misses and the certificate (3.3e-11)
-    # meets
-    vectors = np.random.default_rng(9).standard_normal((dim_homogeneous(4, 7), 4))
-    dirs = DirectionSet(4, 7, vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
     P = random_poly(4, 7, seed=12)
-    rhs = ridge_rhs(P, dirs)
-    gate = 1e-10 * (1 + np.max(np.abs(P.axis_values())))
-    assert dirs.span.screen(dirs.span.least_norm(rhs), rhs) > gate
-    dec = decompose(P, dirs, 4, 1, residual_tol=1e-10)
-    assert len(residual_dot_calls) == 1
-    assert dec.residual <= gate
-    assert len(residual_dot_calls) == 1
-    assert dec.residual == dirs.span.solve(rhs)[1]
+    dec = decompose(P, dirs, 4, 1)
+    assert dec.residual <= RESIDUAL_TOL * (1 + np.max(np.abs(P.axis_values())))
+
+
+def test_ill_conditioned_set_fails_loudly_at_a_tight_tolerance():
+    # at residual_tol=1e-10 the gate is 6.3e-10, below the bound
+    with pytest.raises(DecompositionError, match=r"condition number 4\.\d+e\+04"):
+        decompose(random_poly(4, 7, seed=12), ill_conditioned_set(), 4, 1, residual_tol=1e-10)
+
+
+def test_json_round_trip_keeps_the_residual():
+    dirs = sample_spanning_directions(2, 3, dim_homogeneous(2, 3), seed=5)
+    dec = decompose(random_poly(3, 3, seed=17), dirs, 3, 2)
+    clone = RidgeDecomposition.from_json_dict(json.loads(json.dumps(dec.to_json_dict())))
+    assert clone.residual == dec.residual is not None
+    assert "residual" not in RidgeDecomposition(3, 2, [], []).to_json_dict()
+
+
+# Exact checks of `PowerSpan.bound` against the mismatch of exact power
+# columns, in dyadic integer arithmetic.
+
+def dyadic(value):
+    """The double `value` exactly, as (n, e) with value = n * 2 ** e."""
+    mantissa, exponent = math.frexp(value)
+    return int(mantissa * 2 ** 53), exponent - 53
+
+
+def dyadic_add(a, b):
+    low = min(a[1], b[1])
+    return (a[0] << (a[1] - low)) + (b[0] << (b[1] - low)), low
+
+
+def dyadic_mul(a, b):
+    return a[0] * b[0], a[1] + b[1]
+
+
+def complex_mul(a, b):
+    """Product of complex dyadics, each a pair (re, im) of dyadics."""
+    (ar, ai), (br, bi) = a, b
+    negative = dyadic_mul(ai, bi)
+    return (dyadic_add(dyadic_mul(ar, br), (-negative[0], negative[1])),
+            dyadic_add(dyadic_mul(ar, bi), dyadic_mul(ai, br)))
+
+
+def complex_dyadic(value):
+    value = complex(value)
+    return dyadic(value.real), dyadic(value.imag)
+
+
+def exact_monomials(point, exponents):
+    """prod point[j] ** exponent[j] for every exponent, as complex dyadics,
+    each built from a lower one by one more factor."""
+    coords = [complex_dyadic(z) for z in point]
+    values = {(0,) * len(coords): ((1, 0), (0, 0))}
+
+    def value(exponent):
+        if exponent not in values:
+            j = next(j for j, e in enumerate(exponent) if e)
+            lower = value(exponent[:j] + (exponent[j] - 1,) + exponent[j + 1:])
+            values[exponent] = complex_mul(lower, coords[j])
+        return values[exponent]
+
+    return [value(tuple(exponent)) for exponent in exponents]
+
+
+def exact_l1_mismatch(span, vectors, solutions, rhs, keys_to_exponents):
+    """Upper bound (to 4 U relative) on the exact sum over the rows of the
+    modulus of columns @ x - rhs, from exact dyadic columns of the powers."""
+    x = np.stack(solutions)
+    block_of_row = np.repeat(np.arange(len(span.blocks)), [block.size for block in span.blocks])
+    exponents, factors = zip(*(keys_to_exponents(key) for key in span.rows))
+    rows = list(span.rows.values())
+    sums = {(row, j): tuple((-n, e) for n, e in complex_dyadic(rhs[row, j]))
+            for row in rows for j in range(rhs.shape[1])}
+    for i, point in enumerate(vectors):
+        for row, factor, column in zip(rows, factors, exact_monomials(point, exponents)):
+            column = complex_mul(column, ((factor, 0), (0, 0)))
+            for j in range(rhs.shape[1]):
+                term = complex_mul(column, complex_dyadic(x[block_of_row[row], i, j]))
+                sums[row, j] = tuple(map(dyadic_add, sums[row, j], term))
+    return sum(math.sqrt(float(Fraction(re[0] ** 2) * Fraction(2) ** (2 * re[1])
+                               + Fraction(im[0] ** 2) * Fraction(2) ** (2 * im[1])))
+               for re, im in sums.values())
+
+
+def exact_mismatch_of(dirs, solutions, rhs):
+    """`exact_l1_mismatch` for a real or complex direction set: the power
+    (a . z)^s' conj(a . z)^t' has coefficient mult(k) mult(l) a^k conj(a)^l on
+    z^k conj(z)^l, the monomial of the point (a, conj a) at k + l."""
+    if isinstance(dirs, ComplexDirectionSet):
+        return exact_l1_mismatch(
+            dirs.span, np.hstack([dirs.vectors, np.conj(dirs.vectors)]), solutions, rhs,
+            lambda kl: (kl[0] + kl[1], _multinomial(sum(kl[0]), kl[0])
+                        * _multinomial(sum(kl[1]), kl[1])))
+    return exact_l1_mismatch(dirs.span, dirs.vectors, solutions, rhs,
+                             lambda k: (k, _multinomial(sum(k), k)))
+
+
+BOUNDED_SETS = {
+    "pivoted-real": lambda: sample_spanning_directions(3, 3, dim_homogeneous(3, 3), seed=4),
+    "pivoted-complex": lambda: sample_complex_directions(
+        2, 2, 2, dim_complex_bihomogeneous(2, 2, 2), seed=6),
+    "ill-conditioned": ill_conditioned_set,
+    # one direction, repeated: the mismatch is of the order of rhs
+    "rank-deficient": lambda: DirectionSet(2, 3, np.tile([[0.6, 0.8]], (4, 1))),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDED_SETS)
+def test_span_bound_covers_exact_mismatch(name):
+    dirs = BOUNDED_SETS[name]()
+    rng = np.random.default_rng(7)
+    shape = (len(dirs.span.rows), 1 if name == "ill-conditioned" else 2)
+    rhs = rng.standard_normal(shape)
+    if isinstance(dirs, ComplexDirectionSet):
+        rhs = rhs + 1j * rng.standard_normal(shape)
+    solutions = dirs.span.least_norm(rhs)
+    true = exact_mismatch_of(dirs, solutions, rhs)
+    assert true * (1 - 4 * U) <= dirs.span.bound(solutions, rhs)
+
+
+VANISHING_SETS = {
+    "pivoted-real": lambda: sample_spanning_directions(3, 4, dim_homogeneous(3, 4), seed=5),
+    "pivoted-complex": BOUNDED_SETS["pivoted-complex"],
+}
+
+
+@pytest.mark.parametrize("name", VANISHING_SETS)
+def test_span_bound_covers_exact_mismatch_when_the_double_mismatch_vanishes(name):
+    # a right-hand side equal to the span's own product columns_b @ x_b in
+    # double (real form for a complex set), so the computed mismatch is 0 and
+    # the bound rests on its rounding and column terms
+    dirs = VANISHING_SETS[name]()
+    rng = np.random.default_rng(8)
+    shape = (len(dirs.span.rows), 2)
+    rhs = rng.standard_normal(shape)
+    complex_set = isinstance(dirs, ComplexDirectionSet)
+    if complex_set:
+        rhs = rhs + 1j * rng.standard_normal(shape)
+    solutions = dirs.span.least_norm(rhs)
+    sizes = np.cumsum([block.size for block in dirs.blocks])[:-1]
+    products = []
+    for part, x in zip(np.split(dirs.span.columns, sizes), solutions):
+        if complex_set:
+            x = np.hstack([np.vstack([x.real, x.imag]), np.vstack([x.imag, -x.real])])
+        products.append(part @ x)
+    rhs = np.vstack(products)
+    if complex_set:
+        rhs = rhs[:, :2] + 1j * rhs[:, 2:]
+    true = exact_mismatch_of(dirs, solutions, rhs)
+    assert true > 0
+    assert true * (1 - 4 * U) <= dirs.span.bound(solutions, rhs)
