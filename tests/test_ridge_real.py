@@ -392,6 +392,42 @@ def test_span_bound_covers_exact_mismatch(name):
     assert true * (1 - 4 * U) <= dirs.span.bound(solutions, rhs)
 
 
+COLUMN_SETS = {
+    "pivoted-real": lambda: sample_spanning_directions(2, 15, dim_homogeneous(2, 15), seed=3),
+    "pivoted-complex": lambda: sample_complex_directions(
+        2, 3, 3, dim_complex_bihomogeneous(2, 3, 3), seed=4),
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_SETS)
+def test_span_columns_lie_within_their_rounding_bound(name):
+    # the bound's column term rests on this: every exact power is within the
+    # span's relative column error of the computed entry, in exact arithmetic
+    dirs = COLUMN_SETS[name]()
+    columns = dirs.span.columns
+    if isinstance(dirs, ComplexDirectionSet):
+        n = dirs.count
+        columns = columns[:, :n] - 1j * columns[:, n:]
+        vectors = np.hstack([dirs.vectors, np.conj(dirs.vectors)])
+        keys = [(kl[0] + kl[1], _multinomial(sum(kl[0]), kl[0]) * _multinomial(sum(kl[1]), kl[1]))
+                for kl in dirs.span.rows]
+    else:
+        vectors = dirs.vectors
+        keys = [(k, _multinomial(sum(k), k)) for k in dirs.span.rows]
+    exponents, factors = zip(*keys)
+    error = Fraction(dirs.span._column_error)
+
+    def exact(value):
+        return Fraction(value[0]) * Fraction(2) ** value[1]
+
+    for i, point in enumerate(vectors):
+        for r, (factor, power) in enumerate(zip(factors, exact_monomials(point, exponents))):
+            re, im = (exact(part) * factor for part in power)
+            computed = complex(columns[r, i])
+            re_hat, im_hat = Fraction(computed.real), Fraction(computed.imag)
+            assert (re - re_hat) ** 2 + (im - im_hat) ** 2 <= error ** 2 * (re_hat ** 2 + im_hat ** 2)
+
+
 VANISHING_SETS = {
     "pivoted-real": lambda: sample_spanning_directions(3, 4, dim_homogeneous(3, 4), seed=5),
     "pivoted-complex": BOUNDED_SETS["pivoted-complex"],
