@@ -276,8 +276,7 @@ def tau_eval(dictionary, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     m = round(x[0] / CELL_SPACING)
     if m <= 0:
-        shifted = x - np.array([CELL_SPACING * m] + [0.0] * (len(x) - 1))
-        return 0.0 * _blend_weight(np.linalg.norm(shifted))
+        return 0.0
     shifted = x.copy()
     shifted[0] -= CELL_SPACING * m
     radius = np.linalg.norm(shifted)

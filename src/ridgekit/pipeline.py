@@ -151,7 +151,7 @@ class RateReport:
 # Pipeline stages
 
 
-def fit_polynomial(f, s, basis, rule=None):
+def fit_polynomial(f, s, basis):
     """Discrete-L^2 best polynomial approximation of degree <= s."""
     if s > basis.max_degree:
         raise ValueError(f"basis covers degree {basis.max_degree}, need {s}")

@@ -271,6 +271,43 @@ class _SparsePolynomial:
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
+    def substitute(self, lines):
+        """sum_k c_k prod_i lines[i] ** k_i: flat variable i replaced by the
+        polynomial lines[i], all of one class and dimension.  Each power of a
+        line is built once, by one more multiplication from the power below;
+        every term is its coefficient times the powers of the variables it
+        holds, in variable order, and the terms are summed in grlex order."""
+        if len(lines) != self._halves * self.dim:
+            raise ValueError(f"need {self._halves * self.dim} lines, got {len(lines)}")
+        cls, dim = type(lines[0]), lines[0].dim
+        powers = [[cls.constant(dim, 1)] for _ in lines]
+        out = cls.zero(dim)
+        for k, c in self._terms.items():
+            term = cls.constant(dim, c)
+            for line, cache, e in zip(lines, powers, k):
+                while len(cache) <= e:
+                    cache.append(cache[-1] * line)
+                if e:
+                    term = term * cache[e]
+            out = out + term
+        return out
+
+    def eval(self, point):
+        """Value at one point, in the arithmetic of its entries and of the
+        coefficients (exact for Fractions); ExactComplex coefficients are taken
+        as complex.  The flat point is x, or z followed by conj(z)."""
+        if len(point) != self.dim:
+            raise ValueError(f"point has length {len(point)}, expected {self.dim}")
+        flat = list(point) + [v.conjugate() for v in point] * (self._halves - 1)
+        total = 0
+        for k, c in self._terms.items():
+            term = complex(c) if isinstance(c, ExactComplex) else c
+            for v, e in zip(flat, k):
+                if e:
+                    term = term * v ** e
+            total = total + term
+        return total
+
     def map_coefficients(self, fn):
         return self._from_flat(self.dim, {k: fn(c) for k, c in self._terms.items()})
 
@@ -314,18 +351,6 @@ class MultiIndexPolynomial(_SparsePolynomial):
             return -math.inf
         return next(reversed(self._terms)).order()
 
-    def eval(self, x):
-        if len(x) != self.dim:
-            raise ValueError(f"point has length {len(x)}, expected {self.dim}")
-        total = 0
-        for k, c in self.terms.items():
-            term = c
-            for xi, e in zip(x, k):
-                if e:
-                    term = term * xi ** e
-            total = total + term
-        return total
-
     def eval_many(self, points):
         """Evaluate at an (n, dim) array of points; returns length-n array."""
         points = np.asarray(points, dtype=float)
@@ -352,28 +377,10 @@ class MultiIndexPolynomial(_SparsePolynomial):
             b = [0] * self.dim
         if len(b) != self.dim:
             raise ValueError("bias has wrong length")
-        lines = []
-        for i in range(self.dim):
-            terms = {(0,) * d_out: b[i]}
-            for j in range(d_out):
-                key = tuple(1 if jj == j else 0 for jj in range(d_out))
-                terms[key] = A[i][j]
-            lines.append(MultiIndexPolynomial(d_out, terms))
-        out = MultiIndexPolynomial.zero(d_out)
-        power_cache = [{0: MultiIndexPolynomial.constant(d_out, 1)} for _ in range(self.dim)]
-        for k, c in self.terms.items():
-            term = MultiIndexPolynomial.constant(d_out, c)
-            for i, e in enumerate(k):
-                if e not in power_cache[i]:
-                    p = max(q for q in power_cache[i] if q < e)
-                    acc = power_cache[i][p]
-                    while p < e:
-                        acc = acc * lines[i]
-                        p += 1
-                        power_cache[i][p] = acc
-                term = term * power_cache[i][e]
-            out = out + term
-        return out
+        units = [tuple(int(i == j) for i in range(d_out)) for j in range(d_out)]
+        lines = [MultiIndexPolynomial(d_out, {(0,) * d_out: bi, **dict(zip(units, row))})
+                 for row, bi in zip(A, b)]
+        return self.substitute(lines)
 
     def coefficient_vector(self, max_degree):
         """Dense grlex-ordered coefficient vector covering degrees <= max_degree."""
@@ -545,19 +552,6 @@ class ComplexBiPolynomial(_SparsePolynomial):
     def conjugate(self):
         d = self.dim
         return self._from_flat(d, {k[d:] + k[:d]: _conj(c) for k, c in self._terms.items()})
-
-    def eval(self, z):
-        if len(z) != self.dim:
-            raise ValueError("point has wrong length")
-        values = list(z) + [zj.conjugate() for zj in z]
-        total = 0
-        for k, c in self._terms.items():
-            term = c if not isinstance(c, ExactComplex) else complex(c)
-            for wj, e in zip(values, k):
-                if e:
-                    term = term * wj ** e
-            total = total + term
-        return total
 
     def eval_many(self, points):
         """Evaluate at an (n, dim) complex array; returns length-n complex array."""

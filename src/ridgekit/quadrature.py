@@ -10,7 +10,7 @@ integrated to its analytic moment.
 import math
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi, roots_legendre
 
 NODE_CAP = 10**7
 
@@ -70,18 +70,6 @@ def sphere_surface(d):
     return 2 * math.pi ** (d / 2) / math.gamma(d / 2)
 
 
-def sphere_monomial_integral(k):
-    """Analytic moment of the monomial xi^k over S^(m-1), m = len(k)."""
-    k = tuple(int(e) for e in k)
-    if any(e % 2 for e in k):
-        return 0.0
-    m = len(k)
-    if m == 1:
-        return 2.0
-    log_val = math.log(2) + sum(gammaln((e + 1) / 2) for e in k) - gammaln((sum(k) + m) / 2)
-    return float(math.exp(log_val))
-
-
 def build_sphere_rule(d_minus_1, degree, node_cap=NODE_CAP):
     """Quadrature on the sphere S^(d_minus_1) exact for monomials of total
     degree <= degree."""
@@ -109,7 +97,6 @@ def _sphere_nodes(m, degree, node_cap=NODE_CAP):
     if m == 1:
         return np.array([[-1.0], [1.0]]), np.array([1.0, 1.0])
     if m == 2:
-        count = max(degree + 1, 4)
         angles = 2 * math.pi * np.arange(count) / count
         nodes = np.column_stack([np.cos(angles), np.sin(angles)])
         # angle 2 pi - theta gets exactly (cos theta, -sin theta), so the rule
@@ -147,19 +134,14 @@ def build_ball_rule(d, exactness_degree, node_cap=NODE_CAP):
         x, w = roots_legendre(n)
         return QuadratureRule("ball", 1, x[:, None], w, exactness_degree)
     n_r = exactness_degree // 2 + 1
-    if n_r * _sphere_node_count(d, exactness_degree) > node_cap:
-        raise NodeCapError(
-            f"ball rule needs {n_r * _sphere_node_count(d, exactness_degree)} nodes, "
-            f"cap is {node_cap}")
-    sphere = _sphere_nodes(d, exactness_degree, node_cap)
+    count = n_r * _sphere_node_count(d, exactness_degree)
+    if count > node_cap:
+        raise NodeCapError(f"ball rule needs {count} nodes, cap is {node_cap}")
+    sub_nodes, sub_weights = _sphere_nodes(d, exactness_degree, node_cap)
     # weight r^(d-1) on [0,1]: map Gauss-Jacobi (alpha=0, beta=d-1) from [-1,1]
     x, w = roots_jacobi(n_r, 0.0, d - 1.0)
     radii = (x + 1) / 2
     radial_w = w / 2**d
-    sub_nodes, sub_weights = sphere
-    count = n_r * sub_nodes.shape[0]
-    if count > node_cap:
-        raise NodeCapError(f"ball rule needs {count} nodes, cap is {node_cap}")
     nodes = np.empty((count, d))
     weights = np.empty(count)
     for i in range(n_r):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .orthobasis import project_coefficients
-from .quadrature import ball_sup_grid, evaluate_on_nodes, lq_norm
+from .quadrature import lq_norm
 
 
 def mollifier(t):
@@ -42,13 +42,7 @@ def smooth_step(t):
 class CutoffFunction:
     """Smooth even cutoff: 1 on [-1, 1], 0 outside (-2, 2), monotone between."""
 
-    def __init__(self, evaluator=None, smoothness="C-infinity"):
-        self._evaluator = evaluator
-        self.smoothness = smoothness
-
     def __call__(self, x):
-        if self._evaluator is not None:
-            return self._evaluator(x)
         x = np.asarray(x, dtype=float)
         return 1.0 - smooth_step(np.abs(x) - 1.0)
 

@@ -71,18 +71,10 @@ def verify_wirtinger_monomial_identity(k, l, k_prime, l_prime):
 def _power_pair(a, s, t, dim):
     """(a . z)^s (conj(a . z))^t as a ComplexBiPolynomial, coefficients exact
     when the entries of a are exact."""
-    zero = (0,) * dim
-    lin = ComplexBiPolynomial(dim, {
-        (tuple(1 if j == i else 0 for j in range(dim)), zero): a[i]
-        for i in range(dim)
-    })
-    lin_bar = lin.conjugate()
-    out = ComplexBiPolynomial.constant(dim, _one_like(a))
-    for _ in range(s):
-        out = out * lin
-    for _ in range(t):
-        out = out * lin_bar
-    return out
+    units = [tuple(int(i == j) for i in range(2 * dim)) for j in range(dim)]
+    lin = ComplexBiPolynomial._from_flat(dim, dict(zip(units, a)))  # a . z
+    pair = ComplexBiPolynomial(1, {((s,), (t,)): _one_like(a)})  # w^s conj(w)^t
+    return pair.substitute([lin, lin.conjugate()])
 
 
 def _one_like(a):
@@ -284,24 +276,10 @@ def realify(f):
         raise ValueError("ambient dimension must be even")
     d = f.dim // 2
     exact = all(isinstance(c, (int, Fraction)) for c in f.terms.values())
-    half = Fraction(1, 2) if exact else 0.5
-    zero = (0,) * d
-
-    def base(j, factor):
-        # w + conj(w) with w = z_j / 2 gives x_j, with w = -i z_j / 2 gives x_(d+j)
-        e_j = tuple(1 if i == j else 0 for i in range(d))
-        w = ComplexBiPolynomial(d, {(e_j, zero): factor})
-        return w + w.conjugate()
-
-    re_half, im_half = ((ExactComplex(half, 0), ExactComplex(0, -half)) if exact
-                        else (complex(half), complex(0, -half)))
-    bases = [base(j, re_half) for j in range(d)] + [base(j, im_half) for j in range(d)]
-    out = ComplexBiPolynomial.zero(d)
-    for K, c in f.terms.items():
-        coeff = (ExactComplex(Fraction(c), 0) if exact else complex(c))
-        term = ComplexBiPolynomial.constant(d, coeff)
-        for pos, e in enumerate(K):
-            for _ in range(e):
-                term = term * bases[pos]
-        out = out + term
-    return out
+    half, minus_i_half = ((ExactComplex(Fraction(1, 2)), ExactComplex(0, Fraction(-1, 2)))
+                          if exact else (complex(0.5), complex(0, -0.5)))
+    # w + conj(w) with w = z_j / 2 gives x_j, with w = -i z_j / 2 gives x_(d+j)
+    units = [tuple(int(i == j) for i in range(2 * d)) for j in range(2 * d)]
+    bases = [ComplexBiPolynomial._from_flat(d, {units[j]: w, units[d + j]: _conj(w)})
+             for w in (half, minus_i_half) for j in range(d)]
+    return f.map_coefficients(ExactComplex if exact else complex).substitute(bases)

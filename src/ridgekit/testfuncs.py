@@ -10,15 +10,14 @@ sin(h phi).
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .polycore import MultiIndexPolynomial, monomial_table, monomials_up_to
-from .quadrature import (ball_volume, build_sphere_rule, inner_product,
-                         sphere_monomial_integral)
+from .polycore import ExactComplex, MultiIndexPolynomial, monomial_table, monomials_up_to
+from .quadrature import ball_volume, build_sphere_rule, inner_product
 from .quasiproj import smooth_step
+from .ridge_complex import realify
 
 
 def trig_reduce(a, b):
@@ -30,38 +29,18 @@ def trig_reduce(a, b):
     """
     if a < 0 or b < 0:
         raise ValueError("exponents must be non-negative")
-    # Laurent coefficients of ((E + E^-1)/2)^a * ((E - E^-1)/(2i))^b,
-    # stored as exact Gaussian rationals (re, im).
-    coeffs = {0: (Fraction(1), Fraction(0))}
-
-    def multiply(poly, pairs):
-        out = {}
-        for n, (re, im) in poly.items():
-            for shift, (fre, fim) in pairs:
-                key = n + shift
-                ore, oim = out.get(key, (Fraction(0), Fraction(0)))
-                out[key] = (ore + re * fre - im * fim, oim + re * fim + im * fre)
-        return out
-
-    half = Fraction(1, 2)
-    cos_factor = [(1, (half, Fraction(0))), (-1, (half, Fraction(0)))]
-    # 1/(2i) = -i/2
-    sin_factor = [(1, (Fraction(0), -half)), (-1, (Fraction(0), half))]
-    for _ in range(a):
-        coeffs = multiply(coeffs, cos_factor)
-    for _ in range(b):
-        coeffs = multiply(coeffs, sin_factor)
-
+    # cos^a sin^b at z = e^(i phi) is x^a y^b realified, a sum of
+    # c z^k conj(z)^l = c e^(i (k - l) phi) with k + l = a + b, so k - l
+    # tells the terms apart: laurent[n] is the coefficient of e^(i n phi)
+    laurent = {k[0] - l[0]: c for (k, l), c in
+               realify(MultiIndexPolynomial.monomial((a, b))).terms.items()}
     alpha = np.zeros(a + b + 1)
     beta = np.zeros(a + b + 1)
-    for h in range(a + b + 1):
-        re_p, im_p = coeffs.get(h, (Fraction(0), Fraction(0)))
-        re_m, im_m = coeffs.get(-h, (Fraction(0), Fraction(0)))
-        if h == 0:
-            alpha[0] = float(re_p)
-            continue
-        alpha[h] = float(re_p + re_m)
-        beta[h] = float(im_m - im_p)
+    alpha[0] = float(laurent.get(0, ExactComplex()).re)
+    for h in range(1, a + b + 1):
+        plus, minus = laurent.get(h, ExactComplex()), laurent.get(-h, ExactComplex())
+        alpha[h] = float(plus.re + minus.re)
+        beta[h] = float(minus.im - plus.im)
     return alpha, beta
 
 

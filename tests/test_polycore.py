@@ -121,6 +121,30 @@ def test_compose_linear_exact():
     assert q.eval(z) == p.eval(inner)
 
 
+# Dyadic coefficients of P, so its value at complex points is exact in double.
+SUBSTITUTED = MultiIndexPolynomial(3, {(0, 0, 0): Fraction(1, 4), (2, 0, 1): Fraction(-3, 2),
+                                       (1, 1, 1): Fraction(5, 8), (0, 3, 0): Fraction(7, 2)})
+
+
+@pytest.mark.parametrize("lines, point", [
+    ([MultiIndexPolynomial(2, {(1, 0): Fraction(1, 3), (0, 0): Fraction(-2)}),
+      MultiIndexPolynomial(2, {(1, 1): Fraction(2, 7), (0, 2): Fraction(1)}),
+      MultiIndexPolynomial(2, {(0, 1): Fraction(-5, 3)})],
+     [Fraction(1, 3), Fraction(-2, 5)]),
+    # dyadic coefficients at Gaussian-integer points keep the complex arithmetic exact
+    ([ComplexBiPolynomial(2, {((1, 0), (0, 0)): ExactComplex(Fraction(1, 2), 1),
+                              ((0, 0), (0, 1)): ExactComplex(0, Fraction(-3, 4))}),
+      ComplexBiPolynomial(2, {((0, 1), (1, 0)): ExactComplex(2, Fraction(1, 4))}),
+      ComplexBiPolynomial(2, {((0, 0), (0, 0)): ExactComplex(-1),
+                              ((0, 0), (0, 2)): ExactComplex(Fraction(1, 8))})],
+     [1 + 2j, -1 + 1j]),
+], ids=["real", "complex"])
+def test_substitute_evaluates_at_line_values(lines, point):
+    out = SUBSTITUTED.substitute(lines)
+    assert type(out) is type(lines[0]) and out.dim == 2
+    assert out.eval(point) == SUBSTITUTED.eval([line.eval(point) for line in lines])
+
+
 def test_degree_and_zero_conventions():
     zero = MultiIndexPolynomial.zero(2)
     assert zero.is_zero()
