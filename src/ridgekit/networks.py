@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndexPolynomial,
-                       rank_grlex, unrank_grlex)
+                       contract_terms, rank_grlex, unrank_grlex)
 from .quasiproj import smooth_step
 
 CELL_SPACING = 3.0
@@ -311,30 +311,35 @@ def phi_eval(dictionary, z):
 
 
 class GTNetwork:
-    """Shallow generalized-translation network sum c_k tau(A_k x + b_k)."""
+    """Shallow generalized-translation network sum c_k tau(A_k x + b_k).
+
+    The units are read once, at construction: their input maps and outer
+    weights are stacked, and each profile is laid out for evaluation."""
 
     def __init__(self, ell, d, units, dictionary):
         self.ell = ell
         self.d = d
         self.units = units  # list of dicts: A, b (in-cell bias), c, dict_index
         self.dictionary = dictionary
-        self._profiles = [dictionary.polynomial_at(u["dict_index"]).map_coefficients(float)
-                          for u in units]
+        count = len(units)
+        self._maps = np.array([u["A"] for u in units], dtype=float).reshape(count * ell, d).T
+        self._shifts = np.array([u["b"] for u in units], dtype=float).reshape(count * ell)
+        self._outer = np.array([u["c"] for u in units], dtype=float)
+        self._layouts = [dictionary.polynomial_at(u["dict_index"]).layout(float) for u in units]
 
     @property
     def n(self):
         return len(self.units)
 
     def eval_many(self, points):
+        """sum_k c_k w(|y_k|) u_k(y_k), y_k = A_k x + b_k, at an (N, d) array
+        of points (or one point): each unit is evaluated in its own cell, with
+        w the blend weight and u_k its dictionary entry, so this is
+        sum_k c_k tau(y_k + 3 m_k e_1) while each y_k is nearest to that cell."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(points.shape[0])
-        for unit, poly in zip(self.units, self._profiles):
-            local = points @ unit["A"].T + unit["b"]
-            values = poly.eval_many(local)
-            radii = np.linalg.norm(local, axis=1)
-            weights = _blend_weight(radii)
-            out += unit["c"] * weights * values
-        return out
+        local = (points @ self._maps + self._shifts).reshape(points.shape[0], self.n, self.ell)
+        weights = _blend_weight(np.linalg.norm(local, axis=2))
+        return _unit_sum(local, weights, self._layouts, self._outer)
 
     __call__ = eval_many
 
@@ -369,28 +374,33 @@ class GTNetwork:
 
 
 class CVNNetwork:
-    """Shallow complex-valued network sum gamma_k phi(alpha_k . z + beta_k)."""
+    """Shallow complex-valued network sum gamma_k phi(alpha_k . z + beta_k),
+    with its units read once, at construction, as in `GTNetwork`."""
 
     def __init__(self, d, units, dictionary):
         self.d = d
         self.units = units  # list of dicts: alpha, beta (in-cell bias), gamma, dict_index
         self.dictionary = dictionary
-        self._profiles = [dictionary.polynomial_at(u["dict_index"]).map_coefficients(complex)
-                          for u in units]
+        count = len(units)
+        self._maps = np.array([u["alpha"] for u in units], dtype=complex).reshape(count, d).T
+        self._shifts = np.array([u["beta"] for u in units], dtype=complex)
+        self._outer = np.array([u["gamma"] for u in units], dtype=complex)
+        self._layouts = [dictionary.polynomial_at(u["dict_index"]).layout(complex)
+                         for u in units]
 
     @property
     def n(self):
         return len(self.units)
 
     def eval_many(self, points):
+        """sum_k gamma_k phi(alpha_k . z + beta_k + 3 m_k) at an (N, d) complex
+        array of points (or one point), each unit evaluated in its own cell as
+        in `GTNetwork.eval_many`; a profile is read at (w, conj w)."""
         points = np.atleast_2d(np.asarray(points, dtype=complex))
-        out = np.zeros(points.shape[0], dtype=complex)
-        for unit, poly in zip(self.units, self._profiles):
-            local = points @ unit["alpha"] + unit["beta"]
-            values = poly.eval_many(local[:, None])
-            weights = _blend_weight(np.abs(local.real)) * _blend_weight(np.abs(local.imag))
-            out += unit["gamma"] * weights * values
-        return out
+        local = points @ self._maps + self._shifts
+        weights = _blend_weight(np.abs(local.real)) * _blend_weight(np.abs(local.imag))
+        return _unit_sum(np.stack([local, local.conj()], axis=2), weights, self._layouts,
+                         self._outer)
 
     __call__ = eval_many
 
@@ -422,6 +432,16 @@ class CVNNetwork:
             for u in obj["units"]
         ]
         return cls(obj["d"], units, dictionary)
+
+
+def _unit_sum(inputs, weights, layouts, outer):
+    """sum_k outer[k] * weights[:, k] * P_k(inputs[:, k]) at N points: the
+    (N, U, width) flat inputs of the U units, their (N, U) blend weights,
+    each profile P_k as its `layout` and the U outer weights."""
+    values = np.empty(weights.shape, dtype=inputs.dtype)
+    for k, layout in enumerate(layouts):
+        values[:, k] = contract_terms(layout, inputs[:, k])
+    return (weights * values) @ outer
 
 
 def gtn_from_decomposition(decomp, dictionary, tol):

@@ -276,12 +276,13 @@ class _SparsePolynomial:
         polynomial lines[i], all of one class and dimension.  Each power of a
         line is built once, by one more multiplication from the power below;
         every term is its coefficient times the powers of the variables it
-        holds, in variable order, and the terms are summed in grlex order."""
+        holds, in variable order, and the terms are summed in grlex order,
+        into one map that is built into the result once."""
         if len(lines) != self._halves * self.dim:
             raise ValueError(f"need {self._halves * self.dim} lines, got {len(lines)}")
         cls, dim = type(lines[0]), lines[0].dim
         powers = [[cls.constant(dim, 1)] for _ in lines]
-        out = cls.zero(dim)
+        total = {}
         for k, c in self._terms.items():
             term = cls.constant(dim, c)
             for line, cache, e in zip(lines, powers, k):
@@ -289,8 +290,9 @@ class _SparsePolynomial:
                     cache.append(cache[-1] * line)
                 if e:
                     term = term * cache[e]
-            out = out + term
-        return out
+            for key, value in term._terms.items():
+                total[key] = total.get(key, 0) + value
+        return cls._from_flat(dim, total)
 
     def eval(self, point):
         """Value at one point, in the arithmetic of its entries and of the
@@ -307,6 +309,27 @@ class _SparsePolynomial:
                     term = term * v ** e
             total = total + term
         return total
+
+    def layout(self, dtype):
+        """Evaluation layout of the terms, with the coefficients taken as
+        `dtype` (float or complex): the pair (grouped, head_exponents) that
+        `contract_terms` evaluates at flat points (x, or z followed by
+        conj(z)).
+
+        The terms are grouped by their exponents in all flat variables but
+        the last (their heads): row h of `grouped` holds, at column p, the
+        coefficient of head h times the last variable to the power p, and row
+        h of `head_exponents` is head h.  `eval_many` builds the layout on
+        every call; a caller that evaluates one polynomial many times can
+        build it once."""
+        heads, rows, powers = {}, [], []
+        for k in self._terms:
+            rows.append(heads.setdefault(k[:-1], len(heads)))
+            powers.append(k[-1])
+        grouped = np.zeros((len(heads), max(powers, default=-1) + 1), dtype=dtype)
+        grouped[rows, powers] = [dtype(c) for c in self._terms.values()]
+        width = self._halves * self.dim
+        return grouped, np.array(list(heads), dtype=np.intp).reshape(len(heads), width - 1)
 
     def map_coefficients(self, fn):
         return self._from_flat(self.dim, {k: fn(c) for k, c in self._terms.items()})
@@ -358,8 +381,7 @@ class MultiIndexPolynomial(_SparsePolynomial):
             points = points[None, :]
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
-        coeffs = np.array([float(c) for c in self.terms.values()])
-        return _eval_terms(self.terms, coeffs, points)
+        return contract_terms(self.layout(float), points)
 
     __call__ = eval_many
 
@@ -447,24 +469,14 @@ def point_chunks(terms, count):
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _eval_terms(keys, coeffs, points):
-    """sum_t coeffs[t] * points ** keys[t] for distinct exponent tuples `keys`.
-
-    The terms are grouped by their exponents in all variables but the last
-    (their heads): row h of `grouped` holds, at column p, the coefficient of
-    head h times the last variable to the power p.  One matmul with the powers
-    of the last variable contracts it, and only the distinct heads are
-    tabulated, one chunk of points at a time.
-    """
-    heads, rows, powers = {}, [], []
-    for k in keys:
-        rows.append(heads.setdefault(k[:-1], len(heads)))
-        powers.append(k[-1])
-    grouped = np.zeros((len(heads), max(powers, default=-1) + 1), dtype=coeffs.dtype)
-    grouped[rows, powers] = coeffs
-    head_exponents = np.array(list(heads), dtype=np.intp).reshape(len(heads), points.shape[1] - 1)
+def contract_terms(layout, points):
+    """Values at an (N, width) array of points of the polynomial whose
+    `layout()` is `layout`.  One matmul with the powers of the last variable
+    contracts it (a multivariate Horner step), and only the distinct heads
+    are tabulated, one chunk of points at a time."""
+    grouped, head_exponents = layout
     last_exponents = np.arange(grouped.shape[1])[:, None]
-    out = np.empty(points.shape[0], dtype=coeffs.dtype)
+    out = np.empty(points.shape[0], dtype=grouped.dtype)
     for chunk in point_chunks(sum(grouped.shape), points.shape[0]):
         inner = grouped @ monomial_table(last_exponents, points[chunk, -1:])
         heads_table = monomial_table(head_exponents, points[chunk, :-1])
@@ -560,8 +572,7 @@ class ComplexBiPolynomial(_SparsePolynomial):
             points = points[None, :]
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
-        coeffs = np.array([complex(c) for c in self._terms.values()], dtype=complex)
-        return _eval_terms(self._terms, coeffs, np.hstack([points, np.conj(points)]))
+        return contract_terms(self.layout(complex), np.hstack([points, np.conj(points)]))
 
     __call__ = eval_many
 

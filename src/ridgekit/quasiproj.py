@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .orthobasis import project_coefficients
-from .quadrature import lq_norm
+from .quadrature import evaluate_on_nodes, lq_norm
 
 
 def mollifier(t):
@@ -131,8 +131,9 @@ def _random_trial(proj, rng, kind):
     if kind == "poly":
         from .polycore import MultiIndexPolynomial, monomials_up_to
         degree = max(1, min(4 * s, basis.rule.exactness_degree - basis.max_degree))
-        poly_terms = {k: rng.standard_normal() for k in monomials_up_to(d, degree)}
-        return MultiIndexPolynomial(d, poly_terms)
+        keys = monomials_up_to(d, degree)
+        # one draw gives the same stream as one standard_normal() per key
+        return MultiIndexPolynomial(d, dict(zip(keys, rng.standard_normal(len(keys)).tolist())))
     # localized bump profile centered inside the ball
     center = rng.standard_normal(d)
     center *= rng.random() * 0.6 / max(1e-12, np.linalg.norm(center))
@@ -151,7 +152,8 @@ def estimate_l1_operator_norm(proj, trial_count, seed=0):
 
     Trials alternate random polynomials of degree <= 4s with localized bump
     profiles; each trial is seeded independently so larger trial counts extend
-    (never replace) smaller ones.
+    (never replace) smaller ones.  A trial is evaluated on the rule's nodes
+    once: its L1 norm and its projection read the same values.
     """
     if trial_count < 1:
         raise ValueError("need at least one trial")
@@ -159,10 +161,12 @@ def estimate_l1_operator_norm(proj, trial_count, seed=0):
     rule = proj.basis.rule
     for t in range(trial_count):
         rng = np.random.default_rng([seed, t])
-        f = _random_trial(proj, rng, "poly" if t % 2 == 0 else "bump")
-        denom = lq_norm(f, rule, 1)
+        values = evaluate_on_nodes(_random_trial(proj, rng, "poly" if t % 2 == 0 else "bump"),
+                                   rule)
+        on_nodes = lambda points: values  # asked only for the rule's nodes
+        denom = lq_norm(on_nodes, rule, 1)
         if denom < 1e-14:
             continue
-        image = proj.apply(f)
+        image = proj.apply(on_nodes)
         best = max(best, lq_norm(image, rule, 1) / denom)
     return best

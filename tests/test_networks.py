@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridgekit.networks import (BLEND_OUTER, CVNNetwork, ComplexPolynomialDictionary,
+from ridgekit.networks import (BLEND_OUTER, CELL_SPACING, CVNNetwork, ComplexPolynomialDictionary,
                                GTNetwork, PolynomialDictionary, cantor_pair,
                                cantor_unpair, cvnn_from_decomposition,
                                decode_rational, encode_rational,
@@ -378,3 +378,95 @@ def test_blend_weights_on_arrays_equal_pointwise_values():
     pointwise = np.array([_blend_weight(abs(w.real)) * _blend_weight(abs(w.imag))
                           for w in local])
     assert np.array_equal(weights, pointwise)
+
+
+# Dictionary indices of the hand-built networks below: index 1 is the zero
+# profile, and the cells lie within 3 * 40 of the origin, so x + 3m e_1 keeps
+# the input to about 1e-14 and tau_eval / phi_eval can serve as the reference.
+SUM_INDICES = (1, 5, 23, 31, 40)
+SUM_TOL = 1e-12
+
+
+def assert_unit_sum(got, terms):
+    # terms: (units, points) array of c_k * activation(unit k input)
+    scale = np.sum(np.abs(terms), axis=0)
+    assert got.shape == scale.shape
+    assert np.all(np.abs(got - terms.sum(axis=0)) <= SUM_TOL * scale)
+
+
+def spread_points(candidates, inputs, offset, size):
+    """200 candidate points with some unit input within the blend radius of
+    its cell and 100 with every unit input outside it, all with every input's
+    offset along e_1 below 1.45, so the nearest cell is the unit's own and the
+    activation there is the unit's profile."""
+    local = inputs(candidates)
+    ok = np.all(offset(local) < 1.45, axis=0)
+    outside = np.all(size(local) > BLEND_OUTER, axis=0)
+    near, far = candidates[ok & ~outside], candidates[ok & outside]
+    assert len(near) >= 200 and len(far) >= 100
+    return np.concatenate([near[:200], far[:100]])
+
+
+def test_gtn_equals_sum_of_activations_at_shifted_cell_inputs():
+    ell, d = 2, 3
+    rng = np.random.default_rng(5)
+    dictionary = PolynomialDictionary(ell)
+    # short first rows keep the inputs' offsets along e_1 small; second rows
+    # near 0.8 e_3 put every input outside its cell where |x_3| is large
+    units = [{"A": rng.uniform(-0.25, 0.25, (ell, d)) + [[0, 0, 0], [0, 0, 0.8]],
+              "b": rng.uniform(-0.2, 0.2, ell),
+              "c": float(rng.standard_normal()), "dict_index": index}
+             for index in SUM_INDICES]
+    net = GTNetwork(ell, d, units, dictionary)
+    inputs = lambda points: np.stack([points @ u["A"].T + u["b"] for u in units])
+    radius = lambda local: np.linalg.norm(local, axis=-1)
+    points = spread_points(rng.uniform(-3, 3, (20000, d)), inputs,
+                           lambda local: np.abs(local[..., 0]), radius)
+    local = inputs(points)
+    radii = radius(local)
+    assert np.any(radii < 1) and np.any((radii > 1) & (radii < BLEND_OUTER))
+    terms = np.array([[u["c"] * tau_eval(dictionary, y + [CELL_SPACING * u["dict_index"], 0])
+                       for y in ys] for u, ys in zip(units, local)])
+    assert not np.any(terms[0])  # the zero profile
+    assert_unit_sum(net.eval_many(points), terms)
+
+
+def test_cvnn_equals_sum_of_activations_at_shifted_cell_inputs():
+    d = 2
+    rng = np.random.default_rng(6)
+    dictionary = ComplexPolynomialDictionary()
+    # with Im z small, short real parts of alpha keep Re(alpha . z) small;
+    # imaginary parts near 0.8 e_2 put every input outside its cell where
+    # |Re z_2| is large
+    units = [{"alpha": rng.uniform(-0.15, 0.15, d) + 1j * (rng.uniform(-0.25, 0.25, d) + [0, 0.8]),
+              "beta": complex(*rng.uniform(-0.2, 0.2, 2)),
+              "gamma": complex(*rng.standard_normal(2)), "dict_index": index}
+             for index in SUM_INDICES]
+    net = CVNNetwork(d, units, dictionary)
+    inputs = lambda points: np.stack([points @ u["alpha"] + u["beta"] for u in units])
+    side = lambda local: np.maximum(np.abs(local.real), np.abs(local.imag))
+    candidates = rng.uniform(-3, 3, (20000, d)) + 1j * rng.uniform(-0.3, 0.3, (20000, d))
+    points = spread_points(candidates, inputs, lambda local: np.abs(local.real), side)
+    local = inputs(points)
+    sides = side(local)
+    assert np.any(sides < 1) and np.any((sides > 1) & (sides < BLEND_OUTER))
+    terms = np.array([[u["gamma"] * phi_eval(dictionary, w + CELL_SPACING * u["dict_index"])
+                       for w in ws] for u, ws in zip(units, local)])
+    assert not np.any(terms[0])  # the zero profile
+    assert_unit_sum(net.eval_many(points), terms)
+
+
+def test_networks_without_units_and_at_one_point():
+    real = GTNetwork(2, 3, [], PolynomialDictionary(2))
+    assert np.array_equal(real.eval_many(np.ones((4, 3))), np.zeros(4))
+    cplx = CVNNetwork(2, [], ComplexPolynomialDictionary())
+    out = cplx.eval_many(np.ones((4, 2), dtype=complex))
+    assert out.dtype == complex and np.array_equal(out, np.zeros(4))
+    # one 1-D point gives one value, as the same point in a 2-D array does
+    unit = {"A": np.array([[0.6]]), "b": np.array([0.1]), "c": 2.0, "dict_index": 23}
+    net = GTNetwork(1, 1, [unit], PolynomialDictionary(1))
+    x = np.array([0.5])
+    assert net.eval_many(x).shape == (1,)
+    assert net.eval_many(x)[0] == net.eval_many(x[None, :])[0]
+    assert net.eval_many(x)[0] == pytest.approx(
+        2.0 * tau_eval(net.dictionary, [0.4 + CELL_SPACING * 23]), rel=SUM_TOL)

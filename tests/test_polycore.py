@@ -121,6 +121,42 @@ def test_compose_linear_exact():
     assert q.eval(z) == p.eval(inner)
 
 
+def test_compose_linear_matches_term_by_term_expansion():
+    # every term c_k x^k expanded on its own as c_k times k_i copies of the
+    # line (A y + b)_i, multiplied out one factor at a time, and summed exactly
+    def times(p, q):
+        out = {}
+        for k1, c1 in p.items():
+            for k2, c2 in q.items():
+                k = tuple(a + b for a, b in zip(k1, k2))
+                out[k] = out.get(k, 0) + c1 * c2
+        return out
+
+    rng = np.random.default_rng(4)
+    fraction = lambda: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+    for dim, d_out, degree, biased in [(1, 2, 5, True), (2, 3, 4, True), (3, 2, 3, False),
+                                       (3, 1, 4, True)]:
+        p = MultiIndexPolynomial(dim, {k: fraction() for k in monomials_up_to(dim, degree)
+                                       if rng.random() < 0.7})
+        A = [[fraction() for _ in range(d_out)] for _ in range(dim)]
+        b = [fraction() for _ in range(dim)] if biased else [0] * dim
+        expected = {}
+        for k, c in p.terms.items():
+            term = {(0,) * d_out: c}
+            for row, bias, e in zip(A, b, k):
+                line = {(0,) * d_out: bias}
+                line.update({tuple(int(i == j) for i in range(d_out)): a
+                             for j, a in enumerate(row)})
+                for _ in range(e):
+                    term = times(term, line)
+            for key, value in term.items():
+                expected[key] = expected.get(key, 0) + value
+        expected = {k: c for k, c in expected.items() if c != 0}
+        got = p.compose_linear(A, b if biased else None)
+        assert got.terms == expected
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
 # Dyadic coefficients of P, so its value at complex points is exact in double.
 SUBSTITUTED = MultiIndexPolynomial(3, {(0, 0, 0): Fraction(1, 4), (2, 0, 1): Fraction(-3, 2),
                                        (1, 1, 1): Fraction(5, 8), (0, 3, 0): Fraction(7, 2)})
