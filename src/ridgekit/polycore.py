@@ -10,7 +10,6 @@ floating-point quadrature work and exact identity checking.
 
 import functools
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -345,13 +344,6 @@ class _SparsePolynomial:
         keys, phases = _axis_terms(self.dim, self._halves, top)
         return phases @ np.array([self._terms.get(k, 0) for k in keys], dtype=phases.dtype)
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
-
     def __eq__(self, other):
         return (type(other) is type(self)
                 and self.dim == other.dim and self._terms == other._terms)
@@ -556,10 +548,6 @@ class ComplexBiPolynomial(_SparsePolynomial):
         if not self._terms:
             return -math.inf
         return max(sum(k[self.dim:]) for k in self._terms)
-
-    def in_degree_class(self, s):
-        """Membership in P_s(C^d): both partial degrees at most s."""
-        return self.holomorphic_degree() <= s and self.antiholomorphic_degree() <= s
 
     def conjugate(self):
         d = self.dim

@@ -63,13 +63,6 @@ def ball_volume(d):
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
-def sphere_surface(d):
-    """Surface measure of S^(d-1) in R^d; counting measure (=2) for d=1."""
-    if d == 1:
-        return 2.0
-    return 2 * math.pi ** (d / 2) / math.gamma(d / 2)
-
-
 def build_sphere_rule(d_minus_1, degree, node_cap=NODE_CAP):
     """Quadrature on the sphere S^(d_minus_1) exact for monomials of total
     degree <= degree."""

@@ -63,11 +63,6 @@ class QuasiProjector:
         degs = np.array([basis.degrees[i] for i in self.indices], dtype=float)
         self.coeffs = np.asarray(self.eta(degs / s), dtype=float)
 
-    @property
-    def default_sigma(self):
-        """Cesaro order used in operator studies: floor(d/2) + 1."""
-        return self.basis.dim // 2 + 1
-
     def basis_coefficients(self, f):
         return project_coefficients(f, self.basis, 2 * self.s - 1)
 

@@ -106,17 +106,6 @@ def verify_power_identity(a, k, l, tol=1e-10):
     return abs(complex(result) - complex(expected)) <= tol * (1 + abs(complex(expected)))
 
 
-def apply_differential_operator(Q, P):
-    """Test-only pairing Q(D)P: sum over the terms a z^k conj(z)^l of Q of
-    a * d^k dbar^l P."""
-    if Q.dim != P.dim:
-        raise ValueError("dimension mismatch")
-    out = ComplexBiPolynomial.zero(P.dim)
-    for (k, l), c in Q.terms.items():
-        out = out + apply_wirtinger(P, k, l).scale(c)
-    return out
-
-
 def bidegree_power_matrix(vectors, s, t):
     """Rows: coefficient vectors of (a_j . z)^s (conj(a_j . z))^t over the
     monomial pairs (k, l) with |k| = s, |l| = t (multinomial factors folded in)."""
@@ -221,11 +210,6 @@ class ComplexRidgeDecomposition:
         profiles = [ComplexBiPolynomial.from_json_dict(block["P"])
                     for block in obj["blocks"]]
         return cls(obj["d"], vectors, profiles, obj.get("residual"))
-
-
-def complex_sup_grid(d, count, seed=0):
-    rng = np.random.default_rng(seed)
-    return unit_cloud(rng, count, d, complex) * rng.random((count, 1)) ** (1.0 / (2 * d))
 
 
 def complex_decompose(P, dirs, residual_tol=1e-8):

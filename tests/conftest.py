@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from ridgekit.orthobasis import build_basis
 from ridgekit.quadrature import build_ball_rule
+from ridgekit.ridge_real import unit_cloud
 
 # Same example counts as the default profile, drawn from a fixed seed, so a CI
 # run tests the same examples every time (select with --hypothesis-profile=ci).
@@ -32,6 +33,12 @@ def rule_factory():
 @pytest.fixture(scope="session")
 def basis_factory():
     return cached_basis
+
+
+def complex_sup_grid(d, count, seed=0):
+    """`count` seeded points spread over the unit ball of C^d."""
+    rng = np.random.default_rng(seed)
+    return unit_cloud(rng, count, d, complex) * rng.random((count, 1)) ** (1.0 / (2 * d))
 
 
 # Double-double evaluation, for tests whose reference must be far more

@@ -120,8 +120,8 @@ def test_acceptance_04_real_ridge_decomposition():
 
 
 def test_acceptance_05_complex_ridge_decomposition():
-    from ridgekit.ridge_complex import (complex_decompose, complex_sup_grid,
-                                        sample_complex_directions)
+    from conftest import complex_sup_grid
+    from ridgekit.ridge_complex import complex_decompose, sample_complex_directions
     rng = np.random.default_rng(105)
     for d in (2, 3):
         for s in range(1, 4):
@@ -319,8 +319,8 @@ def test_acceptance_11_network_emulation():
         emulation_err, net.certificate)
 
     # CVNN emulation
-    from ridgekit.ridge_complex import (complex_decompose, complex_sup_grid,
-                                        sample_complex_directions)
+    from conftest import complex_sup_grid
+    from ridgekit.ridge_complex import complex_decompose, sample_complex_directions
     dc, sc = 2, 2
     terms = {}
     for a in range(sc + 1):

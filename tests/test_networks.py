@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import complex_sup_grid
 from ridgekit.networks import (BLEND_OUTER, CELL_SPACING, CVNNetwork, ComplexPolynomialDictionary,
                                GTNetwork, PolynomialDictionary, cantor_pair,
                                cantor_unpair, cvnn_from_decomposition,
@@ -17,7 +18,7 @@ from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
                                MultiIndexPolynomial, dim_homogeneous,
                                monomials_up_to)
 from ridgekit.quadrature import ball_sup_grid
-from ridgekit.ridge_complex import ComplexRidgeDecomposition, complex_sup_grid
+from ridgekit.ridge_complex import ComplexRidgeDecomposition
 from ridgekit.ridge_real import (RidgeDecomposition, decompose,
                                  orthonormalize_rows,
                                  sample_spanning_directions)

@@ -9,8 +9,7 @@ from ridgekit.quadrature import (NODE_CAP, MirrorOrbits, NodeCapError,
                                  QuadratureRule, ball_sup_grid,
                                  ball_volume, build_ball_rule,
                                  build_sphere_rule, evaluate_on_nodes,
-                                 inner_product, lq_norm, pointwise,
-                                 sphere_surface)
+                                 inner_product, lq_norm, pointwise)
 
 WEIGHT_SUM_TOL = 1e-12
 EXACTNESS_TOL = 1e-10
@@ -25,6 +24,11 @@ def beta_moment_ball(k, d):
     num = 2.0 * np.prod([gamma((e + 1) / 2.0) for e in k])
     surface = num / gamma((sum(k) + d) / 2.0)
     return surface / (sum(k) + d)
+
+
+def sphere_surface(d):
+    """Oracle: the surface measure of S^(d-1) in R^d, d >= 2."""
+    return 2 * math.pi ** (d / 2) / math.gamma(d / 2)
 
 
 def beta_moment_sphere(k, m):

@@ -96,20 +96,6 @@ def test_projector_kills_degree_2s_basis_element(basis_factory):
     assert coeff_max(proj.apply(high)) < 1e-9
 
 
-def test_default_sigma():
-    class FakeBasis:
-        dim = 3
-        max_degree = 5
-        degrees = [0, 1, 1, 1]
-
-        def index_set(self, s):
-            return [0, 1, 2, 3]
-
-    proj = QuasiProjector.__new__(QuasiProjector)
-    proj.basis = FakeBasis()
-    assert proj.default_sigma == 2
-
-
 def test_forward_difference_annihilates_low_degree_sequences():
     # Delta^(sigma+1) kills sequences polynomial in k of degree <= sigma
     for sigma in (0, 1, 2):

@@ -9,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgekit
-from conftest import dd_linear, dd_poly_values, dd_total
+from conftest import complex_sup_grid, dd_linear, dd_poly_values, dd_total
 from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
                                MultiIndexPolynomial,
                                dim_complex_bihomogeneous,
                                _homogeneous_exponents, monomials_up_to)
 from ridgekit.ridge_complex import (ComplexDirectionSet,
                                     ComplexRidgeDecomposition,
-                                    apply_differential_operator,
                                     apply_wirtinger, bidegree_power_matrix,
-                                    complex_decompose, complex_sup_grid,
+                                    complex_decompose,
                                     realify, sample_complex_directions,
                                     verify_power_identity,
                                     verify_wirtinger_monomial_identity,
@@ -98,14 +97,6 @@ def test_power_identity_float_directions():
     assert verify_power_identity(a, (1, 1), (2, 0))
 
 
-def test_differential_operator_pairing():
-    # Q(D) applied to the matching monomial returns k! l! times the coefficient
-    q = ComplexBiPolynomial(1, {((2,), (1,)): 0.5})
-    p = ComplexBiPolynomial(1, {((2,), (1,)): 1})
-    out = apply_differential_operator(q, p)
-    assert abs(complex(out.eval([0.0])) - 0.5 * 2 * 1) < 1e-12
-
-
 def test_bidegree_power_matrix_rank():
     d, s, t = 2, 2, 1
     n = dim_complex_bihomogeneous(d, s, t)
@@ -148,7 +139,7 @@ def test_complex_profiles_match_constructor_path():
         expected = ComplexBiPolynomial(1, prof.terms)
         assert prof == expected
         assert list(prof.terms) == list(expected.terms)
-        assert prof.to_json() == expected.to_json()
+        assert prof.to_json_dict() == expected.to_json_dict()
 
 
 def test_complex_decomposition_profiles_univariate():
@@ -294,7 +285,6 @@ def test_complex_decompose_reads_the_gate_scale_from_coefficients(monkeypatch):
         raise AssertionError("P evaluated or a sup grid built")
 
     for owner, name in ((ComplexBiPolynomial, "eval_many"), (ComplexBiPolynomial, "__call__"),
-                        (ridgekit.ridge_complex, "complex_sup_grid"),
                         (ridgekit.quadrature, "ball_sup_grid"), (ridgekit, "ball_sup_grid")):
         monkeypatch.setattr(owner, name, forbidden)
     d, s = 2, 2
