@@ -17,6 +17,7 @@ import numpy as np
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndexPolynomial,
                        contract_terms, rank_grlex, unrank_grlex)
 from .quasiproj import smooth_step
+from .ridge_real import _array_from_json, _json_array
 
 CELL_SPACING = 3.0
 BLEND_OUTER = 1.4  # cell value fades to zero by this radius; cells stay disjoint
@@ -272,7 +273,12 @@ def _round_dyadic(value, j):
 
 def tau_eval(dictionary, x):
     """Activation value at x in R^ell: the dictionary polynomial of the nearest
-    cell, faded out smoothly away from the cell ball.  The m = 0 cell is zero."""
+    cell, faded out smoothly away from the cell ball.  The m = 0 cell is zero.
+
+    x is a double, so only cells of small index are reachable: the indices of
+    built networks run to about 10^4 bits, where 3m overflows a double (and
+    past 2^53 the offset in the cell is lost).  Networks therefore evaluate
+    each unit in its own cell, without this function."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     m = round(x[0] / CELL_SPACING)
     if m <= 0:
@@ -293,7 +299,8 @@ def _blend_weight(radius):
 
 
 def phi_eval(dictionary, z):
-    """Complex activation: phi(z + 3m) = u_m(z) on the unit square cell."""
+    """Complex activation: phi(z + 3m) = u_m(z) on the unit square cell.
+    Reaches only cells of small index, as `tau_eval` does."""
     z = complex(z)
     m = round(z.real / CELL_SPACING)
     if m <= 0:
@@ -310,182 +317,129 @@ def phi_eval(dictionary, z):
 # Networks
 
 
-class GTNetwork:
-    """Shallow generalized-translation network sum c_k tau(A_k x + b_k).
+class _Network:
+    """What both networks share: their units, read once, at construction.
 
-    The units are read once, at construction: their input maps and outer
-    weights are stacked, and each profile is laid out for evaluation."""
+    Each unit is a dict of its input map, in-cell bias and outer weight (the
+    fields `_fields`) and its `dict_index`.  The fields are copied into frozen
+    stacks of dtype `_dtype`, `units` holds a dict per unit of read-only
+    views of them, and each unit's profile is laid out for evaluation.  A unit
+    maps a point to `ell` inputs.  Subclasses give the blend weight and sum
+    through `_unit_sum`."""
 
-    def __init__(self, ell, d, units, dictionary):
-        self.ell = ell
+    def __init__(self, d, units, dictionary):
         self.d = d
-        self.units = units  # list of dicts: A, b (in-cell bias), c, dict_index
         self.dictionary = dictionary
-        count = len(units)
-        self._maps = np.array([u["A"] for u in units], dtype=float).reshape(count * ell, d).T
-        self._shifts = np.array([u["b"] for u in units], dtype=float).reshape(count * ell)
-        self._outer = np.array([u["c"] for u in units], dtype=float)
-        self._layouts = [dictionary.polynomial_at(u["dict_index"]).layout(float) for u in units]
+        stacks = [np.array([u[name] for u in units], dtype=self._dtype) for name in self._fields]
+        for stack in stacks:
+            stack.setflags(write=False)
+        self.units = [dict(zip(self._fields, entries), dict_index=int(u["dict_index"]))
+                      for u, *entries in zip(units, *stacks)]
+        maps, shifts, self._outer = stacks
+        self._maps = maps.reshape(self.n * self.ell, d).T
+        self._shifts = shifts.reshape(self.n * self.ell)
+        self._layouts = [dictionary.polynomial_at(u["dict_index"]).layout(self._dtype)
+                         for u in self.units]
 
     @property
     def n(self):
         return len(self.units)
+
+    def _local(self, points):
+        """The (N, n, ell) inputs of the units, in their own cells, at an
+        (N, d) array of points (or one point)."""
+        points = np.atleast_2d(np.asarray(points, dtype=self._dtype))
+        return (points @ self._maps + self._shifts).reshape(points.shape[0], self.n, self.ell)
+
+    def _unit_sum(self, inputs, weights):
+        """sum_k outer_k * weights[:, k] * P_k(inputs[:, k]) at N points: the
+        (N, n, width) flat profile inputs of the n units and their (N, n)
+        blend weights."""
+        values = np.empty(weights.shape, dtype=inputs.dtype)
+        for k, layout in enumerate(self._layouts):
+            values[:, k] = contract_terms(layout, inputs[:, k])
+        return (weights * values) @ self._outer
+
+    def to_json_dict(self):
+        return {"type": self._type, "ell": self.ell, "d": self.d, "units": [
+            {**{name: _json_array(u[name], self._dtype) for name in self._fields},
+             "dict_index": hex(u["dict_index"])} for u in self.units]}
+
+    @classmethod
+    def from_json_dict(cls, obj, dictionary):
+        units = [{**{name: _array_from_json(u[name], cls._dtype) for name in cls._fields},
+                  "dict_index": int(u["dict_index"], 16)} for u in obj["units"]]
+        return cls(*(obj[key] for key in cls._header), units, dictionary)
+
+
+class GTNetwork(_Network):
+    """Shallow generalized-translation network sum c_k tau(A_k x + b_k)."""
+
+    _type, _dtype, _fields, _header = "gtn", float, ("A", "b", "c"), ("ell", "d")
+
+    def __init__(self, ell, d, units, dictionary):
+        self.ell = ell
+        super().__init__(d, units, dictionary)
 
     def eval_many(self, points):
         """sum_k c_k w(|y_k|) u_k(y_k), y_k = A_k x + b_k, at an (N, d) array
         of points (or one point): each unit is evaluated in its own cell, with
         w the blend weight and u_k its dictionary entry, so this is
         sum_k c_k tau(y_k + 3 m_k e_1) while each y_k is nearest to that cell."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        local = (points @ self._maps + self._shifts).reshape(points.shape[0], self.n, self.ell)
-        weights = _blend_weight(np.linalg.norm(local, axis=2))
-        return _unit_sum(local, weights, self._layouts, self._outer)
+        local = self._local(points)
+        return self._unit_sum(local, _blend_weight(np.linalg.norm(local, axis=2)))
 
     __call__ = eval_many
 
-    def to_json_dict(self):
-        return {
-            "type": "gtn",
-            "ell": self.ell,
-            "d": self.d,
-            "units": [
-                {
-                    "A": u["A"].tolist(),
-                    "b": u["b"].tolist(),
-                    "c": u["c"],
-                    "dict_index": hex(u["dict_index"]),
-                }
-                for u in self.units
-            ],
-        }
 
-    @classmethod
-    def from_json_dict(cls, obj, dictionary):
-        units = [
-            {
-                "A": np.asarray(u["A"], dtype=float),
-                "b": np.asarray(u["b"], dtype=float),
-                "c": float(u["c"]),
-                "dict_index": int(u["dict_index"], 16),
-            }
-            for u in obj["units"]
-        ]
-        return cls(obj["ell"], obj["d"], units, dictionary)
+class CVNNetwork(_Network):
+    """Shallow complex-valued network sum gamma_k phi(alpha_k . z + beta_k)."""
 
-
-class CVNNetwork:
-    """Shallow complex-valued network sum gamma_k phi(alpha_k . z + beta_k),
-    with its units read once, at construction, as in `GTNetwork`."""
-
-    def __init__(self, d, units, dictionary):
-        self.d = d
-        self.units = units  # list of dicts: alpha, beta (in-cell bias), gamma, dict_index
-        self.dictionary = dictionary
-        count = len(units)
-        self._maps = np.array([u["alpha"] for u in units], dtype=complex).reshape(count, d).T
-        self._shifts = np.array([u["beta"] for u in units], dtype=complex)
-        self._outer = np.array([u["gamma"] for u in units], dtype=complex)
-        self._layouts = [dictionary.polynomial_at(u["dict_index"]).layout(complex)
-                         for u in units]
-
-    @property
-    def n(self):
-        return len(self.units)
+    _type, _dtype, _fields, _header = "cvnn", complex, ("alpha", "beta", "gamma"), ("d",)
+    ell = 1
 
     def eval_many(self, points):
         """sum_k gamma_k phi(alpha_k . z + beta_k + 3 m_k) at an (N, d) complex
         array of points (or one point), each unit evaluated in its own cell as
         in `GTNetwork.eval_many`; a profile is read at (w, conj w)."""
-        points = np.atleast_2d(np.asarray(points, dtype=complex))
-        local = points @ self._maps + self._shifts
+        local = self._local(points)
         weights = _blend_weight(np.abs(local.real)) * _blend_weight(np.abs(local.imag))
-        return _unit_sum(np.stack([local, local.conj()], axis=2), weights, self._layouts,
-                         self._outer)
+        return self._unit_sum(np.concatenate([local, local.conj()], axis=2), weights[..., 0])
 
     __call__ = eval_many
-
-    def to_json_dict(self):
-        return {
-            "type": "cvnn",
-            "ell": 1,
-            "d": self.d,
-            "units": [
-                {
-                    "alpha": [{"re": a.real, "im": a.imag} for a in u["alpha"]],
-                    "beta": {"re": u["beta"].real, "im": u["beta"].imag},
-                    "gamma": {"re": complex(u["gamma"]).real, "im": complex(u["gamma"]).imag},
-                    "dict_index": hex(u["dict_index"]),
-                }
-                for u in self.units
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj, dictionary):
-        units = [
-            {
-                "alpha": np.array([complex(a["re"], a["im"]) for a in u["alpha"]]),
-                "beta": complex(u["beta"]["re"], u["beta"]["im"]),
-                "gamma": complex(u["gamma"]["re"], u["gamma"]["im"]),
-                "dict_index": int(u["dict_index"], 16),
-            }
-            for u in obj["units"]
-        ]
-        return cls(obj["d"], units, dictionary)
-
-
-def _unit_sum(inputs, weights, layouts, outer):
-    """sum_k outer[k] * weights[:, k] * P_k(inputs[:, k]) at N points: the
-    (N, U, width) flat inputs of the U units, their (N, U) blend weights,
-    each profile P_k as its `layout` and the U outer weights."""
-    values = np.empty(weights.shape, dtype=inputs.dtype)
-    for k, layout in enumerate(layouts):
-        values[:, k] = contract_terms(layout, inputs[:, k])
-    return (weights * values) @ outer
 
 
 def gtn_from_decomposition(decomp, dictionary, tol):
     """Network with one unit per ridge block: each profile P_k is rounded into
     the dictionary by `find_index`, and the unit's input A_k x stays in that
     entry's cell.  `net.certificate`, at most n * tol, bounds
-    sup |net - sum_k P_k(A_k x)| over the unit ball (see `_round_units`)."""
+    sup |net - sum_k P_k(A_k x)| over the unit ball (see `_build`)."""
     if dictionary.var_count != decomp.ell:
         raise ValueError("dictionary variable count must match ell")
-    mats = [np.asarray(A, dtype=float) for A in decomp.matrices]
-    indices, certificate = _round_units(
-        dictionary, decomp.profiles, tol, [np.linalg.norm(A, 2) for A in mats],
-        "spectral norm of A", "row-orthonormalize it with orthonormalize_rows(A, P)")
-    units = [{"A": A, "b": np.zeros(decomp.ell), "c": 1.0, "dict_index": index}
-             for A, index in zip(mats, indices)]
-    net = GTNetwork(decomp.ell, decomp.d, units, dictionary)
-    net.certificate = certificate
-    return net
+    return _build(GTNetwork, decomp, decomp.matrices, dictionary, tol, "spectral norm of A",
+                  "row-orthonormalize it with orthonormalize_rows(A, P)")
 
 
 def cvnn_from_decomposition(cdecomp, dictionary, tol):
     """Complex counterpart of `gtn_from_decomposition`, one unit
     phi(alpha_k . z) per ridge term."""
-    vectors = [np.asarray(alpha, dtype=complex) for alpha in cdecomp.vectors]
-    indices, certificate = _round_units(
-        dictionary, cdecomp.profiles, tol, [np.linalg.norm(alpha) for alpha in vectors],
-        "norm of alpha", "divide alpha by its norm r and use the profile P(r w)")
-    units = [{"alpha": alpha, "beta": 0j, "gamma": 1.0, "dict_index": index}
-             for alpha, index in zip(vectors, indices)]
-    net = CVNNetwork(cdecomp.d, units, dictionary)
-    net.certificate = certificate
-    return net
+    return _build(CVNNetwork, cdecomp, cdecomp.vectors, dictionary, tol, "norm of alpha",
+                  "divide alpha by its norm r and use the profile P(r w)")
 
 
-def _round_units(dictionary, profiles, tol, norms, name, remedy):
-    """Dictionary indices of the rounded profiles, and the network certificate
-    sum_k mismatch_k * max(1, norm_k)^deg P_k, rounded up to a float, for units
-    of weight 1 whose input maps have the given norms.  mismatch_k, the exact
+def _build(cls, decomp, maps, dictionary, tol, name, remedy):
+    """The `cls` network with one unit of weight 1 and bias 0 per ridge term
+    of `decomp`: input map `maps[k]` and profile P_k rounded into `dictionary`
+    by `find_index`.  `net.certificate` is sum_k mismatch_k *
+    max(1, |maps[k]|_2)^deg P_k, rounded up to a float.  mismatch_k, the exact
     sum |d re| + |d im| over the coefficients, is at most tol, and every
     monomial of degree e is at most r^e in modulus where |y| <= r.  A unit's
     input stays in the unit ball, where the blend weight is 1, only while its
-    norm is at most 1; past 1 + UNIT_NORM_SLACK this raises ValueError."""
-    indices, certificate = [], Fraction(0)
-    for unit, (P, norm) in enumerate(zip(profiles, norms)):
+    map's norm is at most 1; past 1 + UNIT_NORM_SLACK this raises ValueError
+    naming the norm and the `remedy`."""
+    units, certificate = [], Fraction(0)
+    for unit, (M, P) in enumerate(zip(maps, decomp.profiles)):
+        norm = np.linalg.norm(M, 2)
         if norm > 1 + UNIT_NORM_SLACK:
             raise ValueError(f"unit {unit}: {name} is {norm:.6g} > 1, so its input can leave "
                              f"the cell where the activation equals its profile; {remedy}")
@@ -495,6 +449,9 @@ def _round_units(dictionary, profiles, tol, norms, name, remedy):
                        for a, b in zip(_exact_parts(c), _exact_parts(rounded.get(key, 0))))
         degree = max((key.order() for key in P._terms), default=0)
         certificate += mismatch * Fraction(max(1.0, float(norm))) ** degree
-        indices.append(index)
-    out = float(certificate)  # rounded up below if float() rounded down
-    return indices, out if out >= certificate else math.nextafter(out, math.inf)
+        units.append(dict(zip(cls._fields, (M, np.zeros(M.shape[:-1]), 1.0)), dict_index=index))
+    net = cls(*(getattr(decomp, key) for key in cls._header), units, dictionary)
+    net.certificate = float(certificate)  # rounded up below if float() rounded down
+    if net.certificate < certificate:
+        net.certificate = math.nextafter(net.certificate, math.inf)
+    return net

@@ -20,7 +20,7 @@ from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex, _as_exact,
                        _conj, _homogeneous_exponents, _polynomials_from_rows,
                        dim_complex_bihomogeneous, grlex_key, monomial_table)
 from .ridge_real import (CLOUD_FACTOR, RANK_TOLERANCE, PowerSpan, SpanningError, _Directions,
-                         _multinomial, certify, pick_directions, unit_cloud)
+                         _RidgeSum, _multinomial, certified_solve, pick_directions, unit_cloud)
 
 
 def wirtinger_derivative(P, kind, j):
@@ -164,52 +164,25 @@ def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE):
     return dirs
 
 
-class ComplexRidgeDecomposition:
-    """Represents z -> sum_j P_j(a_j . z) with univariate (w, conj w) profiles.
-    `residual` is the certified bound `complex_decompose` found, or None."""
+class ComplexRidgeDecomposition(_RidgeSum):
+    """Represents z -> sum_j P_j(a_j . z) with univariate (w, conj w)
+    profiles, the vectors a_j read-only in the (n, d) array `vectors`."""
+
+    _dtype, _key, _profile, _header = complex, "alpha", ComplexBiPolynomial, ("d",)
 
     def __init__(self, d, vectors, profiles, residual=None):
         self.d = int(d)
-        self.profiles = list(profiles)
-        self.residual = residual
-        # one frozen copy, so the caller's array stays writeable
-        self.vectors = np.array(vectors, dtype=complex)
-        if len(self.vectors) and (self.vectors.ndim != 2 or self.vectors.shape[1] != self.d):
-            raise ValueError(f"vectors must have shape (n, {self.d})")
-        if len(self.vectors) != len(self.profiles):
-            raise ValueError("vector/profile count mismatch")
-        self.vectors.setflags(write=False)
+        super().__init__(vectors, profiles, residual, (self.d,), "vector")
+        self.vectors = self._maps
 
-    @property
-    def count(self):
-        return len(self.profiles)
+    @staticmethod
+    def _unit_input(points, a):
+        return (points @ a)[:, None]
 
     def eval_many(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=complex))
-        out = np.zeros(points.shape[0], dtype=complex)
-        for a, P in zip(self.vectors, self.profiles):
-            out += P.eval_many((points @ a)[:, None])
-        return out
+        return self._sum(points)
 
     __call__ = eval_many
-
-    def to_json_dict(self):
-        blocks = [{"alpha": [{"re": a.real, "im": a.imag} for a in vec], "P": P.to_json_dict()}
-                  for vec, P in zip(self.vectors, self.profiles)]
-        out = {"d": self.d, "blocks": blocks}
-        if self.residual is not None:
-            out["residual"] = self.residual
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        vectors = [
-            [complex(a["re"], a["im"]) for a in block["alpha"]]
-            for block in obj["blocks"]
-        ]
-        profiles = [ComplexBiPolynomial.from_json_dict(block["P"])
-                    for block in obj["blocks"]]
-        return cls(obj["d"], vectors, profiles, obj.get("residual"))
 
 
 def complex_decompose(P, dirs, residual_tol=1e-8):
@@ -222,7 +195,7 @@ def complex_decompose(P, dirs, residual_tol=1e-8):
     the origin and at the points u e_j, u in {1, i, -1, -i}, read from P's
     coefficients (a lower bound of the sup of |P| over the ball).  The
     decomposition's `residual` is that bound, `PowerSpan.bound` (see
-    `ridge_real.certify`).
+    `ridge_real.certified_solve`).
     """
     s = dirs.s
     if dirs.t != s:
@@ -237,9 +210,8 @@ def complex_decompose(P, dirs, residual_tol=1e-8):
     rhs = np.zeros((len(rows), 1), dtype=complex)
     for key, c in P.terms.items():
         rhs[rows[key]] = complex(c)
-    solutions = dirs.span.least_norm(rhs)
-    residual = certify(dirs.span, solutions, rhs, P.axis_values(), residual_tol,
-                       (f"bidegree {bidegree}" for bidegree in dirs.bidegrees))
+    solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(), residual_tol,
+                                          (f"bidegree {bidegree}" for bidegree in dirs.bidegrees))
 
     # profile keys (s', t'); `bidegrees` is lexicographic, profiles keep grlex order
     order = sorted(range(len(dirs.bidegrees)), key=lambda b: grlex_key(dirs.bidegrees[b]))

@@ -180,16 +180,17 @@ class PowerSpan:
                  + self._column_error * size) * (1 + 2 * steps * U))
 
 
-def certify(span, solutions, rhs, target, residual_tol, labels):
-    """`span.bound` on the mismatch of `solutions` against `rhs`.  Raise
-    DecompositionError when it exceeds residual_tol * (1 + max|target|),
-    naming the bound, the condition number and the rank-deficient blocks from
-    their stored factors, labelled by the iterable `labels`, which is read
-    only on failure."""
+def certified_solve(span, rhs, target, residual_tol, labels):
+    """The solutions `span.least_norm(rhs)` and `span.bound` on their
+    mismatch against `rhs`.  Raise DecompositionError when the bound exceeds
+    residual_tol * (1 + max|target|), naming the bound, the condition number
+    and the rank-deficient blocks from their stored factors, labelled by the
+    iterable `labels`, which is read only on failure."""
+    solutions = span.least_norm(rhs)
     bound = span.bound(solutions, rhs)
     scale = 1.0 + float(np.max(np.abs(target), initial=0.0))
     if bound <= residual_tol * scale:
-        return bound
+        return solutions, bound
     blocks = span.blocks
     deficient = ", ".join(
         f"{label} rank {block.rank} of {block.size}"
@@ -295,50 +296,94 @@ def build_block_matrices(dirs, d, ell):
     return list(mats)
 
 
-class RidgeDecomposition:
-    """Represents x -> sum_k P_k(A_k x) with ell-variate profiles P_k.
-    `residual` is the certified bound `decompose` found, or None."""
+def _json_array(value, dtype):
+    """`value` as JSON, by its dtype: nested lists of floats for a real dtype,
+    with each entry written as {"re", "im"} for a complex one."""
+    value = np.asarray(value, dtype=dtype)
+    if value.dtype.kind != "c":
+        return value.tolist()
+    if value.ndim:
+        return [_json_array(entry, dtype) for entry in value]
+    return {"re": value.real.item(), "im": value.imag.item()}
 
-    def __init__(self, d, ell, matrices, profiles, residual=None):
-        if len(matrices) != len(profiles):
-            raise ValueError("matrix/profile count mismatch")
-        self.d = int(d)
-        self.ell = int(ell)
-        # one frozen copy, so the caller's arrays stay writeable
-        stack = np.array(matrices, dtype=float)
-        if len(matrices) and stack.shape[1:] != (self.ell, self.d):
-            raise ValueError(f"matrix shape {stack.shape[1:]}, expected {(self.ell, self.d)}")
-        stack.setflags(write=False)
-        self.matrices = list(stack)
+
+def _array_from_json(obj, dtype):
+    """The array (or complex number) that `_json_array` wrote as `obj`."""
+    if isinstance(obj, dict):
+        return complex(obj["re"], obj["im"])
+    if np.dtype(dtype).kind == "c":
+        obj = [_array_from_json(entry, dtype) for entry in obj]
+    return np.array(obj, dtype=dtype)
+
+
+class _RidgeSum:
+    """x -> sum_k P_k(y_k), y_k the input unit k forms from x with its map.
+
+    The maps are copied into one frozen stack `_maps` of dtype `_dtype`, so the
+    caller's arrays stay writeable.  Subclasses give the hook
+    `_unit_input(points, map)`, the JSON key `_key` of a map, the profile
+    class and `_header`, the constructor arguments before the maps.
+    `residual` is the certified bound the decomposition found, or None."""
+
+    def __init__(self, maps, profiles, residual, shape, noun):
         self.profiles = list(profiles)
         self.residual = residual
+        self._maps = np.array(maps, dtype=self._dtype)
+        if len(self._maps) != len(self.profiles):
+            raise ValueError(f"{noun}/profile count mismatch")
+        if len(self._maps) and self._maps.shape[1:] != shape:
+            raise ValueError(f"{noun} shape {self._maps.shape[1:]}, expected {shape}")
+        self._maps.setflags(write=False)
 
     @property
     def count(self):
-        return len(self.matrices)
+        return len(self.profiles)
 
-    def eval_many(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(points.shape[0])
-        for A, P in zip(self.matrices, self.profiles):
-            out += P.eval_many(points @ A.T)
+    def _sum(self, points):
+        """The ridge sum at an (N, d) array of points (or one point), one unit
+        after another."""
+        points = np.atleast_2d(np.asarray(points, dtype=self._dtype))
+        out = np.zeros(points.shape[0], dtype=self._dtype)
+        for M, P in zip(self._maps, self.profiles):
+            out += P.eval_many(self._unit_input(points, M))
         return out
 
-    __call__ = eval_many
-
     def to_json_dict(self):
-        blocks = [{"A": A.tolist(), "P": P.to_json_dict()}
-                  for A, P in zip(self.matrices, self.profiles)]
-        out = {"d": self.d, "ell": self.ell, "blocks": blocks}
+        out = {key: getattr(self, key) for key in self._header}
+        out["blocks"] = [{self._key: _json_array(M, self._dtype), "P": P.to_json_dict()}
+                         for M, P in zip(self._maps, self.profiles)]
         if self.residual is not None:
             out["residual"] = self.residual
         return out
 
     @classmethod
     def from_json_dict(cls, obj):
-        mats = [b["A"] for b in obj["blocks"]]
-        profs = [MultiIndexPolynomial.from_json_dict(b["P"]) for b in obj["blocks"]]
-        return cls(obj["d"], obj["ell"], mats, profs, obj.get("residual"))
+        blocks = obj["blocks"]
+        return cls(*(obj[key] for key in cls._header),
+                   [_array_from_json(b[cls._key], cls._dtype) for b in blocks],
+                   [cls._profile.from_json_dict(b["P"]) for b in blocks], obj.get("residual"))
+
+
+class RidgeDecomposition(_RidgeSum):
+    """Represents x -> sum_k P_k(A_k x) with ell-variate profiles P_k, the
+    matrices A_k of shape (ell, d) read-only in `matrices`."""
+
+    _dtype, _key, _profile, _header = float, "A", MultiIndexPolynomial, ("d", "ell")
+
+    def __init__(self, d, ell, matrices, profiles, residual=None):
+        self.d = int(d)
+        self.ell = int(ell)
+        super().__init__(matrices, profiles, residual, (self.ell, self.d), "matrix")
+        self.matrices = list(self._maps)
+
+    @staticmethod
+    def _unit_input(points, A):
+        return points @ A.T
+
+    def eval_many(self, points):
+        return self._sum(points)
+
+    __call__ = eval_many
 
 
 def decompose(P, dirs, d, ell, residual_tol=1e-8):
@@ -352,7 +397,7 @@ def decompose(P, dirs, d, ell, residual_tol=1e-8):
     exceed residual_tol * (1 + max|P|), with the maximum taken at the origin
     and at the points +-e_i, read from P's coefficients (a lower bound of the
     sup of |P| over B^d).  The decomposition's `residual` is that bound,
-    `PowerSpan.bound` (see `certify`).
+    `PowerSpan.bound` (see `certified_solve`).
     """
     if not 1 <= ell < d:
         raise ValueError("need 1 <= ell < d")
@@ -372,9 +417,8 @@ def decompose(P, dirs, d, ell, residual_tol=1e-8):
     rhs = np.zeros((len(heads), max(1, len(tails))))
     for K, c in P.terms.items():
         rhs[heads[K[:m]], columns[K[m:]]] = float(c)
-    solutions = dirs.span.least_norm(rhs)
-    residual = certify(dirs.span, solutions, rhs, P.axis_values(), residual_tol,
-                       (f"degree {j}" for j in range(s + 1)))
+    solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(), residual_tol,
+                                          (f"degree {j}" for j in range(s + 1)))
 
     # profile keys (j,) + tail; P has degree <= s, so j <= s - |tail|.  The
     # tails are slices of validated keys, so the keys need no validation.

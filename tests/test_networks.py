@@ -471,3 +471,27 @@ def test_networks_without_units_and_at_one_point():
     assert net.eval_many(x)[0] == net.eval_many(x[None, :])[0]
     assert net.eval_many(x)[0] == pytest.approx(
         2.0 * tau_eval(net.dictionary, [0.4 + CELL_SPACING * 23]), rel=SUM_TOL)
+
+
+@pytest.mark.parametrize("kind", ["gtn", "cvnn"])
+def test_networks_copy_and_freeze_their_unit_data(kind):
+    # evaluation and JSON read the same copy, taken at construction, so
+    # changing the caller's unit data afterwards changes neither
+    if kind == "gtn":
+        unit = {"A": np.array([[0.6, 0.0, 0.8]]), "b": np.array([0.1]), "c": 2.0,
+                "dict_index": 23}
+        net, points = GTNetwork(1, 3, [unit], PolynomialDictionary(1)), np.full((5, 3), 0.2)
+        change = ("A", "c")
+    else:
+        unit = {"alpha": np.array([0.6, 0.8j]), "beta": 0.1j, "gamma": 2.0, "dict_index": 23}
+        net, points = CVNNetwork(2, [unit], ComplexPolynomialDictionary()), np.full((5, 2), 0.2j)
+        change = ("alpha", "gamma")
+    text, values = json.dumps(net.to_json_dict()), net.eval_many(points)
+    unit[change[0]][0] = 0.1
+    unit[change[1]] = -1.0
+    assert json.dumps(net.to_json_dict()) == text
+    assert np.array_equal(net.eval_many(points), values)
+    clone = type(net).from_json_dict(json.loads(text), net.dictionary)
+    assert np.array_equal(clone.eval_many(points), values)
+    with pytest.raises(ValueError, match="read-only"):
+        net.units[0][change[0]][0] = 0.1
