@@ -322,7 +322,7 @@ class _RidgeSum:
     The maps are copied into one frozen stack `_maps` of dtype `_dtype`, so the
     caller's arrays stay writeable.  Subclasses give the hook
     `_unit_input(points, map)`, the JSON key `_key` of a map, the profile
-    class and `_header`, the constructor arguments before the maps.
+    class `_profile` and `_header`, the constructor arguments before the maps.
     `residual` is the certified bound the decomposition found, or None."""
 
     def __init__(self, maps, profiles, residual, shape, noun):
