@@ -23,6 +23,11 @@ its quadrature sums equal sums over one representative node per mirror orbit
 of the rule with the orbit's summed weight (quadrature.MirrorOrbits).  The
 QRs run on the representatives, the basis keeps its values only there, and a
 projection folds f onto them first.
+
+Each block also keeps its R.  The weighted monomial values of a block are
+Q R, so monomial j equals sum_i R_ij P_i in the rule's inner product, and a
+polynomial p = sum_j a_j m_j of degree <= max_degree has <p, P_i> = (R a)_i:
+it is projected from its coefficients, with no evaluation at the nodes.
 """
 
 import hashlib
@@ -32,7 +37,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, solve_triangular
 from scipy.linalg.lapack import dgeqrt
 
-from .polycore import (MultiIndex, MultiIndexPolynomial, _polynomials_from_rows,
+from .polycore import (MultiIndexPolynomial, _grlex_multi_indices, _polynomials_from_rows,
                        grlex_key, monomial_table, monomials_up_to, point_chunks)
 from .quadrature import MirrorOrbits, evaluate_on_nodes
 
@@ -70,14 +75,15 @@ class OrthoBasis:
         self.max_degree = max_degree
         self.exponents = list(exponents)
         self.coeff_matrix = coeff_matrix            # rows: basis elements over monomials
-        self.blocks = blocks                        # (parity, rows, values at representatives)
+        self.blocks = blocks                        # (parity, rows, values at representatives, R)
         self.orbits = orbits
         self.rule = rule
         self.degrees = [sum(k) for k in exponents]  # grlex: degree of element i
         # monomial columns in grlex order, the term order of MultiIndexPolynomial
         order = sorted(range(len(self.exponents)), key=lambda i: grlex_key(self.exponents[i]))
         self._grlex = np.array(order, dtype=np.intp)
-        self._grlex_keys = [MultiIndex(self.exponents[i]) for i in order]
+        self._grlex_keys = _grlex_multi_indices(dim, max_degree)
+        self._position = {k: i for i, k in enumerate(self.exponents)}
         self._polys = None
 
     @property
@@ -124,7 +130,7 @@ class OrthoBasis:
         """Basis values at the nodes selected by the slice `nodes`."""
         index = self.orbits.index[nodes]
         values = np.empty((self.size, index.size))
-        for parity, rows, block in self.blocks:
+        for parity, rows, block, _ in self.blocks:
             values[rows] = block[:, index] * self.orbits.signs(parity)[nodes]
         return values
 
@@ -214,25 +220,49 @@ def build_basis(d, s_max, rule, order="grlex"):
         block_coeffs = solve_triangular(r, np.eye(len(rows)), trans="T")
         coeffs[np.ix_(rows, rows)] = block_coeffs
         blocks.append((parity, np.array(rows, dtype=np.intp),
-                       solve_triangular(r, block, trans="T")))
+                       solve_triangular(r, block, trans="T"), r))
     return OrthoBasis(d, s_max, exponents, coeffs, blocks, orbits, rule)
 
 
 def project_coefficients(f, basis, s):
-    """Inner products <f, P_i> for i in I_s, by quadrature."""
+    """Inner products <f, P_i> for i in I_s under the rule's inner product.
+
+    A MultiIndexPolynomial in basis.dim variables of degree <= max_degree is
+    projected from its coefficients as R a per parity block; anything else
+    (a callable, or a polynomial the basis does not cover) by quadrature.
+    Raises ValueError on a non-finite coefficient or node value."""
     if s > basis.max_degree:
         raise ValueError(f"basis covers degree {basis.max_degree}, requested {s}")
-    fv = evaluate_on_nodes(f, basis.rule)
     count = len(basis.index_set(s))
+    covered = (isinstance(f, MultiIndexPolynomial) and f.dim == basis.dim
+                and f.degree() <= basis.max_degree)
+    if covered:
+        a = _monomial_coefficients(f, basis)
+    else:
+        fv = evaluate_on_nodes(f, basis.rule)
+        folded = {}
     orbits = basis.orbits
     out = np.empty(count)
-    folded = {}
-    for parity, rows, values in basis.blocks:
+    for parity, rows, values, r in basis.blocks:
         m = np.searchsorted(rows, count)    # rows ascend; I_s is a prefix
         if m == 0:
             continue
-        key = tuple(parity[j] for j in orbits.axes)
-        if key not in folded:
-            folded[key] = orbits.fold(fv, parity)
-        out[rows[:m]] = values[:m] @ folded[key]
+        if covered:
+            out[rows[:m]] = r[:m] @ a[rows]
+        else:
+            key = tuple(parity[j] for j in orbits.axes)
+            if key not in folded:
+                folded[key] = orbits.fold(fv, parity)
+            out[rows[:m]] = values[:m] @ folded[key]
     return out
+
+
+def _monomial_coefficients(p, basis):
+    """The coefficients of the polynomial `p` over `basis.exponents`."""
+    a = np.zeros(basis.size)
+    a[[basis._position[k] for k in p.terms]] = [float(c) for c in p.terms.values()]
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        k = basis.exponents[bad[0]]
+        raise ValueError(f"non-finite coefficient {a[bad[0]]} of monomial {tuple(k)}")
+    return a

@@ -56,6 +56,13 @@ def monomials_up_to(dim, max_degree):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _grlex_multi_indices(dim, max_degree):
+    """The monomials_up_to(dim, max_degree) as validated MultiIndex keys, in
+    a tuple: the keys `_polynomials_from_rows` takes for a dense polynomial."""
+    return tuple(MultiIndex(k) for k in monomials_up_to(dim, max_degree))
+
+
 def _homogeneous_exponents(dim, total):
     """Exponent tuples of length `dim` and total degree `total`, in graded
     lexicographic order, as a new list."""

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .orthobasis import project_coefficients
+from .polycore import MultiIndexPolynomial, _grlex_multi_indices, _polynomials_from_rows
 from .quadrature import evaluate_on_nodes, lq_norm
 
 
@@ -124,11 +125,11 @@ def _random_trial(proj, rng, kind):
     basis = proj.basis
     d, s = basis.dim, proj.s
     if kind == "poly":
-        from .polycore import MultiIndexPolynomial, monomials_up_to
         degree = max(1, min(4 * s, basis.rule.exactness_degree - basis.max_degree))
-        keys = monomials_up_to(d, degree)
+        keys = _grlex_multi_indices(d, degree)
         # one draw gives the same stream as one standard_normal() per key
-        return MultiIndexPolynomial(d, dict(zip(keys, rng.standard_normal(len(keys)).tolist())))
+        draws = rng.standard_normal(len(keys))
+        return _polynomials_from_rows(MultiIndexPolynomial, d, keys, draws[None, :])[0]
     # localized bump profile centered inside the ball
     center = rng.standard_normal(d)
     center *= rng.random() * 0.6 / max(1e-12, np.linalg.norm(center))

@@ -134,10 +134,7 @@ class ComplexDirectionSet(_Directions):
         self.d = int(d)
         self.s = int(s)
         self.t = int(t)
-        self.vectors = np.array(vectors, dtype=complex)
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.d:
-            raise ValueError(f"vectors must have shape (n, {self.d})")
-        self.vectors.setflags(write=False)
+        super().__init__(vectors, self.d, complex)
         self.bidegrees = tuple((sp, tp) for sp in range(self.s + 1) for tp in range(self.t + 1))
         # an entry of bidegree (s', t') takes s' + t' + 1 rounded products:
         # s' and t' for the two halves with their factors, one for their product

@@ -206,6 +206,12 @@ class _Directions:
     """What real and complex direction sets share: a frozen `vectors` array
     and a `span` whose last block is the top degree or bidegree."""
 
+    def __init__(self, vectors, width, dtype):
+        self.vectors = np.array(vectors, dtype=dtype)
+        if self.vectors.ndim != 2 or self.vectors.shape[1] != width:
+            raise ValueError(f"vectors must have shape (n, {width})")
+        self.vectors.setflags(write=False)
+
     @property
     def blocks(self):
         return self.span.blocks
@@ -231,10 +237,7 @@ class DirectionSet(_Directions):
     def __init__(self, m, s, vectors, tol=RANK_TOLERANCE):
         self.m = int(m)
         self.s = int(s)
-        self.vectors = np.array(vectors, dtype=float)
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.m:
-            raise ValueError(f"vectors must have shape (n, {self.m})")
-        self.vectors.setflags(write=False)
+        super().__init__(vectors, self.m, float)
         keys = monomials_up_to(self.m, self.s)
         # an entry of degree j takes j rounded products: j - 1 for the
         # monomial, one for its multinomial factor

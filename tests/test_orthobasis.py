@@ -167,6 +167,10 @@ def test_combine_matches_constructor_path(rule_factory, order):
             assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
 
 
+def _random_polynomial(d, degree, rng):
+    return MultiIndexPolynomial(d, {k: rng.standard_normal() for k in monomials_up_to(d, degree)})
+
+
 @pytest.mark.parametrize("d,s_max", [(2, 12), (3, 8), (4, 6)])
 def test_folded_projection_matches_dense_sum(d, s_max):
     rule = build_ball_rule(d, 2 * s_max)
@@ -175,13 +179,54 @@ def test_folded_projection_matches_dense_sum(d, s_max):
     def f(points):
         return np.exp(points @ np.linspace(0.3, 1.1, d)) + np.abs(points[:, 0] - 0.2)
 
+    # a polynomial one degree above the basis takes the fold too
+    p = _random_polynomial(d, s_max + 1, np.random.default_rng(d))
     node_values = basis.node_values
-    fv = evaluate_on_nodes(f, rule)
-    for s in range(s_max + 1):
-        count = len(basis.index_set(s))
-        dense = (node_values[:count] * rule.weights) @ fv
-        got = project_coefficients(f, basis, s)
-        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    for g in (f, p):
+        fv = evaluate_on_nodes(g, rule)
+        for s in range(s_max + 1):
+            count = len(basis.index_set(s))
+            dense = (node_values[:count] * rule.weights) @ fv
+            got = project_coefficients(g, basis, s)
+            assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("order", ["grlex", "grlex_reversed"])
+@pytest.mark.parametrize("d,s_max", [(2, 12), (3, 8), (4, 6)])
+def test_coefficient_projection_matches_quadrature_fold(d, s_max, order):
+    # a covered polynomial projects as R a; its bound eval_many is a plain
+    # callable, which takes the quadrature fold
+    rule = build_ball_rule(d, 2 * s_max)
+    basis = build_basis(d, s_max, rule, order=order)
+    rng = np.random.default_rng(10 * d + s_max)
+    for degree in (0, 1, s_max // 2, s_max):
+        p = _random_polynomial(d, degree, rng)
+        scale = max(abs(c) for c in p.terms.values())
+        for s in sorted({0, degree, s_max}):
+            got = project_coefficients(p, basis, s)
+            folded = project_coefficients(p.eval_many, basis, s)
+            assert np.max(np.abs(got - folded)) <= 1e-10 * scale, (degree, s)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("degree,match", [(3, "non-finite coefficient"),
+                                          (5, "non-finite evaluation")])
+def test_projection_rejects_non_finite_coefficients(bad, degree, match):
+    # degree 3 is covered (R a), degree 5 is not (quadrature fold)
+    basis = build_basis(2, 4, build_ball_rule(2, 10))
+    terms = {k: 1.0 for k in monomials_up_to(2, degree)}
+    terms[(1, degree - 1)] = bad
+    # inf * 0 in the node evaluation is NaN, which numpy reports before the
+    # evaluation check raises
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):
+        project_coefficients(MultiIndexPolynomial(2, terms), basis, 4)
+
+
+def test_projection_rejects_dimension_mismatch():
+    basis = build_basis(3, 4, build_ball_rule(3, 10))
+    p = MultiIndexPolynomial(2, {(1, 1): 1.0})
+    with pytest.raises(ValueError, match="dimension"):
+        project_coefficients(p, basis, 4)
 
 
 def test_basis_on_rule_without_mirror():

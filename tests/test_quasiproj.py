@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
-from ridgekit.quasiproj import (CutoffFunction, QuasiProjector, cesaro_mean,
+from ridgekit.polycore import MultiIndex, MultiIndexPolynomial, monomials_up_to
+from ridgekit.quadrature import lq_norm
+from ridgekit.quasiproj import (CutoffFunction, QuasiProjector, _random_trial, cesaro_mean,
                                 estimate_l1_operator_norm, forward_difference,
                                 mollifier, smooth_step, verify_cesaro_identity)
 
@@ -65,6 +66,16 @@ def test_projector_fixes_low_degree(basis_factory):
     rng = np.random.default_rng(0)
     p = MultiIndexPolynomial(d, {k: rng.standard_normal() for k in monomials_up_to(d, s)})
     assert coeff_max(proj.apply(p) - p) < FIXED_POINT_TOL
+
+
+@pytest.mark.parametrize("d,s", [(3, 6), (2, 8)])
+def test_projector_fixes_polynomials_to_round_off(basis_factory, d, s):
+    # the coefficient-space projection R a recovers a up to round-off
+    basis = basis_factory(d, 2 * s - 1, 4 * s + 2)
+    rng = np.random.default_rng(d + s)
+    p = MultiIndexPolynomial(d, {k: rng.standard_normal() for k in monomials_up_to(d, s)})
+    image = QuasiProjector(basis, s).apply(p)
+    assert lq_norm(image - p, basis.rule, 2) <= 1e-14 * lq_norm(p, basis.rule, 2)
 
 
 def test_projector_is_linear(basis_factory):
@@ -137,6 +148,28 @@ def test_norm_estimate_monotone_in_trials(basis_factory):
     large = estimate_l1_operator_norm(proj, 8, seed=0)
     assert large >= small  # per-trial seeding extends, never replaces
     assert small >= 0.9  # the projector fixes constants, so the norm is near 1+
+
+
+@pytest.mark.parametrize("d,max_degree,exactness,s_list", [
+    (2, 15, 48, (1, 2, 5, 8)),      # trial degrees 4, 8, 20, 32
+    (3, 5, 12, (1, 2, 3)),          # trial degrees 4, 7, 7
+])
+def test_random_trial_equals_constructor_built_polynomial(basis_factory, d, max_degree,
+                                                          exactness, s_list):
+    basis = basis_factory(d, max_degree, exactness)
+    for s in s_list:
+        if 2 * s - 1 > max_degree:
+            continue
+        proj = QuasiProjector(basis, s)
+        degree = max(1, min(4 * s, exactness - max_degree))
+        keys = monomials_up_to(d, degree)
+        draws = np.random.default_rng([5, s]).standard_normal(len(keys)).tolist()
+        expected = MultiIndexPolynomial(d, dict(zip(keys, draws)))
+        trial = _random_trial(proj, np.random.default_rng([5, s]), "poly")
+        assert type(trial) is MultiIndexPolynomial and trial.dim == d
+        assert list(trial.terms.items()) == list(expected.terms.items())
+        assert all(type(k) is MultiIndex for k in trial.terms)
+        assert all(type(c) is float for c in trial.terms.values())
 
 
 def test_projector_requires_covering_basis(basis_factory):
