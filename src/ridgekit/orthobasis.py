@@ -38,7 +38,7 @@ from scipy.linalg import LinAlgError, solve_triangular
 from scipy.linalg.lapack import dgeqrt
 
 from .polycore import (MultiIndexPolynomial, _grlex_multi_indices, _polynomials_from_rows,
-                       grlex_key, monomial_table, monomials_up_to, point_chunks)
+                       monomial_table, monomials_up_to, point_chunks)
 from .quadrature import MirrorOrbits, evaluate_on_nodes
 
 
@@ -79,9 +79,6 @@ class OrthoBasis:
         self.orbits = orbits
         self.rule = rule
         self.degrees = [sum(k) for k in exponents]  # grlex: degree of element i
-        # monomial columns in grlex order, the term order of MultiIndexPolynomial
-        order = sorted(range(len(self.exponents)), key=lambda i: grlex_key(self.exponents[i]))
-        self._grlex = np.array(order, dtype=np.intp)
         self._grlex_keys = _grlex_multi_indices(dim, max_degree)
         self._position = {k: i for i, k in enumerate(self.exponents)}
         self._polys = None
@@ -117,8 +114,7 @@ class OrthoBasis:
 
     def _polynomials(self, rows):
         """One polynomial per row of monomial coefficients over `exponents`."""
-        return _polynomials_from_rows(MultiIndexPolynomial, self.dim, self._grlex_keys,
-                                      rows[:, self._grlex])
+        return _polynomials_from_rows(MultiIndexPolynomial, self.dim, self._grlex_keys, rows)
 
     @property
     def node_values(self):
@@ -160,14 +156,10 @@ class OrthoBasis:
         }
 
 
-def build_basis(d, s_max, rule, order="grlex"):
-    """Orthonormalize the monomials of degree <= s_max on B^d.
-
-    `order` selects the monomial enumeration ("grlex" or "grlex_reversed",
-    which reverses ties within each degree); any degree-graded order yields
-    the same spans and the same quasi-projection operators.  Raises
-    ConditioningError when a monomial is numerically dependent on the ones
-    before it in its parity block.
+def build_basis(d, s_max, rule):
+    """Orthonormalize the monomials of degree <= s_max on B^d, in grlex
+    order.  Raises ConditioningError when a monomial is numerically dependent
+    on the ones before it in its parity block.
     """
     if rule.domain != "ball" or rule.dim != d:
         raise ValueError("rule must be a ball rule in the same dimension")
@@ -175,17 +167,6 @@ def build_basis(d, s_max, rule, order="grlex"):
         raise ValueError(
             f"rule exactness {rule.exactness_degree} insufficient for degree {s_max}")
     exponents = monomials_up_to(d, s_max)
-    if order == "grlex":
-        pass
-    elif order == "grlex_reversed":
-        reordered = []
-        for s in range(s_max + 1):
-            block = [k for k in exponents if sum(k) == s]
-            reordered.extend(reversed(block))
-        exponents = reordered
-    else:
-        raise ValueError(f"unknown order {order!r}")
-
     orbits = MirrorOrbits(rule)
     sqrt_w = np.sqrt(orbits.weights)
     n = len(exponents)

@@ -189,17 +189,16 @@ def approximate_by_ridge(f, n, cfg, basis=None, rule=None):
         rule = build_ball_rule(d, 2 * s + cfg.rule_extra_exactness)
     if basis is None:
         basis = build_basis(d, s, rule)
-    target = make_target(cfg.target, d, cfg.target_params) if isinstance(f, str) else f
 
-    fitted = fit_polynomial(target, s, basis)
+    fitted = fit_polynomial(f, s, basis)
     sup_grid = ball_sup_grid(d, cfg.sup_grid_size) if cfg.q == math.inf else None
-    fit_error = _lq_error(target, fitted, rule, cfg.q, sup_grid)
+    fit_error = _lq_error(f, fitted, rule, cfg.q, sup_grid)
 
     n_dirs = dim_homogeneous(m, s)
     dirs = sample_spanning_directions(m, s, n_dirs, seed=int(np.random.default_rng(
         [cfg.seed, n]).integers(0, 2 ** 31)))
     dec = decompose(fitted, dirs, d, ell)
-    total_error = _lq_error(target, dec, rule, cfg.q, sup_grid)
+    total_error = _lq_error(f, dec, rule, cfg.q, sup_grid)
 
     # triangle inequality guard (residual is a sup-norm bound, so it dominates
     # every L^q norm on the unit-volume ball)

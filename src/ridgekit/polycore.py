@@ -364,8 +364,8 @@ class MultiIndexPolynomial(_SparsePolynomial):
         return self._terms
 
     @classmethod
-    def monomial(cls, exponents, coeff=1):
-        return cls(len(exponents), {tuple(exponents): coeff})
+    def monomial(cls, exponents):
+        return cls(len(exponents), {tuple(exponents): 1})
 
     def degree(self):
         # the terms are in grlex order, so the last key has the top degree
@@ -384,8 +384,8 @@ class MultiIndexPolynomial(_SparsePolynomial):
 
     __call__ = eval_many
 
-    def compose_linear(self, A, b=None):
-        """Return the polynomial x -> P(A x + b), where A maps R^d_out -> R^dim."""
+    def compose_linear(self, A):
+        """Return the polynomial x -> P(A x), where A maps R^d_out -> R^dim."""
         A = [list(row) for row in A]
         if len(A) != self.dim:
             raise ValueError(f"matrix has {len(A)} rows, expected {self.dim}")
@@ -394,33 +394,8 @@ class MultiIndexPolynomial(_SparsePolynomial):
             raise ValueError("ragged matrix")
         if d_out < 1:
             raise ValueError("output dimension must be positive")
-        if b is None:
-            b = [0] * self.dim
-        if len(b) != self.dim:
-            raise ValueError("bias has wrong length")
         units = [tuple(int(i == j) for i in range(d_out)) for j in range(d_out)]
-        lines = [MultiIndexPolynomial(d_out, {(0,) * d_out: bi, **dict(zip(units, row))})
-                 for row, bi in zip(A, b)]
-        return self.substitute(lines)
-
-    def coefficient_vector(self, max_degree):
-        """Dense grlex-ordered coefficient vector covering degrees <= max_degree."""
-        exps = monomials_up_to(self.dim, max_degree)
-        index = {k: i for i, k in enumerate(exps)}
-        vec = np.zeros(len(exps))
-        for k, c in self.terms.items():
-            if k.order() > max_degree:
-                raise ValueError("polynomial degree exceeds requested vector size")
-            vec[index[tuple(k)]] = float(c)
-        return vec
-
-    @classmethod
-    def from_coefficient_vector(cls, dim, vec, prune_tol=0.0):
-        exps = monomials_up_to(dim, _degree_for_length(dim, len(vec)))
-        if len(exps) != len(vec):
-            raise ValueError("vector length is not a full graded block")
-        terms = {k: float(c) for k, c in zip(exps, vec) if abs(c) > prune_tol}
-        return cls(dim, terms)
+        return self.substitute([MultiIndexPolynomial(d_out, dict(zip(units, row))) for row in A])
 
     def to_json_dict(self):
         return {
@@ -520,13 +495,6 @@ def _polynomials_from_rows(cls, dim, keys, rows):
         poly._terms = dict(itertools.compress(zip(keys, values), keep))
         out.append(poly)
     return out
-
-
-def _degree_for_length(dim, length):
-    degree = 0
-    while math.comb(degree + dim, dim) < length:
-        degree += 1
-    return degree
 
 
 class ComplexBiPolynomial(_SparsePolynomial):

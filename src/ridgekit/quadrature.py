@@ -30,10 +30,14 @@ class QuadratureRule:
         self.nodes = np.asarray(nodes, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         self.exactness_degree = int(exactness_degree)
-        if self.nodes.ndim != 2 or self.nodes.shape[0] != self.weights.shape[0]:
+        if self.nodes.ndim != 2 or self.nodes.shape[1] != self.dim:
+            raise ValueError(f"nodes must have shape (n, {self.dim})")
+        if self.weights.shape != self.nodes.shape[:1]:
             raise ValueError("nodes/weights shape mismatch")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(self.nodes)):
+            raise ValueError("nodes must be finite")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise ValueError("weights must be finite and strictly positive")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -63,7 +67,7 @@ def ball_volume(d):
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
-def build_sphere_rule(d_minus_1, degree, node_cap=NODE_CAP):
+def build_sphere_rule(d_minus_1, degree):
     """Quadrature on the sphere S^(d_minus_1) exact for monomials of total
     degree <= degree."""
     if d_minus_1 < 0:
@@ -71,7 +75,7 @@ def build_sphere_rule(d_minus_1, degree, node_cap=NODE_CAP):
     if degree < 0:
         raise ValueError("degree must be >= 0")
     m = d_minus_1 + 1  # ambient dimension
-    nodes, weights = _sphere_nodes(m, degree, node_cap)
+    nodes, weights = _sphere_nodes(m, degree)
     return QuadratureRule("sphere", m, nodes, weights, degree)
 
 
@@ -83,10 +87,10 @@ def _sphere_node_count(m, degree):
     return (degree // 2 + 1) * _sphere_node_count(m - 1, degree)
 
 
-def _sphere_nodes(m, degree, node_cap=NODE_CAP):
+def _sphere_nodes(m, degree):
     count = _sphere_node_count(m, degree)
-    if count > node_cap:
-        raise NodeCapError(f"sphere rule needs {count} nodes, cap is {node_cap}")
+    if count > NODE_CAP:
+        raise NodeCapError(f"sphere rule needs {count} nodes, cap is {NODE_CAP}")
     if m == 1:
         return np.array([[-1.0], [1.0]]), np.array([1.0, 1.0])
     if m == 2:
@@ -101,7 +105,7 @@ def _sphere_nodes(m, degree, node_cap=NODE_CAP):
             nodes[count // 2, 1] = 0.0
         weights = np.full(count, 2 * math.pi / count)
         return nodes, weights
-    sub_nodes, sub_weights = _sphere_nodes(m - 1, degree, node_cap)
+    sub_nodes, sub_weights = _sphere_nodes(m - 1, degree)
     n_u = degree // 2 + 1
     alpha = (m - 3) / 2
     u, wu = roots_jacobi(n_u, alpha, alpha)
@@ -116,21 +120,20 @@ def _sphere_nodes(m, degree, node_cap=NODE_CAP):
     return nodes, weights
 
 
-def build_ball_rule(d, exactness_degree, node_cap=NODE_CAP):
+def build_ball_rule(d, exactness_degree):
     """Quadrature on B^d exact for monomials of total degree <= exactness_degree."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if exactness_degree < 0:
         raise ValueError("exactness degree must be >= 0")
-    if d == 1:
-        n = exactness_degree // 2 + 1
-        x, w = roots_legendre(n)
-        return QuadratureRule("ball", 1, x[:, None], w, exactness_degree)
     n_r = exactness_degree // 2 + 1
-    count = n_r * _sphere_node_count(d, exactness_degree)
-    if count > node_cap:
-        raise NodeCapError(f"ball rule needs {count} nodes, cap is {node_cap}")
-    sub_nodes, sub_weights = _sphere_nodes(d, exactness_degree, node_cap)
+    count = n_r if d == 1 else n_r * _sphere_node_count(d, exactness_degree)
+    if count > NODE_CAP:
+        raise NodeCapError(f"ball rule needs {count} nodes, cap is {NODE_CAP}")
+    if d == 1:
+        x, w = roots_legendre(n_r)
+        return QuadratureRule("ball", 1, x[:, None], w, exactness_degree)
+    sub_nodes, sub_weights = _sphere_nodes(d, exactness_degree)
     # weight r^(d-1) on [0,1]: map Gauss-Jacobi (alpha=0, beta=d-1) from [-1,1]
     x, w = roots_jacobi(n_r, 0.0, d - 1.0)
     radii = (x + 1) / 2
@@ -229,8 +232,11 @@ def _values(f, points):
 
 
 def evaluate_on_nodes(f, rule):
-    """Evaluate `f` at the rule's nodes: a polynomial or a vectorised callable."""
-    values = _values(f, rule.nodes)
+    """Evaluate `f` at the rule's nodes: a polynomial or a vectorised callable.
+    numpy's invalid-value and overflow warnings are silenced: a non-finite
+    value raises ValueError instead."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = _values(f, rule.nodes)
     if values.shape[0] != rule.node_count:
         raise ValueError("function did not return one value per node")
     bad = np.flatnonzero(~np.isfinite(values))
@@ -259,9 +265,9 @@ def lq_norm(f, rule, q, sup_grid=None):
     return float(np.sum(rule.weights * np.abs(values) ** q) ** (1.0 / q))
 
 
-def ball_sup_grid(d, count, seed=0):
+def ball_sup_grid(d, count):
     """Deterministic dense point set in B^d for sup-norm surrogates."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts = rng.standard_normal((count, d))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     radii = rng.random(count) ** (1.0 / d)

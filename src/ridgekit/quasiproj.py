@@ -51,7 +51,7 @@ class CutoffFunction:
 class QuasiProjector:
     """Degree-filtered projection f -> sum a_{i,s} <f, P_i> P_i over I_{2s-1}."""
 
-    def __init__(self, basis, s, eta=None):
+    def __init__(self, basis, s):
         if s < 1:
             raise ValueError("degree parameter s must be >= 1")
         if basis.max_degree < 2 * s - 1:
@@ -59,7 +59,7 @@ class QuasiProjector:
                 f"basis covers degree {basis.max_degree}, need {2 * s - 1}")
         self.basis = basis
         self.s = s
-        self.eta = eta if eta is not None else CutoffFunction()
+        self.eta = CutoffFunction()
         self.indices = basis.index_set(2 * s - 1)
         degs = np.array([basis.degrees[i] for i in self.indices], dtype=float)
         self.coeffs = np.asarray(self.eta(degs / s), dtype=float)

@@ -19,8 +19,8 @@ import numpy as np
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex, _as_exact,
                        _conj, _homogeneous_exponents, _polynomials_from_rows,
                        dim_complex_bihomogeneous, grlex_key, monomial_table)
-from .ridge_real import (CLOUD_FACTOR, RANK_TOLERANCE, PowerSpan, SpanningError, _Directions,
-                         _RidgeSum, _multinomial, certified_solve, pick_directions, unit_cloud)
+from .ridge_real import (CLOUD_FACTOR, PowerSpan, SpanningError, _Directions, _RidgeSum,
+                         _multinomial, certified_solve, pick_directions, unit_cloud)
 
 
 def wirtinger_derivative(P, kind, j):
@@ -81,10 +81,10 @@ def _one_like(a):
     return ExactComplex(1, 0) if any(isinstance(x, ExactComplex) for x in a) else 1
 
 
-def verify_power_identity(a, k, l, tol=1e-10):
+def verify_power_identity(a, k, l):
     """Check d^k dbar^l ((a.z)^s (conj(a.z))^t) = s! t! a^k conj(a)^l with
-    s = |k|, t = |l|; exact for ExactComplex/rational entries, to `tol` for
-    floats."""
+    s = |k|, t = |l|; exact for ExactComplex/rational entries, to a relative
+    1e-10 for floats."""
     k, l = tuple(k), tuple(l)
     dim = len(k)
     if len(l) != dim or len(a) != dim:
@@ -103,7 +103,7 @@ def verify_power_identity(a, k, l, tol=1e-10):
     if exact:
         diff = _as_exact(result) - _as_exact(expected)
         return diff.re == 0 and diff.im == 0
-    return abs(complex(result) - complex(expected)) <= tol * (1 + abs(complex(expected)))
+    return abs(complex(result) - complex(expected)) <= 1e-10 * (1 + abs(complex(expected)))
 
 
 def bidegree_power_matrix(vectors, s, t):
@@ -127,10 +127,9 @@ class ComplexDirectionSet(_Directions):
     The vectors are copied and frozen.  `span` holds the powers
     (a_j . z)^s' (conj(a_j . z))^t' for every bidegree (s', t') <= (s, t), in
     the lexicographic order of `bidegrees`, with one row per monomial pair
-    (k, l) of that bidegree, and `blocks[b]` factors bidegree `bidegrees[b]`.
-    `tol` is the relative rank tolerance of the blocks."""
+    (k, l) of that bidegree, and `blocks[b]` factors bidegree `bidegrees[b]`."""
 
-    def __init__(self, d, s, t, vectors, tol=RANK_TOLERANCE):
+    def __init__(self, d, s, t, vectors):
         self.d = int(d)
         self.s = int(s)
         self.t = int(t)
@@ -141,10 +140,10 @@ class ComplexDirectionSet(_Directions):
         powers = [bidegree_power_matrix(self.vectors, sp, tp) for sp, tp in self.bidegrees]
         self.span = PowerSpan([key for _, keys in powers for key in keys],
                               np.repeat(np.arange(len(powers)), [len(keys) for _, keys in powers]),
-                              np.vstack([rows.T for rows, _ in powers]), self.s + self.t + 1, tol)
+                              np.vstack([rows.T for rows, _ in powers]), self.s + self.t + 1)
 
 
-def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE):
+def sample_complex_directions(d, s, t, n, seed=0):
     """Unit directions in C^d certified to span the bidegree-(s, t)
     homogeneous space, picked by `pick_directions` from CLOUD_FACTOR * n
     random unit vectors."""
@@ -153,7 +152,7 @@ def sample_complex_directions(d, s, t, n, seed=0, tol=RANK_TOLERANCE):
         raise ValueError(f"need at least {required} directions, got {n}")
     cloud = unit_cloud(np.random.default_rng(seed), CLOUD_FACTOR * n, d, complex)
     dirs = ComplexDirectionSet(
-        d, s, t, pick_directions(cloud, bidegree_power_matrix(cloud, s, t)[0], n), tol)
+        d, s, t, pick_directions(cloud, bidegree_power_matrix(cloud, s, t)[0], n))
     rank = dirs.blocks[-1].rank
     if rank < required:
         raise SpanningError(
@@ -182,17 +181,17 @@ class ComplexRidgeDecomposition(_RidgeSum):
     __call__ = eval_many
 
 
-def complex_decompose(P, dirs, residual_tol=1e-8):
+def complex_decompose(P, dirs):
     """Decompose P in P_s(C^d) along directions certified at bidegree (s, s).
 
     Directions spanning at (s, s) span every lower bidegree, so each bidegree
     component of P is solved independently by the set's least-norm factor.
     The coefficient mismatch, a bound on the sup error over the unit ball,
-    must not exceed residual_tol * (1 + max|P|), with the maximum taken at
-    the origin and at the points u e_j, u in {1, i, -1, -i}, read from P's
-    coefficients (a lower bound of the sup of |P| over the ball).  The
-    decomposition's `residual` is that bound, `PowerSpan.bound` (see
-    `ridge_real.certified_solve`).
+    must not exceed ridge_real.RESIDUAL_TOLERANCE * (1 + max|P|), with the
+    maximum taken at the origin and at the points u e_j, u in {1, i, -1, -i},
+    read from P's coefficients (a lower bound of the sup of |P| over the
+    ball).  The decomposition's `residual` is that bound, `PowerSpan.bound`
+    (see `ridge_real.certified_solve`).
     """
     s = dirs.s
     if dirs.t != s:
@@ -207,7 +206,7 @@ def complex_decompose(P, dirs, residual_tol=1e-8):
     rhs = np.zeros((len(rows), 1), dtype=complex)
     for key, c in P.terms.items():
         rhs[rows[key]] = complex(c)
-    solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(), residual_tol,
+    solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(),
                                           (f"bidegree {bidegree}" for bidegree in dirs.bidegrees))
 
     # profile keys (s', t'); `bidegrees` is lexicographic, profiles keep grlex order

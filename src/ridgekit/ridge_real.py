@@ -27,6 +27,8 @@ from .polycore import (ZERO_PRUNE_FLOAT, MultiIndex, MultiIndexPolynomial,
                        _homogeneous_exponents, _polynomials_from_rows)
 
 RANK_TOLERANCE = 1e-10
+# the certificate gate, relative to 1 + max|P| (see certified_solve)
+RESIDUAL_TOLERANCE = 1e-8
 # unit roundoff of double precision
 U = np.finfo(float).eps / 2
 # candidate vectors drawn per direction requested
@@ -63,19 +65,19 @@ def lifted_power_matrix(vectors, s):
     return factors * monomial_table(exps, vectors).T
 
 
-def rank_and_condition(svals, tol=RANK_TOLERANCE):
-    """Numerical rank of a matrix from its singular values (descending), and
-    its condition number (inf when the rank is 0 or the smallest value is 0)."""
+def rank_and_condition(svals):
+    """Numerical rank of a matrix from its singular values (descending), the
+    values above RANK_TOLERANCE of the largest, and its condition number (inf
+    when the rank is 0 or the smallest value is 0)."""
     top = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > tol * top)) if top > 0 else 0
+    rank = int(np.sum(svals > RANK_TOLERANCE * top)) if top > 0 else 0
     cond = float(top / svals[-1]) if rank and svals[-1] > 0 else math.inf
     return rank, cond
 
 
-def spanning_rank(vectors, s, tol=RANK_TOLERANCE):
+def spanning_rank(vectors, s):
     """Numerical rank of the lifted s-fold powers, plus the condition number."""
-    return rank_and_condition(
-        np.linalg.svd(lifted_power_matrix(vectors, s), compute_uv=False), tol)
+    return rank_and_condition(np.linalg.svd(lifted_power_matrix(vectors, s), compute_uv=False))
 
 
 class PowerBlock(NamedTuple):
@@ -92,16 +94,16 @@ class PowerBlock(NamedTuple):
         return self.pinv.shape[1]
 
 
-def factor_block(columns, tol=RANK_TOLERANCE):
+def factor_block(columns):
     """PowerBlock of `columns` from one SVD.  Singular values below lstsq's
     default cut-off (eps * max(shape) of the largest) are dropped from the
     pseudo-inverse, so `pinv @ b` is the least-norm solution lstsq returns;
-    the rank counts the singular values above `tol` of the largest."""
+    the rank counts the singular values above RANK_TOLERANCE of the largest."""
     u, svals, vt = np.linalg.svd(columns, full_matrices=False)
     keep = svals > np.finfo(float).eps * max(columns.shape) * (svals[0] if len(svals) else 0.0)
     pinv = (vt[keep].conj().T / svals[keep]) @ u[:, keep].conj().T
     pinv.setflags(write=False)
-    return PowerBlock(pinv, *rank_and_condition(svals, tol))
+    return PowerBlock(pinv, *rank_and_condition(svals))
 
 
 class PowerSpan:
@@ -118,10 +120,10 @@ class PowerSpan:
     [Re x; Im x] and Im(C x) against [Im x; -Re x].  All arrays are
     read-only."""
 
-    def __init__(self, keys, block_of_row, columns, products, tol=RANK_TOLERANCE):
+    def __init__(self, keys, block_of_row, columns, products):
         self.rows = {key: r for r, key in enumerate(keys)}
         self._bounds = np.flatnonzero(np.diff(block_of_row)) + 1
-        self.blocks = tuple(factor_block(part, tol) for part in np.split(columns, self._bounds))
+        self.blocks = tuple(factor_block(part) for part in np.split(columns, self._bounds))
         self._complex = np.iscomplexobj(columns)
         if self._complex:
             columns = np.hstack([columns.real, -columns.imag])
@@ -180,16 +182,16 @@ class PowerSpan:
                  + self._column_error * size) * (1 + 2 * steps * U))
 
 
-def certified_solve(span, rhs, target, residual_tol, labels):
+def certified_solve(span, rhs, target, labels):
     """The solutions `span.least_norm(rhs)` and `span.bound` on their
     mismatch against `rhs`.  Raise DecompositionError when the bound exceeds
-    residual_tol * (1 + max|target|), naming the bound, the condition number
-    and the rank-deficient blocks from their stored factors, labelled by the
-    iterable `labels`, which is read only on failure."""
+    RESIDUAL_TOLERANCE * (1 + max|target|), naming the bound, the condition
+    number and the rank-deficient blocks from their stored factors, labelled
+    by the iterable `labels`, which is read only on failure."""
     solutions = span.least_norm(rhs)
     bound = span.bound(solutions, rhs)
     scale = 1.0 + float(np.max(np.abs(target), initial=0.0))
-    if bound <= residual_tol * scale:
+    if bound <= RESIDUAL_TOLERANCE * scale:
         return solutions, bound
     blocks = span.blocks
     deficient = ", ".join(
@@ -197,7 +199,7 @@ def certified_solve(span, rhs, target, residual_tol, labels):
         for label, block in zip(labels, blocks) if block.rank < block.size)
     raise DecompositionError(
         f"ridge coefficient mismatch {bound:.3e} exceeds tolerance "
-        f"{residual_tol:.1e} * {scale:.3e}; direction condition number "
+        f"{RESIDUAL_TOLERANCE:.1e} * {scale:.3e}; direction condition number "
         f"{blocks[-1].condition:.3e}; "
         + (f"rank-deficient blocks: {deficient}" if deficient else "every block has full rank"))
 
@@ -234,7 +236,7 @@ class DirectionSet(_Directions):
     and `blocks[j]` factors degree j: the power span is block-diagonal by
     degree, so its least-norm solve splits into one solve per degree."""
 
-    def __init__(self, m, s, vectors, tol=RANK_TOLERANCE):
+    def __init__(self, m, s, vectors):
         self.m = int(m)
         self.s = int(s)
         super().__init__(vectors, self.m, float)
@@ -242,7 +244,7 @@ class DirectionSet(_Directions):
         # an entry of degree j takes j rounded products: j - 1 for the
         # monomial, one for its multinomial factor
         columns = np.vstack([lifted_power_matrix(self.vectors, j).T for j in range(self.s + 1)])
-        self.span = PowerSpan(keys, [sum(k) for k in keys], columns, self.s, tol)
+        self.span = PowerSpan(keys, [sum(k) for k in keys], columns, self.s)
 
 
 def unit_cloud(rng, count, dim, dtype=float):
@@ -275,7 +277,7 @@ def pick_directions(cloud, rows, n):
     return cloud[np.concatenate([picked, np.flatnonzero(free)])[:n]]
 
 
-def sample_spanning_directions(m, s, n, seed=0, tol=RANK_TOLERANCE):
+def sample_spanning_directions(m, s, n, seed=0):
     """Unit directions certified to span the degree-s homogeneous space,
     picked by `pick_directions` from CLOUD_FACTOR * n random unit vectors."""
     required = dim_homogeneous(m, s)
@@ -283,10 +285,10 @@ def sample_spanning_directions(m, s, n, seed=0, tol=RANK_TOLERANCE):
         raise ValueError(f"need at least {required} directions, got {n}")
     cloud = unit_cloud(np.random.default_rng(seed), CLOUD_FACTOR * n, m)
     vectors = pick_directions(cloud, lifted_power_matrix(cloud, s), n)
-    rank, _ = spanning_rank(vectors, s, tol)
+    rank, _ = spanning_rank(vectors, s)
     if rank < required:
         raise SpanningError(f"picked directions have degree-{s} rank {rank} of {required}")
-    return DirectionSet(m, s, vectors, tol)
+    return DirectionSet(m, s, vectors)
 
 
 def build_block_matrices(dirs, d, ell):
@@ -389,7 +391,7 @@ class RidgeDecomposition(_RidgeSum):
     __call__ = eval_many
 
 
-def decompose(P, dirs, d, ell, residual_tol=1e-8):
+def decompose(P, dirs, d, ell):
     """Decompose P (degree <= dirs.s) into ridge terms along dirs.
 
     The leading-block components of P, grouped by trailing-block exponent, are
@@ -397,10 +399,10 @@ def decompose(P, dirs, d, ell, residual_tol=1e-8):
     the profile of unit i collects those power coefficients together with the
     trailing variables, which the block matrix passes through unchanged.
     The coefficient mismatch, a bound on the sup error over B^d, must not
-    exceed residual_tol * (1 + max|P|), with the maximum taken at the origin
-    and at the points +-e_i, read from P's coefficients (a lower bound of the
-    sup of |P| over B^d).  The decomposition's `residual` is that bound,
-    `PowerSpan.bound` (see `certified_solve`).
+    exceed RESIDUAL_TOLERANCE * (1 + max|P|), with the maximum taken at the
+    origin and at the points +-e_i, read from P's coefficients (a lower bound
+    of the sup of |P| over B^d).  The decomposition's `residual` is that
+    bound, `PowerSpan.bound` (see `certified_solve`).
     """
     if not 1 <= ell < d:
         raise ValueError("need 1 <= ell < d")
@@ -420,7 +422,7 @@ def decompose(P, dirs, d, ell, residual_tol=1e-8):
     rhs = np.zeros((len(heads), max(1, len(tails))))
     for K, c in P.terms.items():
         rhs[heads[K[:m]], columns[K[m:]]] = float(c)
-    solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(), residual_tol,
+    solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(),
                                           (f"degree {j}" for j in range(s + 1)))
 
     # profile keys (j,) + tail; P has degree <= s, so j <= s - |tail|.  The

@@ -104,15 +104,14 @@ class ExpansionCertificate:
     """Precomputed coefficient machinery of the separated expansion for fixed
     (d, ell, s)."""
 
-    def __init__(self, d, ell, s, sphere_rule=None):
+    def __init__(self, d, ell, s):
         if not 1 <= ell < d:
             raise ValueError("need 1 <= ell < d")
         self.d, self.ell, self.s = d, ell, s
         self.freq_count = d + s + 1          # frequencies 0..d+s per angle
         self.mu = (2 * self.freq_count) ** ell
         self.multi_indices = monomials_up_to(d, s)
-        if sphere_rule is None and d - ell >= 2:
-            sphere_rule = build_sphere_rule(d - ell - 1, max(2, s))
+        sphere_rule = build_sphere_rule(d - ell - 1, max(2, s)) if d - ell >= 2 else None
         self.q = {k: q_coefficient(k, d, ell, sphere_rule) for k in self.multi_indices}
         self.zeta_factors = {k: self._slot_coefficients(k) for k in self.multi_indices}
 
@@ -216,24 +215,26 @@ def verify_inner_product_expansion(rho, A, sigma, P, ball_rule,
 # ---------------------------------------------------------------------------
 # Lattice bump family
 
+# relative margin of the normalization over the sampled derivative sups
+BUMP_SAFETY = 5e-3
+
 
 class BumpFamily:
     """Signed combinations of disjoint rescaled bumps on a lattice in the ball,
     normalized so all sampled derivatives up to order r stay within 1."""
 
-    def __init__(self, d, r, m, theta, points, side, derivative_sups, safety):
+    def __init__(self, d, r, m, theta, points, side, derivative_sups):
         self.d, self.r, self.m = d, r, m
         self.theta = theta
         self.points = np.asarray(points, dtype=float)
         self.side = side                    # 1-D plateau half-width 1/sqrt(d)
         self.derivative_sups = derivative_sups
-        self.safety = safety
         # normalization so that max over |k| <= r of prod sup|u^(k_j)| <= 1
         worst = max(
             math.prod(derivative_sups[e] for e in k)
             for k in monomials_up_to(d, r)
         )
-        self.normalization = worst * (1.0 + safety)
+        self.normalization = worst * (1.0 + BUMP_SAFETY)
 
     def omega(self, x):
         """Normalized product bump; supported in the centered cube of
@@ -261,10 +262,11 @@ def _plateau(t, side):
     return smooth_step((side - np.abs(t)) / (side / 2))
 
 
-def _estimate_derivative_sups(side, r, grid_points=6000):
-    """Finite-difference sup estimates of the plateau's derivatives 0..r."""
+def _estimate_derivative_sups(side, r):
+    """Finite-difference sup estimates of the plateau's derivatives 0..r, on
+    6000 equispaced points."""
     lo, hi = -1.1 * side, 1.1 * side
-    t = np.linspace(lo, hi, grid_points)
+    t = np.linspace(lo, hi, 6000)
     h = t[1] - t[0]
     vals = _plateau(t, side)
     sups = [float(np.max(np.abs(vals)))]
@@ -275,7 +277,7 @@ def _estimate_derivative_sups(side, r, grid_points=6000):
     return sups
 
 
-def make_bump_family(d, r, m, seed=None, safety=5e-3):
+def make_bump_family(d, r, m, seed=None):
     """Family of hard test inputs: m disjoint bumps on the lattice
     {((i + 1/2)/(sqrt(d) theta)) : i in Z^d, -theta <= i < theta}."""
     if d < 1 or r < 0 or m < 1:
@@ -297,7 +299,7 @@ def make_bump_family(d, r, m, seed=None, safety=5e-3):
     points = lattice[:m]
     side = 1.0 / math.sqrt(d)
     sups = _estimate_derivative_sups(side, r)
-    return BumpFamily(d, r, m, theta, points, side, sups, safety)
+    return BumpFamily(d, r, m, theta, points, side, sups)
 
 
 # ---------------------------------------------------------------------------

@@ -81,25 +81,6 @@ def test_projection_drops_orthogonal_component(basis_factory):
     assert worst < 1e-10
 
 
-def test_ordering_invariance_of_projection():
-    # projecting onto the full degree-s space must not depend on the
-    # within-degree ordering used during orthogonalization
-    rule = build_ball_rule(2, 12)
-    b_fwd = build_basis(2, 4, rule, order="grlex")
-    b_rev = build_basis(2, 4, rule, order="grlex_reversed")
-    rng = np.random.default_rng(2)
-
-    def f(points):
-        points = np.atleast_2d(points)
-        return np.exp(points[:, 0] - 0.5 * points[:, 1] ** 2)
-
-    q_fwd = b_fwd.combine(project_coefficients(f, b_fwd, 3), b_fwd.index_set(3))
-    q_rev = b_rev.combine(project_coefficients(f, b_rev, 3), b_rev.index_set(3))
-    diff = q_fwd - q_rev
-    worst = max((abs(c) for c in diff.terms.values()), default=0.0)
-    assert worst < 1e-9
-
-
 def test_conditioning_error_on_degenerate_rule():
     # a single-node "rule" cannot distinguish polynomials: the second basis
     # candidate has numerically zero norm
@@ -108,10 +89,9 @@ def test_conditioning_error_on_degenerate_rule():
         build_basis(1, 2, rule)
 
 
-@pytest.mark.parametrize("order", ["grlex", "grlex_reversed"])
-def test_cross_parity_coefficients_are_exact_zeros(order):
+def test_cross_parity_coefficients_are_exact_zeros():
     rule = build_ball_rule(3, 12)
-    basis = build_basis(3, 5, rule, order=order)
+    basis = build_basis(3, 5, rule)
     parity = np.array([[e % 2 for e in k] for k in basis.exponents])
     differs = np.any(parity[:, None, :] != parity[None, :, :], axis=2)
     assert np.all(basis.coeff_matrix[differs] == 0.0)
@@ -148,9 +128,8 @@ def test_combine_matches_node_values(basis_factory):
     assert np.max(np.abs(poly.eval_many(nodes) - direct)) < 1e-9
 
 
-@pytest.mark.parametrize("order", ["grlex", "grlex_reversed"])
-def test_combine_matches_constructor_path(rule_factory, order):
-    basis = build_basis(3, 4, rule_factory(3, 10), order=order)
+def test_combine_matches_constructor_path(rule_factory):
+    basis = build_basis(3, 4, rule_factory(3, 10))
     rng = np.random.default_rng(3)
     for s in (0, 2, 4):
         idx = basis.index_set(s)
@@ -191,13 +170,12 @@ def test_folded_projection_matches_dense_sum(d, s_max):
             assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("order", ["grlex", "grlex_reversed"])
 @pytest.mark.parametrize("d,s_max", [(2, 12), (3, 8), (4, 6)])
-def test_coefficient_projection_matches_quadrature_fold(d, s_max, order):
+def test_coefficient_projection_matches_quadrature_fold(d, s_max):
     # a covered polynomial projects as R a; its bound eval_many is a plain
     # callable, which takes the quadrature fold
     rule = build_ball_rule(d, 2 * s_max)
-    basis = build_basis(d, s_max, rule, order=order)
+    basis = build_basis(d, s_max, rule)
     rng = np.random.default_rng(10 * d + s_max)
     for degree in (0, 1, s_max // 2, s_max):
         p = _random_polynomial(d, degree, rng)
@@ -216,9 +194,7 @@ def test_projection_rejects_non_finite_coefficients(bad, degree, match):
     basis = build_basis(2, 4, build_ball_rule(2, 10))
     terms = {k: 1.0 for k in monomials_up_to(2, degree)}
     terms[(1, degree - 1)] = bad
-    # inf * 0 in the node evaluation is NaN, which numpy reports before the
-    # evaluation check raises
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match):
         project_coefficients(MultiIndexPolynomial(2, terms), basis, 4)
 
 

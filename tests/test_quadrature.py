@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
+from ridgekit import quadrature
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
 from ridgekit.quadrature import (NODE_CAP, MirrorOrbits, NodeCapError,
                                  QuadratureRule, ball_sup_grid,
@@ -87,8 +89,15 @@ def test_refinement_stability():
 
 
 def test_node_cap_error():
+    # about 2e10 nodes, refused before anything is allocated
     with pytest.raises(NodeCapError):
-        build_ball_rule(6, 200, node_cap=10_000)
+        build_ball_rule(6, 200)
+
+
+def test_interval_rule_checks_the_node_cap(monkeypatch):
+    monkeypatch.setattr(quadrature, "NODE_CAP", 10)
+    with pytest.raises(NodeCapError, match="21 nodes"):
+        build_ball_rule(1, 40)
 
 
 def test_inner_product_symmetry_and_positivity():
@@ -131,6 +140,30 @@ def test_rule_json_round_trip():
     assert clone.exactness_degree == rule.exactness_degree
 
 
+def _set_entry(array, value):
+    array = np.array(array, dtype=float)
+    array.flat[1] = value
+    return array
+
+
+@pytest.mark.parametrize("dim,nodes,weights,match", [
+    (3, np.zeros((4, 2)), np.ones(4), r"shape \(n, 3\)"),
+    (2, np.zeros((4, 2)), np.ones(3), "shape mismatch"),
+    (2, np.zeros((4, 2)), _set_entry(np.ones(4), math.nan), "weights"),
+    (2, np.zeros((4, 2)), _set_entry(np.ones(4), math.inf), "weights"),
+    (2, _set_entry(np.zeros((4, 2)), math.nan), np.ones(4), "nodes must be finite"),
+    (2, _set_entry(np.zeros((4, 2)), -math.inf), np.ones(4), "nodes must be finite"),
+], ids=["width", "count", "nan-weight", "inf-weight", "nan-node", "inf-node"])
+def test_rule_rejects_unusable_input(dim, nodes, weights, match):
+    with pytest.raises(ValueError, match=match):
+        QuadratureRule("ball", dim, nodes, weights, 2)
+    # as written to and read back from a file
+    text = json.dumps({"domain": "ball", "dim": dim, "exactness_degree": 2,
+                       "nodes": nodes.tolist(), "weights": weights.tolist()})
+    with pytest.raises(ValueError, match=match):
+        QuadratureRule.from_json_dict(json.loads(text))
+
+
 def test_polynomial_vectorised_and_scalar_callables_evaluate_alike():
     rule = build_ball_rule(2, 6)
     p = MultiIndexPolynomial(2, {(2, 0): 1.5, (0, 1): -2.0, (0, 0): 0.25})
@@ -158,6 +191,14 @@ def test_vectorised_callable_errors_propagate():
         evaluate_on_nodes(broken, rule)
     with pytest.raises(ValueError, match="bug in f"):
         lq_norm(broken, rule, math.inf)
+
+
+def test_non_finite_coefficient_raises_the_evaluation_error():
+    # inf * 0 in the evaluation is NaN; the caller gets the ValueError, not
+    # numpy's invalid-value warning (an error under this suite's filter)
+    p = MultiIndexPolynomial(2, {(1, 0): math.inf, (0, 1): 1.0})
+    with pytest.raises(ValueError, match="non-finite evaluation at node"):
+        evaluate_on_nodes(p, build_ball_rule(2, 6))
 
 
 @pytest.mark.parametrize("exactness", [4, 7, 10])

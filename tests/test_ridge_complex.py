@@ -152,10 +152,12 @@ def test_complex_decomposition_profiles_univariate():
         assert prof.dim == 1
 
 
-def test_complex_spanning_failure_is_package_spanning_error():
-    # tol=1.0 leaves no singular value above the threshold, so no set spans
+def test_complex_spanning_failure_is_package_spanning_error(monkeypatch):
+    # a rank tolerance of 1.0 leaves no singular value above the threshold,
+    # so no set spans
+    monkeypatch.setattr(ridgekit.ridge_real, "RANK_TOLERANCE", 1.0)
     with pytest.raises(ridgekit.SpanningError):
-        sample_complex_directions(2, 1, 1, 4, tol=1.0)
+        sample_complex_directions(2, 1, 1, 4)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -178,12 +180,13 @@ def test_complex_pick_is_deterministic():
     assert np.array_equal(a.vectors, b.vectors)
 
 
-def test_complex_residual_failure_is_package_decomposition_error():
+def test_complex_residual_failure_is_package_decomposition_error(monkeypatch):
     d = 2
     P = ComplexBiPolynomial(d, {((1, 0), (0, 1)): 1.0})
     dirs = sample_complex_directions(d, 1, 1, dim_complex_bihomogeneous(d, 1, 1), seed=2)
+    monkeypatch.setattr(ridgekit.ridge_real, "RESIDUAL_TOLERANCE", -1.0)
     with pytest.raises(ridgekit.DecompositionError):
-        complex_decompose(P, dirs, residual_tol=-1.0)
+        complex_decompose(P, dirs)
 
 
 def test_complex_json_round_trip():
@@ -294,8 +297,9 @@ def test_complex_decompose_reads_the_gate_scale_from_coefficients(monkeypatch):
                                 for k in exponents for l in exponents})
     dirs = sample_complex_directions(d, s, s, dim_complex_bihomogeneous(d, s, s), seed=7)
     assert complex_decompose(P, dirs).residual <= 1e-2 * RESIDUAL_TOL
+    monkeypatch.setattr(ridgekit.ridge_real, "RESIDUAL_TOLERANCE", -1.0)
     with pytest.raises(ridgekit.DecompositionError):
-        complex_decompose(P, dirs, residual_tol=-1.0)
+        complex_decompose(P, dirs)
 
 
 @st.composite

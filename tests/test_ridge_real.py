@@ -72,7 +72,7 @@ def test_decompose_reconstructs(d, ell, s):
     P = random_poly(d, s, seed=d * 10 + ell)
     dirs = sample_spanning_directions(m, s, dim_homogeneous(m, s), seed=0)
     dec = decompose(P, dirs, d, ell)
-    grid = ball_sup_grid(d, 400, seed=5)
+    grid = ball_sup_grid(d, 400)
     assert np.max(np.abs(dec.eval_many(grid) - P.eval_many(grid))) < RESIDUAL_TOL
     assert dec.residual < RESIDUAL_TOL * (1 + np.max(np.abs(P.eval_many(grid))))
 
@@ -135,17 +135,18 @@ def test_extra_directions_are_distinct_and_span():
     assert spanning_rank(dirs.vectors, s)[0] == dim_homogeneous(m, s)
 
 
-def test_spanning_failure_raises_spanning_error():
-    # tol=1.0 leaves no singular value above the threshold
+def test_spanning_failure_raises_spanning_error(monkeypatch):
+    # a rank tolerance of 1.0 leaves no singular value above the threshold
+    monkeypatch.setattr(ridgekit.ridge_real, "RANK_TOLERANCE", 1.0)
     with pytest.raises(SpanningError, match="rank 0 of 4"):
-        sample_spanning_directions(2, 3, 4, tol=1.0)
+        sample_spanning_directions(2, 3, 4)
 
 
 def test_orthonormalize_rows_preserves_values():
     d, ell, s = 3, 2, 2
     dirs = sample_spanning_directions(2, s, dim_homogeneous(2, s), seed=4)
     dec = decompose(random_poly(d, s, seed=13), dirs, d, ell)
-    grid = ball_sup_grid(d, 200, seed=6)
+    grid = ball_sup_grid(d, 200)
     for A, P in zip(dec.matrices, dec.profiles):
         A2, P2 = orthonormalize_rows(A, P)
         assert np.max(np.abs(A2 @ A2.T - np.eye(ell))) < 1e-12
@@ -159,7 +160,7 @@ def test_json_round_trip():
     dirs = sample_spanning_directions(2, s, dim_homogeneous(2, s), seed=5)
     dec = decompose(random_poly(d, s, seed=17), dirs, d, ell)
     clone = RidgeDecomposition.from_json_dict(json.loads(json.dumps(dec.to_json_dict())))
-    grid = ball_sup_grid(d, 100, seed=7)
+    grid = ball_sup_grid(d, 100)
     assert np.max(np.abs(clone.eval_many(grid) - dec.eval_many(grid))) < 1e-12
 
 
@@ -223,8 +224,9 @@ def test_decompose_reads_the_gate_scale_from_coefficients(monkeypatch):
     dirs = sample_spanning_directions(3, 4, dim_homogeneous(3, 4), seed=4)
     P = random_poly(4, 4, seed=5)
     assert decompose(P, dirs, 4, 2).residual <= 1e-2 * RESIDUAL_TOL
+    monkeypatch.setattr(ridgekit.ridge_real, "RESIDUAL_TOLERANCE", -1.0)
     with pytest.raises(ridgekit.DecompositionError):
-        decompose(P, dirs, 4, 2, residual_tol=-1.0)
+        decompose(P, dirs, 4, 2)
 
 
 @st.composite
@@ -275,10 +277,11 @@ def test_residual_certifies_ill_conditioned_high_degree_set():
     assert dec.residual <= RESIDUAL_TOL * (1 + np.max(np.abs(P.axis_values())))
 
 
-def test_ill_conditioned_set_fails_loudly_at_a_tight_tolerance():
-    # at residual_tol=1e-10 the gate is 6.3e-10, below the bound
+def test_ill_conditioned_set_fails_loudly_at_a_tight_tolerance(monkeypatch):
+    # at a tolerance of 1e-10 the gate is 6.3e-10, below the bound
+    monkeypatch.setattr(ridgekit.ridge_real, "RESIDUAL_TOLERANCE", 1e-10)
     with pytest.raises(DecompositionError, match=r"condition number 4\.\d+e\+04"):
-        decompose(random_poly(4, 7, seed=12), ill_conditioned_set(), 4, 1, residual_tol=1e-10)
+        decompose(random_poly(4, 7, seed=12), ill_conditioned_set(), 4, 1)
 
 
 def test_json_round_trip_keeps_the_residual():
