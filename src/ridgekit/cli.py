@@ -20,7 +20,7 @@ def _cmd_basis(args):
         "dim": basis.dim,
         "max_degree": basis.max_degree,
         "size": basis.size,
-        "degrees": list(basis.degrees),
+        "degrees": basis.degrees.tolist(),
         "rule_exactness": rule.exactness_degree,
         "rule_nodes": len(rule.weights),
         "gram_deviation": float(np.max(np.abs(gram - np.eye(basis.size)))),

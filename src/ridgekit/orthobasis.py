@@ -78,7 +78,7 @@ class OrthoBasis:
         self.blocks = blocks                        # (parity, rows, values at representatives, R)
         self.orbits = orbits
         self.rule = rule
-        self.degrees = [sum(k) for k in exponents]  # grlex: degree of element i
+        self.degrees = np.array([sum(k) for k in exponents])  # grlex: degree of element i
         self._grlex_keys = _grlex_multi_indices(dim, max_degree)
         self._position = {k: i for i, k in enumerate(self.exponents)}
         self._polys = None
@@ -93,23 +93,10 @@ class OrthoBasis:
             self._polys = self._polynomials(self.coeff_matrix)
         return self._polys
 
-    def index_set(self, s):
-        """I_s: indices of basis elements with degree <= s."""
-        count = math.comb(min(s, self.max_degree) + self.dim, self.dim)
-        return list(range(count))
-
-    def graded_block(self, s):
-        """J_s: indices of basis elements with degree exactly s."""
-        if s > self.max_degree:
-            return []
-        lo = math.comb(s - 1 + self.dim, self.dim) if s > 0 else 0
-        hi = math.comb(s + self.dim, self.dim)
-        return list(range(lo, hi))
-
-    def combine(self, coefficients, indices=None):
-        """Polynomial sum_i coefficients[i] * P_{indices[i]}."""
+    def combine(self, coefficients):
+        """Polynomial sum_i coefficients[i] * P_i over i < len(coefficients)."""
         coefficients = np.asarray(coefficients, dtype=float)
-        rows = self.coeff_matrix if indices is None else self.coeff_matrix[list(indices)]
+        rows = self.coeff_matrix[:len(coefficients)]
         return self._polynomials((coefficients @ rows)[None, :])[0]
 
     def _polynomials(self, rows):
@@ -206,7 +193,8 @@ def build_basis(d, s_max, rule):
 
 
 def project_coefficients(f, basis, s):
-    """Inner products <f, P_i> for i in I_s under the rule's inner product.
+    """Inner products <f, P_i> for i in I_s (degree <= s, a prefix in grlex
+    order) under the rule's inner product.
 
     A MultiIndexPolynomial in basis.dim variables of degree <= max_degree is
     projected from its coefficients as R a per parity block; anything else
@@ -214,7 +202,7 @@ def project_coefficients(f, basis, s):
     Raises ValueError on a non-finite coefficient or node value."""
     if s > basis.max_degree:
         raise ValueError(f"basis covers degree {basis.max_degree}, requested {s}")
-    count = len(basis.index_set(s))
+    count = math.comb(s + basis.dim, basis.dim)     # |I_s|
     covered = (isinstance(f, MultiIndexPolynomial) and f.dim == basis.dim
                 and f.degree() <= basis.max_degree)
     if covered:
@@ -236,6 +224,13 @@ def project_coefficients(f, basis, s):
                 folded[key] = orbits.fold(fv, parity)
             out[rows[:m]] = values[:m] @ folded[key]
     return out
+
+
+def filtered_projection(f, basis, weights):
+    """sum_i weights[deg P_i] <f, P_i> P_i over the basis elements of degree
+    < len(weights): the graded projection with one weight per degree."""
+    c = project_coefficients(f, basis, len(weights) - 1)
+    return basis.combine(weights[basis.degrees[:len(c)]] * c)
 
 
 def _monomial_coefficients(p, basis):

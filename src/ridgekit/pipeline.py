@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthobasis import build_basis, project_coefficients
+from .orthobasis import build_basis, filtered_projection
 from .polycore import MultiIndexPolynomial, dim_homogeneous, monomials_up_to
 from .quadrature import _values, ball_sup_grid, build_ball_rule, lq_norm
 from .ridge_real import decompose, sample_spanning_directions
@@ -152,11 +152,9 @@ class RateReport:
 
 
 def fit_polynomial(f, s, basis):
-    """Discrete-L^2 best polynomial approximation of degree <= s."""
-    if s > basis.max_degree:
-        raise ValueError(f"basis covers degree {basis.max_degree}, need {s}")
-    coeffs = project_coefficients(f, basis, s)
-    return basis.combine(coeffs, basis.index_set(s))
+    """Discrete-L^2 best polynomial approximation of degree <= s: the sharp
+    cutoff, weight 1 on every degree."""
+    return filtered_projection(f, basis, np.ones(s + 1))
 
 
 def select_degree(n, d, ell, budget_factor=1, max_degree=15):

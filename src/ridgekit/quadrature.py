@@ -38,6 +38,12 @@ class QuadratureRule:
             raise ValueError("nodes must be finite")
         if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
             raise ValueError("weights must be finite and strictly positive")
+        if self.exactness_degree < 0:
+            raise ValueError("exactness degree must be >= 0")
+        radii = np.linalg.norm(self.nodes, axis=1)
+        off = radii > 1 + 1e-12 if domain == "ball" else np.abs(radii - 1) > 1e-12
+        if np.any(off):
+            raise ValueError(f"node {self.nodes[np.argmax(off)].tolist()} is not on the {domain}")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -110,14 +116,10 @@ def _sphere_nodes(m, degree):
     alpha = (m - 3) / 2
     u, wu = roots_jacobi(n_u, alpha, alpha)
     scale = np.sqrt(np.maximum(0.0, 1 - u**2))
-    nodes = np.empty((len(u) * sub_nodes.shape[0], m))
-    weights = np.empty(len(u) * sub_nodes.shape[0])
-    for i in range(len(u)):
-        lo, hi = i * sub_nodes.shape[0], (i + 1) * sub_nodes.shape[0]
-        nodes[lo:hi, : m - 1] = scale[i] * sub_nodes
-        nodes[lo:hi, m - 1] = u[i]
-        weights[lo:hi] = wu[i] * sub_weights
-    return nodes, weights
+    nodes = np.empty((len(u), sub_nodes.shape[0], m))
+    nodes[:, :, : m - 1] = scale[:, None, None] * sub_nodes
+    nodes[:, :, m - 1] = u[:, None]
+    return nodes.reshape(-1, m), np.outer(wu, sub_weights).ravel()
 
 
 def build_ball_rule(d, exactness_degree):
@@ -138,12 +140,8 @@ def build_ball_rule(d, exactness_degree):
     x, w = roots_jacobi(n_r, 0.0, d - 1.0)
     radii = (x + 1) / 2
     radial_w = w / 2**d
-    nodes = np.empty((count, d))
-    weights = np.empty(count)
-    for i in range(n_r):
-        lo, hi = i * sub_nodes.shape[0], (i + 1) * sub_nodes.shape[0]
-        nodes[lo:hi] = radii[i] * sub_nodes
-        weights[lo:hi] = radial_w[i] * sub_weights
+    nodes = (radii[:, None, None] * sub_nodes).reshape(count, d)
+    weights = np.outer(radial_w, sub_weights).ravel()
     return QuadratureRule("ball", d, nodes, weights, exactness_degree)
 
 
@@ -231,19 +229,24 @@ def _values(f, points):
     return np.asarray(f(points), dtype=float).reshape(-1)
 
 
-def evaluate_on_nodes(f, rule):
-    """Evaluate `f` at the rule's nodes: a polynomial or a vectorised callable.
-    numpy's invalid-value and overflow warnings are silenced: a non-finite
-    value raises ValueError instead."""
+def _finite_values(f, points):
+    """`f` at an (N, d) array of points, as `_values`, with numpy's
+    invalid-value and overflow warnings silenced: a non-finite value raises
+    ValueError instead."""
     with np.errstate(invalid="ignore", over="ignore"):
-        values = _values(f, rule.nodes)
-    if values.shape[0] != rule.node_count:
+        values = _values(f, points)
+    if values.shape[0] != points.shape[0]:
         raise ValueError("function did not return one value per node")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        node = rule.nodes[bad[0]]
-        raise ValueError(f"non-finite evaluation at node {node.tolist()}")
+        raise ValueError(f"non-finite evaluation at node {points[bad[0]].tolist()}")
     return values
+
+
+def evaluate_on_nodes(f, rule):
+    """Evaluate `f` at the rule's nodes: a polynomial or a vectorised callable.
+    A non-finite value raises ValueError."""
+    return _finite_values(f, rule.nodes)
 
 
 def inner_product(f, g, rule):
@@ -258,7 +261,7 @@ def lq_norm(f, rule, q, sup_grid=None):
     (the rule's nodes as a fallback)."""
     if q == math.inf or q == "inf":
         points = rule.nodes if sup_grid is None else np.asarray(sup_grid, dtype=float)
-        return float(np.max(np.abs(_values(f, points))))
+        return float(np.max(np.abs(_finite_values(f, points))))
     if q < 1:
         raise ValueError("q must be >= 1 or inf")
     values = evaluate_on_nodes(f, rule)

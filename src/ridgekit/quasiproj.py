@@ -1,17 +1,19 @@
 """Quasi-projection onto polynomial spaces on the ball.
 
 The operator filters graded orthogonal-projection coefficients through a
-smooth cutoff: f -> sum over degrees <= 2s-1 of eta(deg/s) <f, P_i> P_i.
+smooth cutoff, one weight per degree (orthobasis.filtered_projection):
+f -> sum over degrees <= 2s-1 of eta(deg/s) <f, P_i> P_i.
 It fixes every polynomial of degree <= s, maps into degree <= 2s-1, and has
 an equivalent representation as a finite combination of Cesaro means coupled
-by iterated forward differences of the cutoff.
+by iterated forward differences of the cutoff.  A Cesaro mean is the same
+filtered projection with binomial weights.
 """
 
 import math
 
 import numpy as np
 
-from .orthobasis import project_coefficients
+from .orthobasis import filtered_projection
 from .polycore import MultiIndexPolynomial, _grlex_multi_indices, _polynomials_from_rows
 from .quadrature import evaluate_on_nodes, lq_norm
 
@@ -60,32 +62,19 @@ class QuasiProjector:
         self.basis = basis
         self.s = s
         self.eta = CutoffFunction()
-        self.indices = basis.index_set(2 * s - 1)
-        degs = np.array([basis.degrees[i] for i in self.indices], dtype=float)
-        self.coeffs = np.asarray(self.eta(degs / s), dtype=float)
-
-    def basis_coefficients(self, f):
-        return project_coefficients(f, self.basis, 2 * self.s - 1)
+        self.weights = self.eta(np.arange(2 * s) / s)     # eta(j/s) for degree j < 2s
 
     def apply(self, f):
-        c = self.basis_coefficients(f)
-        return self.basis.combine(self.coeffs * c, self.indices)
+        return filtered_projection(f, self.basis, self.weights)
 
 
-def cesaro_mean(f, k, sigma, basis, _coeffs=None):
-    """S_k^sigma(f): binomially weighted average of graded projections."""
+def cesaro_mean(f, k, sigma, basis):
+    """S_k^sigma(f): binomially weighted average of graded projections, weight
+    binom(k-j+sigma, sigma) / binom(k+sigma, sigma) on degree j <= k."""
     if sigma < 0 or k < 0:
         raise ValueError("need k >= 0 and sigma >= 0")
-    if k > basis.max_degree:
-        raise ValueError("basis does not cover degree k")
-    c = project_coefficients(f, basis, k) if _coeffs is None else _coeffs
-    weights = np.empty(len(basis.index_set(k)))
-    for j in range(k + 1):
-        w = math.comb(k - j + sigma, sigma)
-        for i in basis.graded_block(j):
-            weights[i] = w
-    weights /= math.comb(k + sigma, sigma)
-    return basis.combine(weights * c[: len(weights)], basis.index_set(k))
+    weights = np.array([math.comb(k - j + sigma, sigma) for j in range(k + 1)], dtype=float)
+    return filtered_projection(f, basis, weights / math.comb(k + sigma, sigma))
 
 
 def forward_difference(g, sigma, k):
@@ -108,12 +97,10 @@ def verify_cesaro_identity(proj, f, sigma):
     basis = proj.basis
     direct = proj.apply(f)
     eta_star = lambda x: float(np.asarray(proj.eta(np.asarray(x, dtype=float) / s)))
-    coeffs = proj.basis_coefficients(f)
     total = None
     for k in range(2 * s):
         factor = forward_difference(eta_star, sigma, k) * math.comb(k + sigma, sigma)
-        term = cesaro_mean(f, k, sigma, basis, _coeffs=coeffs[: len(basis.index_set(k))])
-        term = term.scale(factor)
+        term = cesaro_mean(f, k, sigma, basis).scale(factor)
         total = term if total is None else total + term
     diff = direct - total
     if diff.is_zero():

@@ -6,10 +6,12 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from ridgekit import orthobasis
-from ridgekit.orthobasis import (ConditioningError, build_basis,
+from ridgekit.orthobasis import (ConditioningError, build_basis, filtered_projection,
                                  project_coefficients)
+from ridgekit.pipeline import fit_polynomial
 from ridgekit.polycore import MultiIndex, MultiIndexPolynomial, monomials_up_to
 from ridgekit.quadrature import QuadratureRule, build_ball_rule, evaluate_on_nodes
+from ridgekit.quasiproj import CutoffFunction, QuasiProjector, cesaro_mean
 
 GRAM_TOL = 1e-8
 ORACLE_TOL = 1e-12
@@ -42,12 +44,43 @@ def test_degrees_non_decreasing(basis_factory):
     assert all(a <= b for a, b in zip(basis.degrees, basis.degrees[1:]))
 
 
-def test_index_set_and_graded_block_sizes(basis_factory):
-    basis = basis_factory(2, 5)
+def _as_text(poly):
+    return json.dumps(poly.to_json_dict())
+
+
+def test_filtered_projection_weights_each_degree(basis_factory):
+    d = 2
+    basis = basis_factory(d, 5)
+    rng = np.random.default_rng(7)
+    p = MultiIndexPolynomial(d, {k: rng.standard_normal() for k in monomials_up_to(d, 5)})
+
+    def weighted_sum(weights):
+        # sum_i w_{deg i} c_i P_i, with deg i read from the exponents
+        c = project_coefficients(p, basis, len(weights) - 1)
+        assert len(c) == math.comb(len(weights) - 1 + d, d)
+        w = np.array([weights[sum(basis.exponents[i])] for i in range(len(c))])
+        mono = (w * c) @ basis.coeff_matrix[:len(c)]
+        return MultiIndexPolynomial(d, {k: v for k, v in zip(basis.exponents, mono) if v != 0.0})
+
+    weights = rng.standard_normal(4)
+    assert _as_text(filtered_projection(p, basis, weights)) == _as_text(weighted_sum(weights))
+    # least squares: weight 1 on each degree <= s
     for s in range(6):
-        assert len(basis.index_set(s)) == math.comb(s + 2, 2)
-        block = basis.graded_block(s)
-        assert len(block) == math.comb(s + 2, 2) - (math.comb(s + 1, 2) if s else 0)
+        assert _as_text(fit_polynomial(p, s, basis)) == _as_text(weighted_sum(np.ones(s + 1)))
+    # the quasi-projector: eta(j / s) on each degree j < 2s
+    for s in (1, 2, 3):
+        eta = CutoffFunction()(np.array([j / s for j in range(2 * s)]))
+        assert _as_text(QuasiProjector(basis, s).apply(p)) == _as_text(weighted_sum(eta))
+    # the Cesaro mean: binom(k - j + sigma, sigma) / binom(k + sigma, sigma) on degree j
+    for k in range(6):
+        for sigma in (0, 1, 3):
+            binomial = [math.comb(k - j + sigma, sigma) / math.comb(k + sigma, sigma)
+                        for j in range(k + 1)]
+            assert _as_text(cesaro_mean(p, k, sigma, basis)) == _as_text(weighted_sum(binomial))
+    # each checks the degree through project_coefficients
+    for beyond in (lambda: fit_polynomial(p, 6, basis), lambda: cesaro_mean(p, 6, 1, basis)):
+        with pytest.raises(ValueError, match="basis covers degree 5, requested 6"):
+            beyond()
 
 
 def test_bit_identical_rebuild():
@@ -63,7 +96,8 @@ def test_projection_fixed_point(basis_factory):
     rng = np.random.default_rng(0)
     p = MultiIndexPolynomial(2, {k: rng.standard_normal() for k in monomials_up_to(2, 3)})
     coeffs = project_coefficients(p, basis, 3)
-    q = basis.combine(coeffs, basis.index_set(3))
+    assert len(coeffs) == math.comb(3 + 2, 2)
+    q = basis.combine(coeffs)
     diff = p - q
     worst = max((abs(c) for c in diff.terms.values()), default=0.0)
     assert worst < 1e-10
@@ -73,9 +107,10 @@ def test_projection_drops_orthogonal_component(basis_factory):
     basis = basis_factory(2, 4)
     rng = np.random.default_rng(1)
     low = MultiIndexPolynomial(2, {k: rng.standard_normal() for k in monomials_up_to(2, 2)})
-    high = basis.polys[basis.graded_block(4)[0]]
+    high = basis.polys[math.comb(3 + 2, 2)]     # the first element of degree 4
+    assert basis.degrees[math.comb(3 + 2, 2)] == 4
     coeffs = project_coefficients(low + high.scale(3.0), basis, 2)
-    q = basis.combine(coeffs, basis.index_set(2))
+    q = basis.combine(coeffs)
     diff = low - q
     worst = max((abs(c) for c in diff.terms.values()), default=0.0)
     assert worst < 1e-10
@@ -121,25 +156,26 @@ def test_insufficient_exactness_rejected():
 def test_combine_matches_node_values(basis_factory):
     basis = basis_factory(2, 3)
     rng = np.random.default_rng(3)
-    coeffs = rng.standard_normal(len(basis.index_set(3)))
-    poly = basis.combine(coeffs, basis.index_set(3))
     nodes = basis.rule.nodes
-    direct = coeffs @ basis.node_values[basis.index_set(3)]
-    assert np.max(np.abs(poly.eval_many(nodes) - direct)) < 1e-9
+    for s in (3, 2):
+        coeffs = rng.standard_normal(math.comb(s + 2, 2))   # the elements of degree <= s
+        poly = basis.combine(coeffs)
+        direct = coeffs @ basis.node_values[:len(coeffs)]
+        assert np.max(np.abs(poly.eval_many(nodes) - direct)) < 1e-9
 
 
 def test_combine_matches_constructor_path(rule_factory):
     basis = build_basis(3, 4, rule_factory(3, 10))
     rng = np.random.default_rng(3)
     for s in (0, 2, 4):
-        idx = basis.index_set(s)
-        coeffs = rng.standard_normal(len(idx))
+        count = math.comb(s + 3, 3)
+        coeffs = rng.standard_normal(count)
         coeffs[::3] = 0.0
-        for c in (coeffs, np.full(len(idx), np.nan)):
-            mono = c @ basis.coeff_matrix[idx]
+        for c in (coeffs, np.full(count, np.nan)):
+            mono = c @ basis.coeff_matrix[np.arange(count)]
             expected = MultiIndexPolynomial(3, {
                 k: v for k, v in zip(basis.exponents, mono) if v != 0.0})
-            got = basis.combine(c, idx)
+            got = basis.combine(c)
             assert list(got.terms) == list(expected.terms)
             assert all(type(k) is MultiIndex for k in got.terms)
             # as text, where NaN coefficients compare equal
@@ -164,7 +200,7 @@ def test_folded_projection_matches_dense_sum(d, s_max):
     for g in (f, p):
         fv = evaluate_on_nodes(g, rule)
         for s in range(s_max + 1):
-            count = len(basis.index_set(s))
+            count = math.comb(s + d, d)
             dense = (node_values[:count] * rule.weights) @ fv
             got = project_coefficients(g, basis, s)
             assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))

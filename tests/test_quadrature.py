@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import gamma, roots_jacobi
 
 from ridgekit import quadrature
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
@@ -76,6 +76,28 @@ def test_sphere_nodes_on_unit_sphere():
     assert np.max(np.abs(np.linalg.norm(rule.nodes, axis=1) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("exactness", [0, 5, 12])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_tensor_products_equal_a_loop_over_the_outer_factor(d, exactness):
+    # each node coordinate and weight is one product of the two factors, so
+    # the broadcast build equals this loop bitwise
+    n = exactness // 2 + 1
+    sub, sphere = build_sphere_rule(d - 2, exactness), build_sphere_rule(d - 1, exactness)
+    u, wu = roots_jacobi(n, (d - 3) / 2, (d - 3) / 2)
+    scale = np.sqrt(np.maximum(0.0, 1 - u**2))
+    nodes = [np.append(scale[i] * x, u[i]) for i in range(n) for x in sub.nodes]
+    weights = [wu[i] * w for i in range(n) for w in sub.weights]
+    assert np.array(nodes).tobytes() == sphere.nodes.tobytes()
+    assert np.array(weights).tobytes() == sphere.weights.tobytes()
+    ball = build_ball_rule(d, exactness)
+    x, w = roots_jacobi(n, 0.0, d - 1.0)
+    radii, radial_w = (x + 1) / 2, w / 2**d
+    nodes = [radii[i] * y for i in range(n) for y in sphere.nodes]
+    weights = [radial_w[i] * v for i in range(n) for v in sphere.weights]
+    assert np.array(nodes).tobytes() == ball.nodes.tobytes()
+    assert np.array(weights).tobytes() == ball.weights.tobytes()
+
+
 def test_refinement_stability():
     # integrating a fixed polynomial with rules of increasing exactness must
     # return the same value once the degree is covered
@@ -146,19 +168,24 @@ def _set_entry(array, value):
     return array
 
 
-@pytest.mark.parametrize("dim,nodes,weights,match", [
-    (3, np.zeros((4, 2)), np.ones(4), r"shape \(n, 3\)"),
-    (2, np.zeros((4, 2)), np.ones(3), "shape mismatch"),
-    (2, np.zeros((4, 2)), _set_entry(np.ones(4), math.nan), "weights"),
-    (2, np.zeros((4, 2)), _set_entry(np.ones(4), math.inf), "weights"),
-    (2, _set_entry(np.zeros((4, 2)), math.nan), np.ones(4), "nodes must be finite"),
-    (2, _set_entry(np.zeros((4, 2)), -math.inf), np.ones(4), "nodes must be finite"),
-], ids=["width", "count", "nan-weight", "inf-weight", "nan-node", "inf-node"])
-def test_rule_rejects_unusable_input(dim, nodes, weights, match):
+@pytest.mark.parametrize("domain,dim,nodes,weights,exactness,match", [
+    ("ball", 3, np.zeros((4, 2)), np.ones(4), 2, r"shape \(n, 3\)"),
+    ("ball", 2, np.zeros((4, 2)), np.ones(3), 2, "shape mismatch"),
+    ("ball", 2, np.zeros((4, 2)), _set_entry(np.ones(4), math.nan), 2, "weights"),
+    ("ball", 2, np.zeros((4, 2)), _set_entry(np.ones(4), math.inf), 2, "weights"),
+    ("ball", 2, _set_entry(np.zeros((4, 2)), math.nan), np.ones(4), 2, "nodes must be finite"),
+    ("ball", 2, _set_entry(np.zeros((4, 2)), -math.inf), np.ones(4), 2, "nodes must be finite"),
+    ("ball", 2, np.zeros((4, 2)), np.ones(4), -3, "exactness degree must be >= 0"),
+    ("ball", 2, np.array([[5.0, 5.0]]), np.ones(1), 2, r"node \[5.0, 5.0\] is not on the ball"),
+    ("sphere", 2, np.array([[1.0, 0.0], [0.0, 0.5]]), np.ones(2), 2,
+     r"node \[0.0, 0.5\] is not on the sphere"),
+], ids=["width", "count", "nan-weight", "inf-weight", "nan-node", "inf-node",
+        "negative-exactness", "outside-ball", "off-sphere"])
+def test_rule_rejects_unusable_input(domain, dim, nodes, weights, exactness, match):
     with pytest.raises(ValueError, match=match):
-        QuadratureRule("ball", dim, nodes, weights, 2)
+        QuadratureRule(domain, dim, nodes, weights, exactness)
     # as written to and read back from a file
-    text = json.dumps({"domain": "ball", "dim": dim, "exactness_degree": 2,
+    text = json.dumps({"domain": domain, "dim": dim, "exactness_degree": exactness,
                        "nodes": nodes.tolist(), "weights": weights.tolist()})
     with pytest.raises(ValueError, match=match):
         QuadratureRule.from_json_dict(json.loads(text))
@@ -197,8 +224,17 @@ def test_non_finite_coefficient_raises_the_evaluation_error():
     # inf * 0 in the evaluation is NaN; the caller gets the ValueError, not
     # numpy's invalid-value warning (an error under this suite's filter)
     p = MultiIndexPolynomial(2, {(1, 0): math.inf, (0, 1): 1.0})
+    rule = build_ball_rule(2, 6)
     with pytest.raises(ValueError, match="non-finite evaluation at node"):
-        evaluate_on_nodes(p, build_ball_rule(2, 6))
+        evaluate_on_nodes(p, rule)
+
+
+@pytest.mark.parametrize("sup_grid", [None, ball_sup_grid(2, 64)], ids=["nodes", "grid"])
+def test_sup_norm_rejects_non_finite_values(sup_grid):
+    # the sup norm takes the same checked evaluation as every finite q
+    p = MultiIndexPolynomial(2, {(1, 0): math.inf, (0, 1): 1.0})
+    with pytest.raises(ValueError, match="non-finite evaluation at node"):
+        lq_norm(p, build_ball_rule(2, 6), math.inf, sup_grid=sup_grid)
 
 
 @pytest.mark.parametrize("exactness", [4, 7, 10])

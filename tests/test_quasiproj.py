@@ -103,7 +103,8 @@ def test_projector_kills_degree_2s_basis_element(basis_factory):
     d, s = 2, 2
     basis = basis_factory(d, 2 * s, 4 * s + 4)
     proj = QuasiProjector(basis, s)
-    high = basis.polys[basis.graded_block(2 * s)[0]]
+    high = basis.polys[math.comb(2 * s - 1 + d, d)]    # the first element of degree 2s
+    assert basis.degrees[math.comb(2 * s - 1 + d, d)] == 2 * s
     assert coeff_max(proj.apply(high)) < 1e-9
 
 
