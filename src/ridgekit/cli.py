@@ -7,6 +7,15 @@ import sys
 
 import numpy as np
 
+from .orthobasis import ConditioningError
+from .quadrature import NodeCapError
+from .ridge_real import DecompositionError, SpanningError
+
+# Exit status of a command stopped by one of LIBRARY_ERRORS; 1 is a failed
+# check, and argparse exits with 2 on a usage error.
+LIBRARY_ERROR_STATUS = 3
+LIBRARY_ERRORS = (ConditioningError, DecompositionError, NodeCapError, SpanningError)
+
 
 def _cmd_basis(args):
     from .orthobasis import build_basis
@@ -164,7 +173,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LIBRARY_ERRORS as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return LIBRARY_ERROR_STATUS
 
 
 if __name__ == "__main__":

@@ -169,7 +169,6 @@ def build_basis(d, s_max, rule):
                 f"({len(rows)} monomials of its parity on {orbits.count} node orbits)")
         block = monomial_values([exponents[i] for i in rows], orbits.representatives)
         weighted = block * sqrt_w
-        floor = 1e-12 * np.maximum(1.0, np.linalg.norm(weighted, axis=1))
         # the QR of weighted.T, factored in place
         factored, _, info = dgeqrt(min(QR_BLOCK, len(rows)), weighted.T, overwrite_a=True)
         if info != 0:
@@ -177,6 +176,8 @@ def build_basis(d, s_max, rule):
         r = np.triu(factored[:len(rows)])
         del weighted, factored      # free the block-sized buffer before the solves
         diag = np.diag(r)
+        # column i of R has the norm of weighted monomial i (Q is orthonormal)
+        floor = 1e-12 * np.maximum(1.0, np.linalg.norm(r, axis=0))
         bad = np.flatnonzero(np.abs(diag) < floor)
         if bad.size:
             i = bad[0]

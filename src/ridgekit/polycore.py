@@ -325,17 +325,18 @@ class _SparsePolynomial:
         The terms are grouped by their exponents in all flat variables but
         the last (their heads): row h of `grouped` holds, at column p, the
         coefficient of head h times the last variable to the power p, and row
-        h of `head_exponents` is head h.  `eval_many` builds the layout on
-        every call; a caller that evaluates one polynomial many times can
-        build it once."""
-        heads, rows, powers = {}, [], []
-        for k in self._terms:
-            rows.append(heads.setdefault(k[:-1], len(heads)))
-            powers.append(k[-1])
-        grouped = np.zeros((len(heads), max(powers, default=-1) + 1), dtype=dtype)
-        grouped[rows, powers] = [dtype(c) for c in self._terms.values()]
+        h of `head_exponents` is head h, in order of first appearance.
+        `eval_many` builds the layout on every call; a caller that evaluates
+        one polynomial many times can build it once."""
         width = self._halves * self.dim
-        return grouped, np.array(list(heads), dtype=np.intp).reshape(len(heads), width - 1)
+        keys = np.fromiter(itertools.chain.from_iterable(self._terms), np.intp).reshape(-1, width)
+        heads = keys.copy()
+        heads[:, -1] = 0    # so a row, read as one void, is an exact key of its head
+        _, first, inverse = np.unique(heads.view(f"V{heads.itemsize * width}")[:, 0],
+                                      return_index=True, return_inverse=True)
+        grouped = np.zeros((first.size, keys[:, -1].max(initial=-1) + 1), dtype=dtype)
+        grouped[inverse, keys[:, -1]] = np.fromiter(self._terms.values(), dtype)
+        return grouped[np.argsort(first)], keys[np.sort(first), :-1]
 
     def map_coefficients(self, fn):
         return self._from_flat(self.dim, {k: fn(c) for k, c in self._terms.items()})
@@ -416,25 +417,26 @@ def monomial_table(exponents, points):
     """(T, N) array whose entry (t, i) is prod_j points[i, j] ** exponents[t, j].
 
     `exponents` is an int array of shape (T, k), `points` a real or complex
-    array of shape (N, k).  Each variable gets a table of its powers built by
-    repeated multiplication, whose rows are gathered into the product.
+    array of shape (N, k).  The rows of each variable's `_power_table` are
+    gathered into the product, which starts from the first variable's rows.
     """
-    exponents = np.asarray(exponents, dtype=np.intp)
-    points = np.asarray(points)
-    count = points.shape[0]
-    table = np.ones((exponents.shape[0], count), dtype=points.dtype)
-    for j in range(exponents.shape[1]):
-        column = exponents[:, j]
-        top = int(column.max(initial=0))
-        if top == 0:
-            continue
-        powers = np.empty((top + 1, count), dtype=points.dtype)
-        powers[0] = 1
-        powers[1] = points[:, j]
-        for e in range(2, top + 1):
-            np.multiply(powers[e - 1], points[:, j], out=powers[e])
-        table *= powers[column]
+    exponents, points = np.asarray(exponents, dtype=np.intp), np.asarray(points)
+    table = None
+    for j in np.flatnonzero(exponents.max(axis=0, initial=0)):
+        gathered = _power_table(points[:, j], exponents[:, j].max())[exponents[:, j]]
+        table = gathered if table is None else np.multiply(table, gathered, out=table)
+    if table is None:   # no variable has a nonzero exponent
+        table = np.ones((exponents.shape[0], points.shape[0]), dtype=points.dtype)
     return table
+
+
+def _power_table(x, top):
+    """(top + 1, N) array of x ** 0, ..., x ** top, by repeated multiplication."""
+    powers = np.empty((top + 1, x.shape[0]), dtype=x.dtype)
+    powers[:1], powers[1:2] = 1, x
+    for e in range(2, top + 1):
+        np.multiply(powers[e - 1], x, out=powers[e])
+    return powers
 
 
 def point_chunks(terms, count):
@@ -445,16 +447,14 @@ def point_chunks(terms, count):
 
 def contract_terms(layout, points):
     """Values at an (N, width) array of points of the polynomial whose
-    `layout()` is `layout`.  One matmul with the powers of the last variable
-    contracts it (a multivariate Horner step), and only the distinct heads
-    are tabulated, one chunk of points at a time."""
-    grouped, head_exponents = layout
-    last_exponents = np.arange(grouped.shape[1])[:, None]
+    `layout()` is `layout`.  One matmul with the power table of the last
+    variable contracts it (a multivariate Horner step), and only the distinct
+    heads are tabulated, one chunk of points at a time."""
+    grouped, heads = layout
     out = np.empty(points.shape[0], dtype=grouped.dtype)
     for chunk in point_chunks(sum(grouped.shape), points.shape[0]):
-        inner = grouped @ monomial_table(last_exponents, points[chunk, -1:])
-        heads_table = monomial_table(head_exponents, points[chunk, :-1])
-        out[chunk] = np.einsum("hn,hn->n", inner, heads_table)
+        inner = grouped @ _power_table(points[chunk, -1], grouped.shape[1] - 1)
+        out[chunk] = np.einsum("hn,hn->n", inner, monomial_table(heads, points[chunk, :-1]))
     return out
 
 

@@ -179,6 +179,7 @@ class MirrorOrbits:
         self.weights = np.bincount(self.index, weights=rule.weights)
         self.node_weights = rule.weights
         self.node_signs = np.sign(nodes[:, self.axes])
+        self._signs = {}
 
     @property
     def count(self):
@@ -186,9 +187,13 @@ class MirrorOrbits:
 
     def signs(self, parity):
         """Per node, the product of sign(x_j) over the axes j where `parity`
-        (one exponent parity per coordinate) is odd."""
-        odd = [i for i, j in enumerate(self.axes) if parity[j] % 2]
-        return np.prod(self.node_signs[:, odd], axis=1)
+        (one exponent parity per coordinate) is odd.  Computed once per set
+        of odd axes and returned read-only."""
+        odd = tuple(i for i, j in enumerate(self.axes) if parity[j] % 2)
+        if odd not in self._signs:
+            self._signs[odd] = np.prod(self.node_signs[:, list(odd)], axis=1)
+            self._signs[odd].setflags(write=False)
+        return self._signs[odd]
 
     def fold(self, values, parity):
         """Orbit sums of weight * values * signs(parity), one per representative."""

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from ridgekit import pipeline
 from ridgekit.pipeline import (CSV_HEADER, ExperimentConfig, RateReport,
                                approximate_by_ridge, fit_polynomial,
                                make_target, rate_sweep, select_degree, verify)
@@ -146,6 +147,27 @@ def test_rate_sweep_deterministic_bytes():
     assert a == b
 
 
+def test_rate_sweep_fits_each_degree_once(monkeypatch):
+    # budgets 4 and 8 both select s = 1 at budget_factor 4
+    cfg = small_cfg(n_list=(4, 8, 16), target="ramp_cubed")
+    rule = build_ball_rule(3, 2 * 3 + cfg.rule_extra_exactness)     # as rate_sweep builds it
+    basis = build_basis(3, 3, rule)
+    alone = [approximate_by_ridge(make_target(cfg.target, 3), n, cfg, basis=basis, rule=rule)[1]
+             for n in cfg.n_list]
+    fitted_degrees = []
+
+    def counting_fit(f, s, basis):
+        fitted_degrees.append(s)
+        return fit_polynomial(f, s, basis)
+
+    monkeypatch.setattr(pipeline, "fit_polynomial", counting_fit)
+    rows = rate_sweep(cfg).rows
+    assert [row["s"] for row in rows] == [1, 1, 3]
+    assert fitted_degrees == [1, 3]
+    for row, want in zip(rows, alone):
+        assert {k: v for k, v in row.items() if k != "seconds"} == want
+
+
 def test_rate_sweep_single_point_slope_null():
     cfg = small_cfg(n_list=(8,))
     report = rate_sweep(cfg)
@@ -209,3 +231,11 @@ def test_cli_rate_sweep(tmp_path, capsys):
                  "--csv", str(csv_path)]) == 0
     assert csv_path.read_text().splitlines()[0] == CSV_HEADER
     capsys.readouterr()
+
+
+def test_cli_reports_library_errors_without_traceback(capsys):
+    from ridgekit.cli import LIBRARY_ERROR_STATUS, main
+    # a degree-40 basis in 6 variables needs a ball rule of about 1e10 nodes
+    assert main(["basis", "--dim", "6", "--max-degree", "40"]) == LIBRARY_ERROR_STATUS != 0
+    err = capsys.readouterr().err
+    assert err.startswith("NodeCapError: ball rule needs ") and "Traceback" not in err

@@ -406,6 +406,79 @@ def test_monomial_table_matches_definition():
     assert monomial_table(np.zeros((0, 3), dtype=int), pts).shape == (0, 40)
 
 
+def dict_layout(poly, dtype):
+    """The layout as a loop over the terms builds it: heads numbered in order
+    of first appearance in a dict, the reference for `layout`."""
+    heads, rows, powers = {}, [], []
+    for k in poly._terms:
+        rows.append(heads.setdefault(k[:-1], len(heads)))
+        powers.append(k[-1])
+    grouped = np.zeros((len(heads), max(powers, default=-1) + 1), dtype=dtype)
+    grouped[rows, powers] = [dtype(c) for c in poly._terms.values()]
+    width = poly._halves * poly.dim
+    return grouped, np.array(list(heads), dtype=np.intp).reshape(len(heads), width - 1)
+
+
+LAYOUT_CASES = {
+    # grlex order meets the heads (1, 0), (0, 2), (0, 0), (0, 2): not sorted
+    "unsorted-heads": (MultiIndexPolynomial(3, {(0, 2, 0): 1.5, (1, 0, 0): -2.0, (0, 2, 1): 3.0,
+                                                (0, 0, 3): 0.25}), float),
+    "sparse-random": (MultiIndexPolynomial(4, {k: float(i % 7) - 3.0 for i, k in
+                                               enumerate(monomials_up_to(4, 6)) if i % 3}), float),
+    "fractions": (MultiIndexPolynomial(2, {(3, 1): Fraction(1, 3), (0, 4): Fraction(-2, 7),
+                                           (3, 0): Fraction(5)}), float),
+    "empty": (MultiIndexPolynomial.zero(3), float),
+    "empty-complex": (ComplexBiPolynomial.zero(2), complex),
+    "width-1": (MultiIndexPolynomial(1, {(0,): 1.0, (4,): -0.5, (2,): 2.0}), float),
+    "constant-width-1": (MultiIndexPolynomial.constant(1, 3.0), float),
+    "complex": (ComplexBiPolynomial(2, {((1, 0), (0, 2)): 1 - 2j, ((0, 1), (1, 0)): 0.5j,
+                                        ((0, 0), (0, 0)): 3.0, ((2, 0), (0, 0)): -1.0}), complex),
+    "exact-complex": (ComplexBiPolynomial(1, {((2,), (1,)): ExactComplex(Fraction(1, 3), -1),
+                                              ((0,), (3,)): ExactComplex(2, Fraction(1, 7))}),
+                      complex),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_layout_equals_dict_reference(case):
+    poly, dtype = LAYOUT_CASES[case]
+    for got, want in zip(poly.layout(dtype), dict_layout(poly, dtype)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_layout_keeps_heads_in_order_of_first_appearance():
+    _, heads = LAYOUT_CASES["unsorted-heads"][0].layout(float)
+    assert heads.tolist() == [[1, 0], [0, 2], [0, 0]]
+
+
+def naive_monomial(exponents, point):
+    """prod_j point[j] ** exponents[j] by repeated multiplication in Python."""
+    value = 1
+    for x, e in zip(point, exponents):
+        for _ in range(e):
+            value = value * x
+    return value
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_monomial_table_is_exact_on_dyadic_points(kind):
+    # 4-bit dyadic entries and total degree <= 6: every product, in any
+    # order, is exact in binary, so the table must equal the naive product
+    rng = np.random.default_rng(17)
+    points = rng.integers(-8, 9, size=(30, 3)) / 4.0
+    if kind == "complex":
+        points = points + 1j * rng.integers(-8, 9, size=(30, 3)) / 4.0
+    exponents = np.array(monomials_up_to(3, 6))
+    exponents[:, 1] = 0                     # a variable that never contributes
+    for exps in (exponents, exponents[:0], np.zeros((4, 3), dtype=int)):
+        table = monomial_table(exps, points)
+        naive = np.array([[naive_monomial(k, x) for x in points] for k in exps.tolist()],
+                         dtype=points.dtype).reshape(len(exps), len(points))
+        assert table.shape == naive.shape and table.dtype == points.dtype
+        assert np.array_equal(table, naive)
+
+
 def test_monomial_values_match_definition():
     rng = np.random.default_rng(6)
     exps = monomials_up_to(2, 9)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -250,6 +251,12 @@ def test_ball_rule_mirror_axes(d, exactness):
     expanded = orbits.representatives[orbits.index]
     expanded[:, orbits.axes] *= orbits.node_signs
     assert np.array_equal(expanded, rule.nodes)
+    # a parity's signs are the product over its odd mirror axes, computed once
+    for parity in itertools.product((0, 1), repeat=d):
+        signs = orbits.signs(parity)
+        odd = [i for i, j in enumerate(orbits.axes) if parity[j]]
+        assert np.array_equal(signs, np.prod(orbits.node_signs[:, odd], axis=1))
+        assert orbits.signs(parity) is signs and not signs.flags.writeable
 
 
 @pytest.mark.parametrize("d,exactness,count", [(3, 32, 2601), (4, 16, 2025)])
