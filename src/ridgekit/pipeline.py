@@ -176,13 +176,8 @@ def _lq_error(f, g, rule, q, sup_grid):
     return lq_norm(diff, rule, q, sup_grid=sup_grid)
 
 
-def approximate_by_ridge(f, n, cfg, basis=None, rule=None, fits=None):
-    """Fit + decompose with budget n; returns (decomposition, error report dict).
-
-    `fits` maps a degree s to the fitted polynomial of f and its fit error; a
-    caller that passes the same f, cfg, basis and rule for several budgets can
-    share one map between the calls, so that budgets of one degree share one
-    fit, made in the first call that needs it."""
+def approximate_by_ridge(f, n, cfg, basis=None, rule=None):
+    """Fit + decompose with budget n; returns (decomposition, error report dict)."""
     d, ell = cfg.d, cfg.ell
     m = d - ell + 1
     if n < dim_homogeneous(m, 1):
@@ -193,12 +188,9 @@ def approximate_by_ridge(f, n, cfg, basis=None, rule=None, fits=None):
     if basis is None:
         basis = build_basis(d, s, rule)
 
+    fitted = fit_polynomial(f, s, basis)
     sup_grid = ball_sup_grid(d, cfg.sup_grid_size) if cfg.q == math.inf else None
-    fits = {} if fits is None else fits
-    if s not in fits:
-        fitted = fit_polynomial(f, s, basis)
-        fits[s] = fitted, _lq_error(f, fitted, rule, cfg.q, sup_grid)
-    fitted, fit_error = fits[s]
+    fit_error = _lq_error(f, fitted, rule, cfg.q, sup_grid)
 
     n_dirs = dim_homogeneous(m, s)
     dirs = sample_spanning_directions(m, s, n_dirs, seed=int(np.random.default_rng(
@@ -242,11 +234,10 @@ def rate_sweep(cfg):
     rule = build_ball_rule(d, 2 * s_max + cfg.rule_extra_exactness)
     basis = build_basis(d, s_max, rule)
     target = make_target(cfg.target, d, cfg.target_params)
-    fits = {}   # rows of one degree share one fit
 
     def run_point(n):
         start = time.perf_counter()
-        _, report = approximate_by_ridge(target, n, cfg, basis=basis, rule=rule, fits=fits)
+        _, report = approximate_by_ridge(target, n, cfg, basis=basis, rule=rule)
         report["seconds"] = time.perf_counter() - start
         return report
 

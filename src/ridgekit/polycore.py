@@ -328,15 +328,14 @@ class _SparsePolynomial:
         h of `head_exponents` is head h, in order of first appearance.
         `eval_many` builds the layout on every call; a caller that evaluates
         one polynomial many times can build it once."""
+        heads, rows, powers = {}, [], []
+        for k in self._terms:
+            rows.append(heads.setdefault(k[:-1], len(heads)))
+            powers.append(k[-1])
+        grouped = np.zeros((len(heads), max(powers, default=-1) + 1), dtype=dtype)
+        grouped[rows, powers] = [dtype(c) for c in self._terms.values()]
         width = self._halves * self.dim
-        keys = np.fromiter(itertools.chain.from_iterable(self._terms), np.intp).reshape(-1, width)
-        heads = keys.copy()
-        heads[:, -1] = 0    # so a row, read as one void, is an exact key of its head
-        _, first, inverse = np.unique(heads.view(f"V{heads.itemsize * width}")[:, 0],
-                                      return_index=True, return_inverse=True)
-        grouped = np.zeros((first.size, keys[:, -1].max(initial=-1) + 1), dtype=dtype)
-        grouped[inverse, keys[:, -1]] = np.fromiter(self._terms.values(), dtype)
-        return grouped[np.argsort(first)], keys[np.sort(first), :-1]
+        return grouped, np.array(list(heads), dtype=np.intp).reshape(len(heads), width - 1)
 
     def map_coefficients(self, fn):
         return self._from_flat(self.dim, {k: fn(c) for k, c in self._terms.items()})

@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from ridgekit import pipeline
 from ridgekit.pipeline import (CSV_HEADER, ExperimentConfig, RateReport,
                                approximate_by_ridge, fit_polynomial,
                                make_target, rate_sweep, select_degree, verify)
@@ -145,27 +144,6 @@ def test_rate_sweep_deterministic_bytes():
     a = rate_sweep(cfg).to_csv_text()
     b = rate_sweep(cfg).to_csv_text()
     assert a == b
-
-
-def test_rate_sweep_fits_each_degree_once(monkeypatch):
-    # budgets 4 and 8 both select s = 1 at budget_factor 4
-    cfg = small_cfg(n_list=(4, 8, 16), target="ramp_cubed")
-    rule = build_ball_rule(3, 2 * 3 + cfg.rule_extra_exactness)     # as rate_sweep builds it
-    basis = build_basis(3, 3, rule)
-    alone = [approximate_by_ridge(make_target(cfg.target, 3), n, cfg, basis=basis, rule=rule)[1]
-             for n in cfg.n_list]
-    fitted_degrees = []
-
-    def counting_fit(f, s, basis):
-        fitted_degrees.append(s)
-        return fit_polynomial(f, s, basis)
-
-    monkeypatch.setattr(pipeline, "fit_polynomial", counting_fit)
-    rows = rate_sweep(cfg).rows
-    assert [row["s"] for row in rows] == [1, 1, 3]
-    assert fitted_degrees == [1, 3]
-    for row, want in zip(rows, alone):
-        assert {k: v for k, v in row.items() if k != "seconds"} == want
 
 
 def test_rate_sweep_single_point_slope_null():

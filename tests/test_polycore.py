@@ -406,19 +406,6 @@ def test_monomial_table_matches_definition():
     assert monomial_table(np.zeros((0, 3), dtype=int), pts).shape == (0, 40)
 
 
-def dict_layout(poly, dtype):
-    """The layout as a loop over the terms builds it: heads numbered in order
-    of first appearance in a dict, the reference for `layout`."""
-    heads, rows, powers = {}, [], []
-    for k in poly._terms:
-        rows.append(heads.setdefault(k[:-1], len(heads)))
-        powers.append(k[-1])
-    grouped = np.zeros((len(heads), max(powers, default=-1) + 1), dtype=dtype)
-    grouped[rows, powers] = [dtype(c) for c in poly._terms.values()]
-    width = poly._halves * poly.dim
-    return grouped, np.array(list(heads), dtype=np.intp).reshape(len(heads), width - 1)
-
-
 LAYOUT_CASES = {
     # grlex order meets the heads (1, 0), (0, 2), (0, 0), (0, 2): not sorted
     "unsorted-heads": (MultiIndexPolynomial(3, {(0, 2, 0): 1.5, (1, 0, 0): -2.0, (0, 2, 1): 3.0,
@@ -440,11 +427,19 @@ LAYOUT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
-def test_layout_equals_dict_reference(case):
+def test_layout_matches_its_definition(case):
+    # row h of `grouped` holds head h's coefficients by power of the last flat
+    # variable, and the heads come in order of their first appearance
     poly, dtype = LAYOUT_CASES[case]
-    for got, want in zip(poly.layout(dtype), dict_layout(poly, dtype)):
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    grouped, heads = poly.layout(dtype)
+    width = poly._halves * poly.dim
+    want_heads = list(dict.fromkeys(k[:-1] for k in poly._terms))
+    assert heads.dtype == np.intp and heads.shape == (len(want_heads), width - 1)
+    assert [tuple(h) for h in heads.tolist()] == want_heads
+    want = np.zeros((len(want_heads), max((k[-1] for k in poly._terms), default=-1) + 1), dtype)
+    for k, c in poly._terms.items():
+        want[want_heads.index(k[:-1]), k[-1]] = dtype(c)
+    assert grouped.dtype == want.dtype and np.array_equal(grouped, want)
 
 
 def test_layout_keeps_heads_in_order_of_first_appearance():
