@@ -317,25 +317,9 @@ class _SparsePolynomial:
         return total
 
     def layout(self, dtype):
-        """Evaluation layout of the terms, with the coefficients taken as
-        `dtype` (float or complex): the pair (grouped, head_exponents) that
-        `contract_terms` evaluates at flat points (x, or z followed by
-        conj(z)).
-
-        The terms are grouped by their exponents in all flat variables but
-        the last (their heads): row h of `grouped` holds, at column p, the
-        coefficient of head h times the last variable to the power p, and row
-        h of `head_exponents` is head h, in order of first appearance.
-        `eval_many` builds the layout on every call; a caller that evaluates
-        one polynomial many times can build it once."""
-        heads, rows, powers = {}, [], []
-        for k in self._terms:
-            rows.append(heads.setdefault(k[:-1], len(heads)))
-            powers.append(k[-1])
-        grouped = np.zeros((len(heads), max(powers, default=-1) + 1), dtype=dtype)
-        grouped[rows, powers] = [dtype(c) for c in self._terms.values()]
-        width = self._halves * self.dim
-        return grouped, np.array(list(heads), dtype=np.intp).reshape(len(heads), width - 1)
+        """`terms_layout` of the terms as `dtype` (float or complex), at flat points."""
+        return terms_layout(self._terms, np.array([dtype(c) for c in self._terms.values()], dtype),
+                            self._halves * self.dim)
 
     def map_coefficients(self, fn):
         return self._from_flat(self.dim, {k: fn(c) for k, c in self._terms.items()})
@@ -444,16 +428,37 @@ def point_chunks(terms, count):
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+def terms_layout(keys, coefficients, width):
+    """The pair (grouped, head_exponents) that `contract_terms` evaluates at
+    flat points (x, or z then conj z): the polynomials with coefficients over
+    the flat `keys` (of length `width`) along the last axis of `coefficients`.
+    Entry (..., h, p) of `grouped` is the coefficient of head h (a key but its
+    last entry) times x_last^p; heads are in order of first appearance."""
+    heads, rows, powers = {}, [], []
+    for k in keys:
+        rows.append(heads.setdefault(k[:-1], len(heads)))
+        powers.append(k[-1])
+    grouped = np.zeros(coefficients.shape[:-1] + (len(heads), max(powers, default=-1) + 1),
+                       coefficients.dtype)
+    grouped[..., rows, powers] = coefficients
+    return grouped, np.array(list(heads), dtype=np.intp).reshape(len(heads), width - 1)
+
+
 def contract_terms(layout, points):
     """Values at an (N, width) array of points of the polynomial whose
-    `layout()` is `layout`.  One matmul with the power table of the last
+    `layout()` is `layout`, or (B, N) values of a stacked layout, whose
+    `grouped` is (B, H, p+1).  One matmul with the power table of the last
     variable contracts it (a multivariate Horner step), and only the distinct
-    heads are tabulated, one chunk of points at a time."""
+    heads are tabulated, one chunk of points at a time.  The chunks are those
+    of one polynomial (a matmul's result can change with its column count),
+    and a stack's rows share them in groups whose inner products fit."""
     grouped, heads = layout
-    out = np.empty(points.shape[0], dtype=grouped.dtype)
-    for chunk in point_chunks(sum(grouped.shape), points.shape[0]):
-        inner = grouped @ _power_table(points[chunk, -1], grouped.shape[1] - 1)
-        out[chunk] = np.einsum("hn,hn->n", inner, monomial_table(heads, points[chunk, :-1]))
+    out = np.empty(grouped.shape[:-2] + points.shape[:1], dtype=grouped.dtype)
+    for chunk in point_chunks(sum(grouped.shape[-2:]), points.shape[0]):
+        powers = _power_table(points[chunk, -1], grouped.shape[-1] - 1)
+        table = monomial_table(heads, points[chunk, :-1])
+        for rows in point_chunks(table.size, len(grouped)) if grouped.ndim == 3 else [Ellipsis]:
+            out[rows, chunk] = np.einsum("...hn,hn->...n", grouped[rows] @ powers, table)
     return out
 
 

@@ -242,9 +242,15 @@ def _finite_values(f, points):
         values = _values(f, points)
     if values.shape[0] != points.shape[0]:
         raise ValueError("function did not return one value per node")
+    return _require_finite(values, points)
+
+
+def _require_finite(values, points):
+    """`values`, whose last axis runs over `points`; a non-finite one raises
+    ValueError naming its node."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise ValueError(f"non-finite evaluation at node {points[bad[0]].tolist()}")
+        raise ValueError(f"non-finite evaluation at node {points[bad[0] % len(points)].tolist()}")
     return values
 
 
@@ -269,7 +275,11 @@ def lq_norm(f, rule, q, sup_grid=None):
         return float(np.max(np.abs(_finite_values(f, points))))
     if q < 1:
         raise ValueError("q must be >= 1 or inf")
-    values = evaluate_on_nodes(f, rule)
+    return lq_of_values(evaluate_on_nodes(f, rule), rule, q)
+
+
+def lq_of_values(values, rule, q):
+    """L^q norm (finite q >= 1) of the values at the rule's nodes."""
     return float(np.sum(rule.weights * np.abs(values) ** q) ** (1.0 / q))
 
 

@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .orthobasis import filtered_projection
-from .polycore import MultiIndexPolynomial, _grlex_multi_indices, _polynomials_from_rows
-from .quadrature import evaluate_on_nodes, lq_norm
+from .polycore import _grlex_multi_indices, contract_terms, terms_layout
+from .quadrature import _require_finite, evaluate_on_nodes, lq_norm, lq_of_values
 
 
 def mollifier(t):
@@ -108,26 +108,20 @@ def verify_cesaro_identity(proj, f, sigma):
     return max(abs(c) for c in diff.terms.values())
 
 
-def _random_trial(proj, rng, kind):
-    basis = proj.basis
-    d, s = basis.dim, proj.s
-    if kind == "poly":
-        degree = max(1, min(4 * s, basis.rule.exactness_degree - basis.max_degree))
-        keys = _grlex_multi_indices(d, degree)
-        # one draw gives the same stream as one standard_normal() per key
-        draws = rng.standard_normal(len(keys))
-        return _polynomials_from_rows(MultiIndexPolynomial, d, keys, draws[None, :])[0]
-    # localized bump profile centered inside the ball
+def _bump_trial(d, rng):
+    """Localized bump centered inside the ball, drawn from `rng`, on (N, d) points."""
     center = rng.standard_normal(d)
     center *= rng.random() * 0.6 / max(1e-12, np.linalg.norm(center))
     width = 0.15 + 0.5 * rng.random()
+    return lambda points: mollifier(1.0 - np.sum(((points - center) / width) ** 2, axis=1))
 
-    def bump(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        arg = 1.0 - np.sum(((points - center) / width) ** 2, axis=1)
-        return mollifier(arg)
 
-    return bump
+def _rows_on_nodes(keys, rows, rule):
+    """Values at the rule's nodes of the polynomials with coefficients `rows`
+    over `keys`, by one stacked contraction; non-finite ones raise ValueError."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _require_finite(contract_terms(terms_layout(keys, rows, rule.dim), rule.nodes),
+                               rule.nodes)
 
 
 def estimate_l1_operator_norm(proj, trial_count, seed=0):
@@ -135,21 +129,31 @@ def estimate_l1_operator_norm(proj, trial_count, seed=0):
 
     Trials alternate random polynomials of degree <= 4s with localized bump
     profiles; each trial is seeded independently so larger trial counts extend
-    (never replace) smaller ones.  A trial is evaluated on the rule's nodes
-    once: its L1 norm and its projection read the same values.
-    """
+    (never replace) smaller ones.  All polynomial trials are evaluated at the
+    rule's nodes from their coefficients in one stacked contraction, and so
+    are all images, over the monomials of degree <= 2s-1.  A trial's L1 norm
+    and its projection read its node values."""
     if trial_count < 1:
         raise ValueError("need at least one trial")
-    best = 0.0
-    rule = proj.basis.rule
+    basis, rule, d = proj.basis, proj.basis.rule, proj.basis.dim
+    degree = max(1, min(4 * proj.s, rule.exactness_degree - basis.max_degree))
+    keys = _grlex_multi_indices(d, degree)
+    # one draw gives the same stream as one standard_normal() per key
+    draws = [np.random.default_rng([seed, t]).standard_normal(len(keys))
+             for t in range(0, trial_count, 2)]
+    polys = _rows_on_nodes(keys, np.array(draws), rule)
+    denoms, images = [], []
     for t in range(trial_count):
-        rng = np.random.default_rng([seed, t])
-        values = evaluate_on_nodes(_random_trial(proj, rng, "poly" if t % 2 == 0 else "bump"),
-                                   rule)
+        values = polys[t // 2] if t % 2 == 0 else evaluate_on_nodes(
+            _bump_trial(d, np.random.default_rng([seed, t])), rule)
         on_nodes = lambda points: values  # asked only for the rule's nodes
         denom = lq_norm(on_nodes, rule, 1)
-        if denom < 1e-14:
-            continue
-        image = proj.apply(on_nodes)
-        best = max(best, lq_norm(image, rule, 1) / denom)
-    return best
+        if denom >= 1e-14:
+            denoms.append(denom)
+            images.append(proj.apply(on_nodes).terms)
+    prefix = _grlex_multi_indices(d, 2 * proj.s - 1)
+    rows = np.zeros((len(images), len(prefix)))
+    for row, terms in zip(rows, images):
+        row[[basis._position[k] for k in terms]] = list(terms.values())
+    norms = [lq_of_values(values, rule, 1) for values in _rows_on_nodes(prefix, rows, rule)]
+    return max([0.0] + [norm / denom for norm, denom in zip(norms, denoms)])

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import dd_poly_values
 from ridgekit.orthobasis import monomial_values
-from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex,
-                               MultiIndexPolynomial, dim_complex_bihomogeneous,
+from ridgekit.polycore import (TABLE_ELEMENTS, ComplexBiPolynomial, ExactComplex, MultiIndex,
+                               MultiIndexPolynomial, contract_terms, dim_complex_bihomogeneous,
                                dim_homogeneous, grlex_key, monomial_table,
-                               monomials_up_to, point_chunks, rank_grlex,
+                               monomials_up_to, point_chunks, rank_grlex, terms_layout,
                                unrank_grlex)
 from ridgekit.quadrature import ball_sup_grid
 from ridgekit.ridge_real import U
@@ -445,6 +445,40 @@ def test_layout_matches_its_definition(case):
 def test_layout_keeps_heads_in_order_of_first_appearance():
     _, heads = LAYOUT_CASES["unsorted-heads"][0].layout(float)
     assert heads.tolist() == [[1, 0], [0, 2], [0, 0]]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("keys", ["dense", "sparse"])
+def test_stacked_contraction_equals_each_rows_eval_many_bitwise(dim, keys):
+    # one stacked layout over grlex keys against each row's own polynomial,
+    # on more points than one chunk of one polynomial holds
+    rng = np.random.default_rng(10 * dim + (keys == "sparse"))
+    degree = {1: 12, 2: 9, 3: 6, 4: 4}[dim]
+    exps = [k for k in monomials_up_to(dim, degree) if keys == "dense" or rng.random() < 0.3]
+    rows = rng.standard_normal((7, len(exps)))
+    grouped, heads = terms_layout(exps, rows, dim)
+    polys = [MultiIndexPolynomial(dim, dict(zip(exps, row.tolist()))) for row in rows]
+    count = 2 * TABLE_ELEMENTS // sum(grouped.shape[1:]) + 5
+    assert len(point_chunks(sum(grouped.shape[1:]), count)) > 2
+    points = ball_points(rng, count, dim)
+    values = contract_terms((grouped, heads), points)
+    assert values.shape == (7, count) and values.dtype == np.float64
+    for row, poly, layout in zip(values, polys, grouped):
+        assert np.array_equal(poly.layout(float)[0], layout)
+        assert row.tobytes() == poly.eval_many(points).tobytes()
+
+
+def test_stacked_complex_contraction_equals_each_rows_eval_many_bitwise():
+    rng = np.random.default_rng(11)
+    q = random_bipoly(2, 2, rng)
+    polys = [q.scale(f) for f in (1, 2, -0.5, 3j)]
+    layouts = [p.layout(complex) for p in polys]
+    grouped = np.stack([g for g, _ in layouts])
+    z = ball_points(rng, 2 * TABLE_ELEMENTS // sum(grouped.shape[1:]) + 3, 2, complex_=True)
+    values = contract_terms((grouped, layouts[0][1]), np.hstack([z, np.conj(z)]))
+    assert values.shape == (4, len(z)) and values.dtype == np.complex128
+    for row, poly in zip(values, polys):
+        assert row.tobytes() == poly.eval_many(z).tobytes()
 
 
 def naive_monomial(exponents, point):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ridgekit.polycore import MultiIndex, MultiIndexPolynomial, monomials_up_to
-from ridgekit.quadrature import lq_norm
-from ridgekit.quasiproj import (CutoffFunction, QuasiProjector, _random_trial, cesaro_mean,
-                                estimate_l1_operator_norm, forward_difference,
+from ridgekit.polycore import MultiIndexPolynomial, _grlex_multi_indices, monomials_up_to
+from ridgekit.quadrature import evaluate_on_nodes, lq_norm
+from ridgekit.quasiproj import (CutoffFunction, QuasiProjector, _bump_trial, _rows_on_nodes,
+                                cesaro_mean, estimate_l1_operator_norm, forward_difference,
                                 mollifier, smooth_step, verify_cesaro_identity)
 
 FIXED_POINT_TOL = 1e-10
@@ -155,22 +155,74 @@ def test_norm_estimate_monotone_in_trials(basis_factory):
     (2, 15, 48, (1, 2, 5, 8)),      # trial degrees 4, 8, 20, 32
     (3, 5, 12, (1, 2, 3)),          # trial degrees 4, 7, 7
 ])
-def test_random_trial_equals_constructor_built_polynomial(basis_factory, d, max_degree,
-                                                          exactness, s_list):
+def test_batched_trials_equal_constructor_built_polynomials(basis_factory, d, max_degree,
+                                                            exactness, s_list):
+    # the estimate evaluates its polynomial trials from their coefficients,
+    # all in one stacked contraction, without building them
     basis = basis_factory(d, max_degree, exactness)
+    rule = basis.rule
     for s in s_list:
         if 2 * s - 1 > max_degree:
             continue
-        proj = QuasiProjector(basis, s)
         degree = max(1, min(4 * s, exactness - max_degree))
         keys = monomials_up_to(d, degree)
-        draws = np.random.default_rng([5, s]).standard_normal(len(keys)).tolist()
-        expected = MultiIndexPolynomial(d, dict(zip(keys, draws)))
-        trial = _random_trial(proj, np.random.default_rng([5, s]), "poly")
-        assert type(trial) is MultiIndexPolynomial and trial.dim == d
-        assert list(trial.terms.items()) == list(expected.terms.items())
-        assert all(type(k) is MultiIndex for k in trial.terms)
-        assert all(type(c) is float for c in trial.terms.values())
+        draws = np.array([np.random.default_rng([5, s, t]).standard_normal(len(keys))
+                          for t in range(4)])
+        values = _rows_on_nodes(_grlex_multi_indices(d, degree), draws, rule)
+        assert values.shape == (4, rule.node_count)
+        for row, draw in zip(values, draws):
+            expected = MultiIndexPolynomial(d, dict(zip(keys, draw.tolist())))
+            assert row.tobytes() == expected.eval_many(rule.nodes).tobytes()
+
+
+def reference_l1_operator_norm(proj, trial_count, seed):
+    """The estimate as one polynomial per trial: build the trial, evaluate it
+    on the nodes, project it and take the image's L1 norm with lq_norm."""
+    basis, rule, d = proj.basis, proj.basis.rule, proj.basis.dim
+    degree = max(1, min(4 * proj.s, rule.exactness_degree - basis.max_degree))
+    keys = monomials_up_to(d, degree)
+    best = 0.0
+    for t in range(trial_count):
+        rng = np.random.default_rng([seed, t])
+        if t % 2 == 0:
+            trial = MultiIndexPolynomial(d, dict(zip(keys, rng.standard_normal(len(keys)).tolist())))
+        else:
+            trial = _bump_trial(d, rng)
+        values = evaluate_on_nodes(trial, rule)
+        on_nodes = lambda points: values
+        denom = lq_norm(on_nodes, rule, 1)
+        if denom < 1e-14:
+            continue
+        image = proj.apply(on_nodes)
+        best = max(best, lq_norm(image, rule, 1) / denom)
+    return best
+
+
+@pytest.mark.parametrize("d,max_degree,exactness,s_range,trials", [
+    (2, 15, 48, range(1, 9), 16),     # acceptance_03's estimates
+    (3, 5, 12, range(1, 4), 16),
+    (1, 9, 20, range(1, 6), 16),
+    (2, 7, 16, range(1, 5), 7),       # an odd count ends on a polynomial trial
+])
+def test_l1_estimate_matches_per_trial_reference_bitwise(basis_factory, d, max_degree,
+                                                          exactness, s_range, trials):
+    basis = basis_factory(d, max_degree, exactness)
+    for s in s_range:
+        proj = QuasiProjector(basis, s)
+        got = estimate_l1_operator_norm(proj, trials, seed=103)
+        assert got.hex() == reference_l1_operator_norm(proj, trials, 103).hex(), s
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_batched_non_finite_coefficient_raises_value_error(rule_factory, bad):
+    # inf * 0 in the contraction would warn; the pytest configuration turns
+    # RuntimeWarning into an error, so only the package's message passes
+    rule = rule_factory(2, 8)
+    keys = _grlex_multi_indices(2, 3)
+    rows = np.ones((3, len(keys)))
+    rows[1, 4] = bad
+    with pytest.raises(ValueError, match="non-finite evaluation at node"):
+        _rows_on_nodes(keys, rows, rule)
 
 
 def test_projector_requires_covering_basis(basis_factory):
