@@ -17,7 +17,6 @@ import numpy as np
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndexPolynomial,
                        contract_terms, rank_grlex, unrank_grlex)
 from .quasiproj import smooth_step
-from .ridge_real import _array_from_json, _json_array
 
 CELL_SPACING = 3.0
 BLEND_OUTER = 1.4  # cell value fades to zero by this radius; cells stay disjoint
@@ -26,132 +25,85 @@ UNIT_NORM_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Integer codecs
+# Index codec
+
+# hex digit -> its two base-4 digits
+_QUATERNARY = {ord(h): f"{v // 4}{v % 4}" for v, h in enumerate("0123456789abcdef")}
 
 
-def cantor_pair(a, b):
-    return (a + b) * (a + b + 1) // 2 + b
+def _index_from_lists(lists):
+    """Bijection from nonempty lists of nonempty lists of naturals onto the
+    naturals: the bijective base-4 numeral (digits 1-4) that writes each
+    natural n in bijective binary (digits 1, 2), separates the items of a list
+    by 3 and the lists by 4.  With every digit lowered by one, the numeral is
+    the ordinary base-4 string D of its k digits, worth int(D, 4) +
+    (4^k - 1) / 3, and the bijective binary of n is the binary of n + 1
+    without its leading 1."""
+    digits = "3".join("2".join(format(n + 1, "b")[1:] for n in items) for items in lists)
+    return (int(digits, 4) if digits else 0) + (1 << 2 * len(digits)) // 3
 
 
-def cantor_unpair(n):
-    w = (math.isqrt(8 * n + 1) - 1) // 2
-    b = n - w * (w + 1) // 2
-    return w - b, b
+def _lists_from_index(index):
+    """Inverse of `_index_from_lists`."""
+    # k digits, the most with (4^k - 1) / 3 <= index; 4^k marks the k-th digit from the right
+    power = 1 << 2 * (((3 * index + 1).bit_length() - 1) // 2)
+    marked = format(index - power // 3 + power, "x").translate(_QUATERNARY)
+    digits = marked[marked.index("1") + 1:]
+    return [[int("1" + bits, 2) - 1 for bits in items.split("2")] for items in digits.split("3")]
 
 
-def _fold_sequence(vals):
-    """Bijection N^k -> N for fixed k >= 1, by balanced pairing (keeps the
-    folded integer's bit count near the sum of the inputs' bit counts)."""
-    if len(vals) == 1:
-        return vals[0]
-    mid = len(vals) // 2
-    return cantor_pair(_fold_sequence(vals[:mid]), _fold_sequence(vals[mid:]))
-
-
-def _unfold_sequence(code, k):
-    if k == 1:
-        return [code]
-    mid = k // 2
-    a, b = cantor_unpair(code)
-    return _unfold_sequence(a, mid) + _unfold_sequence(b, k - mid)
-
-
-def _encode_sequence(vals):
-    """Bijection between nonempty finite sequences of naturals and N."""
-    return cantor_pair(len(vals) - 1, _fold_sequence(list(vals)))
-
-
-def _decode_sequence(code):
-    count_minus_1, folded = cantor_unpair(code)
-    return _unfold_sequence(folded, count_minus_1 + 1)
-
-
-def _rational_rank(p, q):
-    """Rank >= 1 of the positive rational p/q (lowest terms) via its canonical
-    continued fraction; rank bit count is polynomial in the bit counts of p, q."""
+def _coefficient_items(c):
+    """Bijection from nonzero Fractions onto finite lists of naturals, with
+    1 -> [] and c < 0 exactly when the first item is odd.  The canonical
+    continued fraction [a0; a1, ..., an] of |c| (an >= 2 once n >= 1) gives
+    [2 a0, a1 - 1, ..., a(n-1) - 1, an - 2]; an integer |c| = a0 gives
+    [2 (a0 - 2)], or [2 (a0 - 1)] when c < 0; then 1 is added to the first
+    item when c < 0."""
+    negative, p, q = c < 0, abs(c.numerator), c.denominator
+    if q == 1:
+        return [] if c == 1 else [2 * (p - 2 + negative) + negative]
     terms = []
     while q:
         terms.append(p // q)
         p, q = q, p % q
-    # canonical form has last term >= 2 unless the fraction is an integer
-    if len(terms) > 1 and terms[-1] == 1:
-        terms.pop()
-        terms[-1] += 1
-    if len(terms) == 1:
-        seq = [terms[0] - 1]
+    return [2 * terms[0] + negative] + [t - 1 for t in terms[1:-1]] + [terms[-1] - 2]
+
+
+def _coefficient_from_items(items):
+    """Inverse of `_coefficient_items`."""
+    if not items:
+        return Fraction(1)
+    head, negative = divmod(items[0], 2)
+    if len(items) == 1:
+        value = Fraction(head + 2 - negative)
     else:
-        seq = [terms[0]] + [t - 1 for t in terms[1:-1]] + [terms[-1] - 2]
-    return _encode_sequence(seq) + 1
-
-
-def _rational_unrank(rank):
-    seq = _decode_sequence(rank - 1)
-    if len(seq) == 1:
-        terms = [seq[0] + 1]
-    else:
-        terms = [seq[0]] + [t + 1 for t in seq[1:-1]] + [seq[-1] + 2]
-    # convergent recurrence: t + 1 / (p / q) = (t p + q) / p, already in lowest terms
-    p, q = terms[-1], 1
-    for t in reversed(terms[:-1]):
-        p, q = t * p + q, p
-    return p, q
-
-
-def encode_rational(value):
-    """Bijection Fraction <-> non-negative integer; 0 maps to 0."""
-    value = Fraction(value)
-    if value == 0:
-        return 0
-    rank = _rational_rank(abs(value.numerator), value.denominator)
-    return 2 * rank - 1 if value > 0 else 2 * rank
-
-
-def decode_rational(code):
-    if code < 0:
-        raise ValueError("code must be non-negative")
-    if code == 0:
-        return Fraction(0)
-    rank, positive = ((code + 1) // 2, code % 2 == 1)
-    p, q = _rational_unrank(rank)
-    return Fraction(p, q) if positive else Fraction(-p, q)
-
-
-def _encode_term_list(pairs):
-    """Bijection between sorted lists [(monomial_rank, coeff_code >= 1)] and
-    non-negative integers; delta-encodes the strictly increasing ranks."""
-    codes = []
-    prev = -1
-    for rank, coeff_code in pairs:
-        codes.append(cantor_pair(rank - prev - 1, coeff_code - 1))
-        prev = rank
-    return _encode_sequence(codes)
-
-
-def _decode_term_list(code):
-    pairs = []
-    prev = -1
-    for g in _decode_sequence(code):
-        delta, coeff_code = cantor_unpair(g)
-        rank = prev + delta + 1
-        pairs.append((rank, coeff_code + 1))
-        prev = rank
-    return pairs
+        terms = [head] + [t + 1 for t in items[1:-1]] + [items[-1] + 2]
+        # convergent recurrence: t + 1 / (p / q) = (t p + q) / p, already in lowest terms
+        p, q = terms[-1], 1
+        for t in reversed(terms[:-1]):
+            p, q = t * p + q, p
+        value = Fraction(p, q)
+    return -value if negative else value
 
 
 class _Dictionary:
     """Index <-> polynomial maps shared by both dictionaries: index 1 is the
-    zero polynomial, and index i > 1 encodes the sorted list of
-    (monomial rank, coefficient code) pairs of a nonzero polynomial.
-    Subclasses give the polynomial class and the codec of one term."""
+    zero polynomial, and index i > 1 is `_index_from_lists` of one list per
+    nonzero coefficient, in slot order, plus 2: the count of empty slots
+    before its slot since the previous term's, then the coefficient's items
+    (`_coefficient_items`).  Subclasses map a polynomial's terms to
+    (slot, nonzero Fraction) pairs and back."""
 
     def polynomial_at(self, index):
         if index < 1:
             raise ValueError("indices start at 1")
         if index in self._cache:
             return self._cache[index]
-        pairs = _decode_term_list(index - 2) if index > 1 else []
-        return self._remember(index, self._polynomial(
-            self.var_count, dict(self._decode_term(rank, code) for rank, code in pairs)))
+        slots, slot = [], -1
+        for gap, *items in (_lists_from_index(index - 2) if index > 1 else []):
+            slot += gap + 1
+            slots.append((slot, _coefficient_from_items(items)))
+        return self._remember(index, self._from_slots(slots))
 
     def _remember(self, index, poly):
         """Cache the entry `poly` at `index` (up to 4096 entries) and return it."""
@@ -164,8 +116,11 @@ class _Dictionary:
             raise ValueError("variable count mismatch")
         if poly.is_zero():
             return 1
-        return _encode_term_list(sorted(self._encode_term(key, c)
-                                        for key, c in poly.terms.items())) + 2
+        lists, previous = [], -1
+        for slot, c in sorted(self._slots(poly)):
+            lists.append([slot - previous - 1] + _coefficient_items(c))
+            previous = slot
+        return _index_from_lists(lists) + 2
 
 
 class PolynomialDictionary(_Dictionary):
@@ -173,19 +128,20 @@ class PolynomialDictionary(_Dictionary):
     real variables.  Index 1 is the zero polynomial; the index <-> polynomial
     maps are mutually inverse for every index."""
 
-    _polynomial = MultiIndexPolynomial
-
     def __init__(self, var_count):
         if var_count < 1:
             raise ValueError("need at least one variable")
         self.var_count = var_count
         self._cache = {}
 
-    def _decode_term(self, rank, code):
-        return unrank_grlex(self.var_count, rank), decode_rational(code)
+    def _from_slots(self, slots):
+        return MultiIndexPolynomial(self.var_count, {
+            unrank_grlex(self.var_count, slot): c for slot, c in slots})
 
-    def _encode_term(self, key, c):
-        return rank_grlex(tuple(key)), encode_rational(c)
+    @staticmethod
+    def _slots(poly):
+        """The slot of a monomial is its graded lexicographic rank."""
+        return [(rank_grlex(tuple(key)), Fraction(c)) for key, c in poly.terms.items()]
 
     def find_index(self, profile, tol):
         """Dictionary entry within `tol` of a float-coefficient profile in the
@@ -209,21 +165,27 @@ class ComplexPolynomialDictionary(_Dictionary):
     """Enumeration of univariate bidegree polynomials (in w and conj w) with
     Gaussian-rational coefficients."""
 
-    _polynomial = ComplexBiPolynomial
     var_count = 1
 
     def __init__(self):
         self._cache = {}
 
     @staticmethod
-    def _decode_term(rank, code):
-        (s, t), (re_code, im_code) = cantor_unpair(rank), cantor_unpair(code)
-        return ((s,), (t,)), ExactComplex(decode_rational(re_code), decode_rational(im_code))
+    def _from_slots(slots):
+        parts = {}
+        for slot, c in slots:
+            parts.setdefault(slot // 2, [Fraction(0), Fraction(0)])[slot % 2] = c
+        return ComplexBiPolynomial(1, {
+            tuple((e,) for e in unrank_grlex(2, rank)): ExactComplex(*pair)
+            for rank, pair in parts.items()})
 
     @staticmethod
-    def _encode_term(key, c):
-        ((s,), (t,)), (re, im) = key, _exact_parts(c)
-        return cantor_pair(s, t), cantor_pair(encode_rational(re), encode_rational(im))
+    def _slots(poly):
+        """The real part of the w^s conj(w)^t coefficient sits in slot
+        2 rank_grlex((s, t)), its imaginary part in the slot after."""
+        return [(2 * rank_grlex((s, t)) + part, value)
+                for ((s,), (t,)), c in poly.terms.items()
+                for part, value in enumerate(_exact_parts(c)) if value]
 
     def find_index(self, profile, tol):
         """Complex counterpart of `PolynomialDictionary.find_index`: real and
@@ -275,12 +237,12 @@ def tau_eval(dictionary, x):
     """Activation value at x in R^ell: the dictionary polynomial of the nearest
     cell, faded out smoothly away from the cell ball.  The m = 0 cell is zero.
 
-    x is a double, so only cells of small index are reachable: the indices of
-    built networks run to about 10^4 bits, where 3m overflows a double (and
-    past 2^53 the offset in the cell is lost).  Networks therefore evaluate
-    each unit in its own cell, without this function."""
+    x is a double, so only cells of small index are reachable: where
+    |x_1| >= 2^53 this raises ValueError (`_cell_index`).  The indices of
+    built networks run to hundreds of bits, so networks evaluate each unit in
+    its own cell, without this function."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    m = round(x[0] / CELL_SPACING)
+    m = _cell_index(x[0])
     if m <= 0:
         return 0.0
     shifted = x.copy()
@@ -293,6 +255,16 @@ def tau_eval(dictionary, x):
     return weight * float(poly.map_coefficients(float).eval_many(shifted[None, :])[0])
 
 
+def _cell_index(first):
+    """Index m of the cell nearest the first input coordinate `first`.  Past
+    2^53 in modulus a double holds neither m nor the offset in the cell, so
+    there this raises ValueError instead of reading another entry's cell."""
+    if not abs(first) < 2.0 ** 53:
+        raise ValueError(f"activation input {first!r} along the cell axis is not below 2^53 "
+                         "in modulus, so its cell and its offset there are lost in a double")
+    return round(first / CELL_SPACING)
+
+
 def _blend_weight(radius):
     """1 inside the unit ball, smooth decay to 0 at the blend radius."""
     return 1.0 - smooth_step((radius - 1.0) / (BLEND_OUTER - 1.0))
@@ -300,9 +272,10 @@ def _blend_weight(radius):
 
 def phi_eval(dictionary, z):
     """Complex activation: phi(z + 3m) = u_m(z) on the unit square cell.
-    Reaches only cells of small index, as `tau_eval` does."""
+    Reaches only cells of small index, and raises where |Re z| >= 2^53, as
+    `tau_eval` does."""
     z = complex(z)
-    m = round(z.real / CELL_SPACING)
+    m = _cell_index(z.real)
     if m <= 0:
         return 0j
     w = z - CELL_SPACING * m
@@ -360,22 +333,11 @@ class _Network:
             values[:, k] = contract_terms(layout, inputs[:, k])
         return (weights * values) @ self._outer
 
-    def to_json_dict(self):
-        return {"type": self._type, "ell": self.ell, "d": self.d, "units": [
-            {**{name: _json_array(u[name], self._dtype) for name in self._fields},
-             "dict_index": hex(u["dict_index"])} for u in self.units]}
-
-    @classmethod
-    def from_json_dict(cls, obj, dictionary):
-        units = [{**{name: _array_from_json(u[name], cls._dtype) for name in cls._fields},
-                  "dict_index": int(u["dict_index"], 16)} for u in obj["units"]]
-        return cls(*(obj[key] for key in cls._header), units, dictionary)
-
 
 class GTNetwork(_Network):
     """Shallow generalized-translation network sum c_k tau(A_k x + b_k)."""
 
-    _type, _dtype, _fields, _header = "gtn", float, ("A", "b", "c"), ("ell", "d")
+    _dtype, _fields, _header = float, ("A", "b", "c"), ("ell", "d")
 
     def __init__(self, ell, d, units, dictionary):
         self.ell = ell
@@ -395,7 +357,7 @@ class GTNetwork(_Network):
 class CVNNetwork(_Network):
     """Shallow complex-valued network sum gamma_k phi(alpha_k . z + beta_k)."""
 
-    _type, _dtype, _fields, _header = "cvnn", complex, ("alpha", "beta", "gamma"), ("d",)
+    _dtype, _fields, _header = complex, ("alpha", "beta", "gamma"), ("d",)
     ell = 1
 
     def eval_many(self, points):

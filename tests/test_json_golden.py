@@ -1,17 +1,14 @@
 """The JSON written for the ridge-sum classes, pinned byte for byte.
 
 One tiny hand-built object of each class: a real and a complex decomposition,
-each with and without `residual`, a GTN and a CVNN whose outer weight `gamma`
-is the float 1.0 (a complex field, so it is written as {"re", "im"}).
+each with and without `residual`.
 """
 
 import json
 
-import numpy as np
 import pytest
 
-from ridgekit import (ComplexBiPolynomial, ComplexPolynomialDictionary, ComplexRidgeDecomposition,
-                      CVNNetwork, GTNetwork, MultiIndexPolynomial, PolynomialDictionary,
+from ridgekit import (ComplexBiPolynomial, ComplexRidgeDecomposition, MultiIndexPolynomial,
                       RidgeDecomposition)
 
 
@@ -23,17 +20,6 @@ def real_decomposition(residual):
 def complex_decomposition(residual):
     profile = ComplexBiPolynomial(1, {((1,), (0,)): 0.5 - 2j, ((0,), (1,)): 1.0})
     return ComplexRidgeDecomposition(2, [[0.6, 0.8j]], [profile], residual)
-
-
-def gtn():
-    unit = {"A": np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]]), "b": np.array([0.25, -0.5]),
-            "c": 1.0, "dict_index": 23}
-    return GTNetwork(2, 3, [unit], PolynomialDictionary(2))
-
-
-def cvnn():
-    unit = {"alpha": np.array([0.6, 0.8j]), "beta": 0.25 - 0.5j, "gamma": 1.0, "dict_index": 5}
-    return CVNNetwork(2, [unit], ComplexPolynomialDictionary())
 
 
 REAL_BLOCKS = ('"blocks": [{"A": [[0.6, 0.8]], "P": {"dim": 1, "terms": '
@@ -51,19 +37,11 @@ GOLDEN = [
      "{" + COMPLEX_BLOCKS + ', "residual": 1e-16}'),
     (lambda: complex_decomposition(None), ComplexRidgeDecomposition.from_json_dict,
      "{" + COMPLEX_BLOCKS + "}"),
-    (gtn, lambda obj: GTNetwork.from_json_dict(obj, PolynomialDictionary(2)),
-     '{"d": 3, "ell": 2, "type": "gtn", "units": [{"A": [[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]], '
-     '"b": [0.25, -0.5], "c": 1.0, "dict_index": "0x17"}]}'),
-    (cvnn, lambda obj: CVNNetwork.from_json_dict(obj, ComplexPolynomialDictionary()),
-     '{"d": 2, "ell": 1, "type": "cvnn", "units": [{"alpha": [{"im": 0.0, "re": 0.6}, '
-     '{"im": 0.8, "re": 0.0}], "beta": {"im": -0.5, "re": 0.25}, "dict_index": "0x5", '
-     '"gamma": {"im": 0.0, "re": 1.0}}]}'),
 ]
 
 
 @pytest.mark.parametrize("build, read, text", GOLDEN,
-                         ids=["real-residual", "real", "complex-residual", "complex", "gtn",
-                              "cvnn"])
+                         ids=["real-residual", "real", "complex-residual", "complex"])
 def test_json_is_pinned_and_round_trips(build, read, text):
     assert json.dumps(build().to_json_dict(), sort_keys=True) == text
     assert json.dumps(read(json.loads(text)).to_json_dict(), sort_keys=True) == text
