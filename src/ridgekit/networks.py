@@ -296,9 +296,10 @@ class _Network:
     Each unit is a dict of its input map, in-cell bias and outer weight (the
     fields `_fields`) and its `dict_index`.  The fields are copied into frozen
     stacks of dtype `_dtype`, `units` holds a dict per unit of read-only
-    views of them, and each unit's profile is laid out for evaluation.  A unit
-    maps a point to `ell` inputs.  Subclasses give the blend weight and sum
-    through `_unit_sum`."""
+    views of them, and the units' profiles are laid out for evaluation, one
+    stacked layout per group of units whose layouts share shape and heads.  A
+    unit maps a point to `ell` inputs.  Subclasses give the blend weight and
+    sum through `_unit_sum`."""
 
     def __init__(self, d, units, dictionary):
         self.d = d
@@ -311,8 +312,18 @@ class _Network:
         maps, shifts, self._outer = stacks
         self._maps = maps.reshape(self.n * self.ell, d).T
         self._shifts = shifts.reshape(self.n * self.ell)
-        self._layouts = [dictionary.polynomial_at(u["dict_index"]).layout(self._dtype)
-                         for u in self.units]
+        groups = {}
+        for k, u in enumerate(self.units):
+            grouped, heads = dictionary.polynomial_at(u["dict_index"]).layout(self._dtype)
+            members, layouts, _ = groups.setdefault((grouped.shape, heads.tobytes()),
+                                                    ([], [], heads))
+            members.append(k)
+            layouts.append(grouped)
+        # a run of consecutive units is a slice, so its inputs are read without a copy
+        self._groups = [(slice(members[0], members[-1] + 1)
+                         if members[-1] - members[0] == len(members) - 1 else members,
+                         (np.stack(layouts), heads))
+                        for members, layouts, heads in groups.values()]
 
     @property
     def n(self):
@@ -322,15 +333,18 @@ class _Network:
         """The (N, n, ell) inputs of the units, in their own cells, at an
         (N, d) array of points (or one point)."""
         points = np.atleast_2d(np.asarray(points, dtype=self._dtype))
+        if points.shape[1] != self.d:
+            raise ValueError(f"points have dimension {points.shape[1]}, expected {self.d}")
         return (points @ self._maps + self._shifts).reshape(points.shape[0], self.n, self.ell)
 
     def _unit_sum(self, inputs, weights):
         """sum_k outer_k * weights[:, k] * P_k(inputs[:, k]) at N points: the
         (N, n, width) flat profile inputs of the n units and their (N, n)
-        blend weights."""
+        blend weights.  Each group's units are contracted in one stack, each
+        at its own inputs."""
         values = np.empty(weights.shape, dtype=inputs.dtype)
-        for k, layout in enumerate(self._layouts):
-            values[:, k] = contract_terms(layout, inputs[:, k])
+        for members, layout in self._groups:
+            values[:, members] = contract_terms(layout, inputs[:, members].swapaxes(0, 1)).T
         return (weights * values) @ self._outer
 
 

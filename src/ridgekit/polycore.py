@@ -444,22 +444,68 @@ def terms_layout(keys, coefficients, width):
     return grouped, np.array(list(heads), dtype=np.intp).reshape(len(heads), width - 1)
 
 
+def row_layouts(keys, rows, width):
+    """The `layout()` of each polynomial that `_polynomials_from_rows` builds
+    from the 2-D `rows` over `keys`, sliced from one `terms_layout` of all the
+    rows: a row keeps the heads of its kept entries (those not below
+    ZERO_PRUNE_FLOAT in modulus), in order of their first kept key, and the
+    powers up to its largest kept one, so its contraction is its polynomial's."""
+    grouped, heads = terms_layout(keys, rows, width)
+    kept = ~(np.abs(grouped) < ZERO_PRUNE_FLOAT)  # a cell with no key holds 0
+    grouped = np.where(kept, grouped, 0)
+    # each key's position, counted from 1 (0 in a cell with no key); len(keys) + 1 if not kept
+    place, _ = terms_layout(keys, np.arange(1, len(keys) + 1), width)
+    first = np.where(kept, place, len(keys) + 1).min(axis=2, initial=len(keys) + 1)
+    order = np.argsort(first, axis=1)
+    counts = (first <= len(keys)).sum(axis=1)
+    tops = np.where(kept.any(axis=1), np.arange(1, grouped.shape[2] + 1), 0).max(axis=1, initial=0)
+    return [(grouped[r, order[r, :count], :top], heads[order[r, :count]])
+            for r, (count, top) in enumerate(zip(counts.tolist(), tops.tolist()))]
+
+
 def contract_terms(layout, points):
     """Values at an (N, width) array of points of the polynomial whose
     `layout()` is `layout`, or (B, N) values of a stacked layout, whose
-    `grouped` is (B, H, p+1).  One matmul with the power table of the last
-    variable contracts it (a multivariate Horner step), and only the distinct
-    heads are tabulated, one chunk of points at a time.  The chunks are those
-    of one polynomial (a matmul's result can change with its column count),
-    and a stack's rows share them in groups whose inner products fit."""
+    `grouped` is (B, H, p+1): at the (N, width) points all its rows share, or
+    at a (B, N, width) array of one point array per row.  One matmul with the
+    power table of the last variable contracts it (a multivariate Horner
+    step), and only the distinct heads are tabulated, one chunk of points at a
+    time.  The chunks are those of one polynomial (a matmul's result can
+    change with its column count), and a stack's rows share them in groups
+    whose inner products fit."""
     grouped, heads = layout
-    out = np.empty(grouped.shape[:-2] + points.shape[:1], dtype=grouped.dtype)
-    for chunk in point_chunks(sum(grouped.shape[-2:]), points.shape[0]):
-        powers = _power_table(points[chunk, -1], grouped.shape[-1] - 1)
-        table = monomial_table(heads, points[chunk, :-1])
-        for rows in point_chunks(table.size, len(grouped)) if grouped.ndim == 3 else [Ellipsis]:
-            out[rows, chunk] = np.einsum("...hn,hn->...n", grouped[rows] @ powers, table)
+    top, shared = grouped.shape[-1] - 1, points.ndim == 2
+    out = np.empty(grouped.shape[:-2] + points.shape[-2:-1], dtype=grouped.dtype)
+    for chunk in point_chunks(sum(grouped.shape[-2:]), points.shape[-2]):
+        if shared:
+            tables = _contraction_tables(heads, top, points[chunk])
+        # a row's share of the budget: its inner products, and its own tables too
+        width = len(heads) if shared else sum(grouped.shape[-2:])
+        for rows in (point_chunks(width * (chunk.stop - chunk.start), len(grouped))
+                     if grouped.ndim == 3 else [Ellipsis]):
+            # a group's own tables are freed before the next group's are built
+            out[rows, chunk] = _horner_step(grouped[rows], *(
+                tables if shared else _contraction_tables(heads, top, points[rows, chunk])))
     return out
+
+
+def _horner_step(grouped, powers, table):
+    """sum_h (grouped @ powers)[..., h, :] * table[..., h, :]."""
+    return np.einsum("...hn,...hn->...n", grouped @ powers, table)
+
+
+def _contraction_tables(heads, top, points):
+    """The last variable's powers 0..top and the heads' monomials at the
+    (n, width) `points`, as `contract_terms` multiplies them in, or at the
+    (B, n, width) points of B rows.  Those are tabulated as one (B n, width)
+    array of points, and each table is then laid out row by row in C order:
+    einsum's summation order can follow the memory order of its operands."""
+    if points.ndim == 2:
+        return _power_table(points[:, -1], top), monomial_table(heads, points[:, :-1])
+    rows, count, width = points.shape
+    return tuple(np.ascontiguousarray(table.reshape(len(table), rows, count).swapaxes(0, 1))
+                 for table in _contraction_tables(heads, top,
+                                                  points.reshape(rows * count, width)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,10 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex, _as_exact,
-                       _conj, _homogeneous_exponents, _polynomials_from_rows,
-                       dim_complex_bihomogeneous, grlex_key, monomial_table)
-from .ridge_real import (CLOUD_FACTOR, PowerSpan, SpanningError, _Directions, _RidgeSum,
-                         _multinomial, certified_solve, pick_directions, unit_cloud)
+                       _conj, _homogeneous_exponents, dim_complex_bihomogeneous, grlex_key,
+                       monomial_table)
+from .ridge_real import (CLOUD_FACTOR, PowerSpan, ProfileRows, SpanningError, _Directions,
+                         _RidgeSum, _multinomial, certified_solve, pick_directions, unit_cloud)
 
 
 def wirtinger_derivative(P, kind, j):
@@ -173,7 +173,9 @@ class ComplexRidgeDecomposition(_RidgeSum):
 
     @staticmethod
     def _unit_input(points, a):
-        return (points @ a)[:, None]
+        """The flat profile input (w, conj w), w = a . z."""
+        w = (points @ a)[:, None]
+        return np.hstack([w, np.conj(w)])
 
     def eval_many(self, points):
         return self._sum(points)
@@ -203,18 +205,18 @@ def complex_decompose(P, dirs):
     d = P.dim
 
     rows = dirs.span.rows
+    terms, count = P.terms, len(P.terms)
     rhs = np.zeros((len(rows), 1), dtype=complex)
-    for key, c in P.terms.items():
-        rhs[rows[key]] = complex(c)
+    rhs[np.fromiter((rows[key] for key in terms), np.intp, count), 0] = np.fromiter(
+        terms.values(), complex, count)
     solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(),
                                           (f"bidegree {bidegree}" for bidegree in dirs.bidegrees))
 
     # profile keys (s', t'); `bidegrees` is lexicographic, profiles keep grlex order
     order = sorted(range(len(dirs.bidegrees)), key=lambda b: grlex_key(dirs.bidegrees[b]))
-    keys = [MultiIndex(dirs.bidegrees[b]) for b in order]
-    profiles = _polynomials_from_rows(ComplexBiPolynomial, 1, keys,
-                                      np.hstack(solutions)[:, order])
-    return ComplexRidgeDecomposition(d, dirs.vectors, profiles, residual)
+    keys = tuple(MultiIndex(dirs.bidegrees[b]) for b in order)
+    return ComplexRidgeDecomposition(d, dirs.vectors,
+                                     ProfileRows(1, keys, np.hstack(solutions)[:, order]), residual)
 
 
 def realify(f):

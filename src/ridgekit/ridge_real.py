@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polycore import (ZERO_PRUNE_FLOAT, MultiIndex, MultiIndexPolynomial,
-                       dim_homogeneous, grlex_key, monomial_table, monomials_up_to,
-                       _homogeneous_exponents, _polynomials_from_rows)
+from .polycore import (ZERO_PRUNE_FLOAT, MultiIndexPolynomial, contract_terms,
+                       dim_homogeneous, grlex_key, monomial_table, monomials_up_to, row_layouts,
+                       _grlex_multi_indices, _homogeneous_exponents, _polynomials_from_rows)
 
 RANK_TOLERANCE = 1e-10
 # the certificate gate, relative to 1 + max|P| (see certified_solve)
@@ -122,29 +122,28 @@ class PowerSpan:
 
     def __init__(self, keys, block_of_row, columns, products):
         self.rows = {key: r for r, key in enumerate(keys)}
-        self._bounds = np.flatnonzero(np.diff(block_of_row)) + 1
-        self.blocks = tuple(factor_block(part) for part in np.split(columns, self._bounds))
+        bounds = (np.flatnonzero(np.diff(block_of_row)) + 1).tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip([0] + bounds, bounds + [len(keys)])]
+        self.blocks = tuple(factor_block(columns[rows]) for rows in self._slices)
         self._complex = np.iscomplexobj(columns)
         if self._complex:
             columns = np.hstack([columns.real, -columns.imag])
         self.columns = columns
         # per block, the column sums of |columns|, which the rounding bounds scale with
-        self._weights = np.stack([np.abs(part).sum(axis=0)
-                                  for part in np.split(columns, self._bounds)])
+        self._weights = np.stack([np.abs(columns[rows]).sum(axis=0) for rows in self._slices])
         # a real or complex product rounds by at most sqrt(2) gamma_2 < 3U,
         # relative to its modulus (Higham, Accuracy and Stability of Numerical
         # Algorithms, Lemma 3.5), so by Lemma 3.1 there an exact entry is
         # within gamma_(3D) of the computed one, relative to its modulus
         self._column_error = gamma(3 * int(products))
-        for array in (self._bounds, columns, self._weights):
+        for array in (columns, self._weights):
             array.setflags(write=False)
 
     def least_norm(self, rhs):
         """Split the 2-D `rhs` (one row per key) into the blocks and solve each
         with its stored factor.  Solution entries that profiles drop (below
         ZERO_PRUNE_FLOAT in modulus) are set to 0."""
-        solutions = [block.pinv @ part
-                     for block, part in zip(self.blocks, np.split(rhs, self._bounds))]
+        solutions = [block.pinv @ rhs[rows] for block, rows in zip(self.blocks, self._slices)]
         for x in solutions:
             x[np.abs(x) < ZERO_PRUNE_FLOAT] = 0
         return solutions
@@ -171,10 +170,11 @@ class PowerSpan:
             x = np.concatenate([np.concatenate([x.real, x.imag], axis=1),
                                 np.concatenate([x.imag, -x.real], axis=1)], axis=2)
             rhs = np.hstack([rhs.real, rhs.imag])
-        mismatch = np.concatenate([part @ x_b for part, x_b in
-                                   zip(np.split(self.columns, self._bounds), x)]) - rhs
+        mismatch = np.concatenate([self.columns[rows] @ x_b
+                                   for rows, x_b in zip(self._slices, x)]) - rhs
         if self._complex:
-            mismatch = np.hypot(*np.split(mismatch, 2, axis=1))
+            half = mismatch.shape[1] // 2
+            mismatch = np.hypot(mismatch[:, :half], mismatch[:, half:])
         n = self.columns.shape[1]
         size = float((self._weights * np.abs(x).sum(axis=2)).sum())
         steps = len(rhs) + x.size + rhs.size + 16
@@ -321,36 +321,68 @@ def _array_from_json(obj, dtype):
     return np.array(obj, dtype=dtype)
 
 
+class ProfileRows(NamedTuple):
+    """Profiles of `dim` variables stored as one array: `rows[k]` holds the
+    coefficients of unit k over the flat `keys`, which are validated
+    MultiIndex keys, unique and in grlex order (see `_polynomials_from_rows`)."""
+
+    dim: int
+    keys: tuple
+    rows: np.ndarray
+
+
 class _RidgeSum:
     """x -> sum_k P_k(y_k), y_k the input unit k forms from x with its map.
 
     The maps are copied into one frozen stack `_maps` of dtype `_dtype`, so the
-    caller's arrays stay writeable.  Subclasses give the hook
+    caller's arrays stay writeable.  The profiles are a list of `_profile`
+    polynomials or a ProfileRows, whose rows are copied and frozen too and
+    from which `profiles` is built when first read.  Subclasses give the hook
     `_unit_input(points, map)`, the JSON key `_key` of a map, the profile
     class `_profile` and `_header`, the constructor arguments before the maps.
     `residual` is the certified bound the decomposition found, or None."""
 
     def __init__(self, maps, profiles, residual, shape, noun):
-        self.profiles = list(profiles)
+        if isinstance(profiles, ProfileRows):
+            rows = np.array(profiles.rows, dtype=self._dtype, order="C")
+            rows.setflags(write=False)
+            self._rows, self._profiles, count = profiles._replace(rows=rows), None, len(rows)
+        else:
+            self._rows, self._profiles = None, list(profiles)
+            count = len(self._profiles)
         self.residual = residual
         self._maps = np.array(maps, dtype=self._dtype)
-        if len(self._maps) != len(self.profiles):
+        if len(self._maps) != count:
             raise ValueError(f"{noun}/profile count mismatch")
         if len(self._maps) and self._maps.shape[1:] != shape:
             raise ValueError(f"{noun} shape {self._maps.shape[1:]}, expected {shape}")
         self._maps.setflags(write=False)
 
     @property
+    def profiles(self):
+        if self._profiles is None:
+            self._profiles = _polynomials_from_rows(self._profile, *self._rows)
+        return self._profiles
+
+    @property
     def count(self):
-        return len(self.profiles)
+        return len(self._maps)
 
     def _sum(self, points):
         """The ridge sum at an (N, d) array of points (or one point), one unit
-        after another."""
+        after another, each contracted with its profile's layout: from one
+        `row_layouts` of the rows when the profiles are stored as rows."""
         points = np.atleast_2d(np.asarray(points, dtype=self._dtype))
+        if points.shape[1] != self.d:
+            raise ValueError(f"points have dimension {points.shape[1]}, expected {self.d}")
+        if self._rows is None:
+            layouts = [P.layout(self._dtype) for P in self._profiles]
+        else:
+            dim, keys, rows = self._rows
+            layouts = row_layouts(keys, rows, self._profile._halves * dim)
         out = np.zeros(points.shape[0], dtype=self._dtype)
-        for M, P in zip(self._maps, self.profiles):
-            out += P.eval_many(self._unit_input(points, M))
+        for M, layout in zip(self._maps, layouts):
+            out += contract_terms(layout, self._unit_input(points, M))
         return out
 
     def to_json_dict(self):
@@ -419,19 +451,19 @@ def decompose(P, dirs, d, ell):
     heads = dirs.span.rows
     tails = sorted({K[m:] for K in P.terms}, key=grlex_key)
     columns = {t: i for i, t in enumerate(tails)}
+    terms, count = P.terms, len(P.terms)
     rhs = np.zeros((len(heads), max(1, len(tails))))
-    for K, c in P.terms.items():
-        rhs[heads[K[:m]], columns[K[m:]]] = float(c)
+    rhs[np.fromiter((heads[K[:m]] for K in terms), np.intp, count),
+        np.fromiter((columns[K[m:]] for K in terms), np.intp, count)] = np.fromiter(
+            terms.values(), float, count)
     solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(),
                                           (f"degree {j}" for j in range(s + 1)))
 
-    # profile keys (j,) + tail; P has degree <= s, so j <= s - |tail|.  The
-    # tails are slices of validated keys, so the keys need no validation.
-    keys = sorted((tuple.__new__(MultiIndex, (j,) + t) for t in tails
-                   for j in range(s - sum(t) + 1)), key=grlex_key)
+    # profile keys (j,) + tail, in grlex order; P has degree <= s, so j <= s - |tail|
+    keys = tuple(key for key in _grlex_multi_indices(ell, s) if key[1:] in columns)
     coeffs = np.stack(solutions)[[key[0] for key in keys], :, [columns[key[1:]] for key in keys]]
-    profiles = _polynomials_from_rows(MultiIndexPolynomial, ell, keys, coeffs.T)
-    return RidgeDecomposition(d, ell, build_block_matrices(dirs, d, ell), profiles, residual)
+    return RidgeDecomposition(d, ell, build_block_matrices(dirs, d, ell),
+                              ProfileRows(ell, keys, coeffs.T), residual)
 
 
 def orthonormalize_rows(A, profile):

@@ -12,8 +12,8 @@ from ridgekit.networks import (BLEND_OUTER, CELL_SPACING, CVNNetwork, ComplexPol
                                gtn_from_decomposition, phi_eval, tau_eval, _blend_weight,
                                _coefficient_from_items, _coefficient_items,
                                _index_from_lists, _lists_from_index)
-from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
-                               MultiIndexPolynomial, dim_homogeneous,
+from ridgekit.polycore import (TABLE_ELEMENTS, ComplexBiPolynomial, ExactComplex,
+                               MultiIndexPolynomial, contract_terms, dim_homogeneous,
                                monomials_up_to, rank_grlex)
 from ridgekit.quadrature import ball_sup_grid
 from ridgekit.ridge_complex import ComplexRidgeDecomposition
@@ -516,3 +516,79 @@ def test_networks_copy_and_freeze_their_unit_data(kind):
     assert np.array_equal(net.eval_many(points), values)
     with pytest.raises(ValueError, match="read-only"):
         net.units[0][change[0]][0] = 0.1
+
+
+def layout_units(kind, rng):
+    """Dictionary indices of profiles with different layouts: two key sets of
+    equal shape and heads, one sparser, and the zero profile (index 1) at
+    position 1, so the units fall into three stacks, one of them consecutive."""
+    if kind == "gtn":
+        dictionary, var_count = PolynomialDictionary(2), 2
+        dense = monomials_up_to(2, 2)
+        sparse = [(3, 0), (0, 1)]
+        make = lambda keys: MultiIndexPolynomial(2, {
+            k: Fraction(int(rng.integers(1, 9)), 8) for k in keys})
+    else:
+        dictionary, var_count = ComplexPolynomialDictionary(), 1
+        dense = [((s,), (t,)) for s in range(3) for t in range(2)]
+        sparse = [((3,), (0,)), ((0,), (1,))]
+        make = lambda keys: ComplexBiPolynomial(1, {
+            k: ExactComplex(Fraction(int(rng.integers(1, 9)), 8), Fraction(-1, 4))
+            for k in keys})
+    profiles = [make(dense), None, make(dense), make(sparse), make(sparse), make(dense),
+                make(dense)]
+    indices = [1 if p is None else dictionary.index_of(p) for p in profiles]
+    return dictionary, indices
+
+
+@pytest.mark.parametrize("kind", ["gtn", "cvnn"])
+@pytest.mark.parametrize("count", [1, 100, "chunks"])
+def test_stacked_units_equal_each_units_contraction_bitwise(kind, count):
+    # units of different layouts, the zero profile among them, contracted in
+    # stacks against one contract_terms per unit at that unit's inputs, summed
+    # by the network's own outer product; "chunks" spans several point chunks
+    rng = np.random.default_rng(41 + (kind == "cvnn"))
+    dictionary, indices = layout_units(kind, rng)
+    d = 3
+    if kind == "gtn":
+        units = [{"A": rng.uniform(-0.5, 0.5, (2, d)), "b": rng.uniform(-0.2, 0.2, 2),
+                  "c": float(rng.standard_normal()), "dict_index": i} for i in indices]
+        net, dtype = GTNetwork(2, d, units, dictionary), float
+    else:
+        units = [{"alpha": rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d),
+                  "beta": complex(*rng.uniform(-0.2, 0.2, 2)),
+                  "gamma": complex(*rng.standard_normal(2)), "dict_index": i} for i in indices]
+        net, dtype = CVNNetwork(d, units, dictionary), complex
+    assert sorted(len(grouped) for _, (grouped, _) in net._groups) == [1, 2, 4]
+    layouts = [dictionary.polynomial_at(i).layout(dtype) for i in indices]
+    assert layouts[1][0].shape == (0, 0)
+    if count == "chunks":
+        count = 2 * TABLE_ELEMENTS // max(sum(g.shape) for g, _ in layouts) + 5
+    points = rng.uniform(-1, 1, (count, d))
+    if kind == "cvnn":
+        points = points + 1j * rng.uniform(-1, 1, (count, d))
+    local = net._local(points)
+    if kind == "gtn":
+        inputs, weights = local, _blend_weight(np.linalg.norm(local, axis=2))
+    else:
+        inputs = np.concatenate([local, local.conj()], axis=2)
+        weights = (_blend_weight(np.abs(local.real)) * _blend_weight(np.abs(local.imag)))[..., 0]
+    values = np.stack([contract_terms(layout, inputs[:, k]) for k, layout in enumerate(layouts)],
+                      axis=1)
+    want = (weights * values) @ net._outer
+    assert net.eval_many(points).tobytes() == want.tobytes()
+    assert not np.any(values[:, 1])
+
+
+@pytest.mark.parametrize("kind", ["gtn", "cvnn"])
+def test_networks_reject_points_of_the_wrong_width(kind):
+    if kind == "gtn":
+        unit = {"A": np.array([[0.6, 0.0, 0.8]]), "b": np.array([0.1]), "c": 2.0,
+                "dict_index": 23}
+        net, points = GTNetwork(1, 3, [unit], PolynomialDictionary(1)), np.ones((4, 2))
+    else:
+        unit = {"alpha": np.array([0.6, 0.0, 0.8j]), "beta": 0.1j, "gamma": 2.0, "dict_index": 23}
+        net = CVNNetwork(3, [unit], ComplexPolynomialDictionary())
+        points = np.ones((4, 2), dtype=complex)
+    with pytest.raises(ValueError, match="points have dimension 2, expected 3"):
+        net.eval_many(points)

@@ -13,8 +13,9 @@ from ridgekit.orthobasis import monomial_values
 from ridgekit.polycore import (TABLE_ELEMENTS, ComplexBiPolynomial, ExactComplex, MultiIndex,
                                MultiIndexPolynomial, contract_terms, dim_complex_bihomogeneous,
                                dim_homogeneous, grlex_key, monomial_table,
-                               monomials_up_to, point_chunks, rank_grlex, terms_layout,
-                               unrank_grlex)
+                               monomials_up_to, point_chunks, rank_grlex, row_layouts,
+                               terms_layout, unrank_grlex, _grlex_multi_indices,
+                               _polynomials_from_rows)
 from ridgekit.quadrature import ball_sup_grid
 from ridgekit.ridge_real import U
 
@@ -479,6 +480,67 @@ def test_stacked_complex_contraction_equals_each_rows_eval_many_bitwise():
     assert values.shape == (4, len(z)) and values.dtype == np.complex128
     for row, poly in zip(values, polys):
         assert row.tobytes() == poly.eval_many(z).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_row_layouts_equal_each_rows_polynomial_layout(kind):
+    # rows with unit-dependent zero patterns, an all-zero row, entries below
+    # the prune threshold (+-0 and a subnormal) and a NaN, which is kept
+    rng = np.random.default_rng(23 + (kind == "complex"))
+    cls, dim, dtype = ((MultiIndexPolynomial, 3, float) if kind == "real"
+                       else (ComplexBiPolynomial, 1, complex))
+    width = cls._halves * dim
+    for trial in range(30):
+        keys = [k for k in _grlex_multi_indices(width, int(rng.integers(0, 6)))
+                if rng.random() < 0.7]
+        rows = rng.standard_normal((6, len(keys))).astype(dtype)
+        if kind == "complex":
+            rows += 1j * rng.standard_normal(rows.shape)
+        rows[rng.random(rows.shape) < 0.4] = 0
+        rows[0] = 0
+        if keys:
+            rows[1, 0], rows[2, -1], rows[3, 0] = 1e-310, np.nan, -0.0
+        polys = _polynomials_from_rows(cls, dim, keys, rows)
+        for (grouped, heads), poly in zip(row_layouts(keys, rows, width), polys):
+            want_grouped, want_heads = poly.layout(dtype)
+            assert grouped.shape == want_grouped.shape and grouped.dtype == want_grouped.dtype
+            assert grouped.tobytes() == want_grouped.tobytes()
+            assert heads.shape == want_heads.shape and np.array_equal(heads, want_heads)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("count", [1, 37, "chunks"])
+def test_per_row_points_contraction_equals_each_row_bitwise(kind, count):
+    # one stacked layout, each row at its own points, against each row's
+    # polynomial at those points; "chunks" takes more points than one chunk
+    rng = np.random.default_rng(29 + (kind == "complex"))
+    if kind == "real":
+        keys = monomials_up_to(3, 5)
+        rows = rng.standard_normal((9, len(keys)))
+        polys = [MultiIndexPolynomial(3, dict(zip(keys, row.tolist()))) for row in rows]
+        layout = terms_layout(keys, rows, 3)
+    else:
+        polys = [random_bipoly(1, 3, rng).scale(f) for f in (1, -2, 0.5j, 3, 1 + 1j)]
+        layout = (np.stack([p.layout(complex)[0] for p in polys]), polys[0].layout(complex)[1])
+    grouped, heads = layout
+    if count == "chunks":
+        count = 2 * TABLE_ELEMENTS // sum(grouped.shape[1:]) + 5
+        assert len(point_chunks(sum(grouped.shape[1:]), count)) > 2
+    points = np.stack([ball_points(rng, count, polys[0].dim, complex_=kind == "complex")
+                       for _ in polys])
+    flat = points if kind == "real" else np.concatenate([points, np.conj(points)], axis=2)
+    values = contract_terms(layout, flat)
+    assert values.shape == (len(polys), count) and values.dtype == grouped.dtype
+    for row, poly, at in zip(values, polys, points):
+        assert row.tobytes() == poly.eval_many(at).tobytes()
+
+
+def test_per_row_points_contraction_of_empty_layouts():
+    # a stack of zero polynomials has a (B, 0, 0) layout and no heads
+    grouped, heads = MultiIndexPolynomial.zero(2).layout(float)
+    stack = (np.stack([grouped] * 3), heads)
+    assert np.array_equal(contract_terms(stack, np.ones((3, 4, 2))), np.zeros((3, 4)))
+    assert contract_terms(stack, np.ones((3, 0, 2))).shape == (3, 0)
 
 
 def naive_monomial(exponents, point):

@@ -13,7 +13,8 @@ from conftest import complex_sup_grid, dd_linear, dd_poly_values, dd_total
 from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
                                MultiIndexPolynomial,
                                dim_complex_bihomogeneous,
-                               _homogeneous_exponents, monomials_up_to)
+                               _homogeneous_exponents, monomials_up_to,
+                               _polynomials_from_rows)
 from ridgekit.ridge_complex import (ComplexDirectionSet,
                                     ComplexRidgeDecomposition,
                                     apply_wirtinger, bidegree_power_matrix,
@@ -207,6 +208,67 @@ def test_complex_json_round_trip_keeps_the_residual():
     clone = ComplexRidgeDecomposition.from_json_dict(json.loads(json.dumps(dec.to_json_dict())))
     assert clone.residual == dec.residual is not None
     assert "residual" not in ComplexRidgeDecomposition(2, np.zeros((0, 2)), []).to_json_dict()
+
+
+def random_complex_poly(d, s, seed):
+    rng = np.random.default_rng(seed)
+    exponents = monomials_up_to(d, s)
+    return ComplexBiPolynomial(d, {(k, l): complex(*rng.standard_normal(2))
+                                   for k in exponents for l in exponents})
+
+
+def complex_ball_points(d, count, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    return points / np.linalg.norm(points, axis=1, keepdims=True) * rng.random((count, 1))
+
+
+def unit_order_sum(dec, points):
+    """sum_j P_j(a_j . z) by each profile's own eval_many, in unit order."""
+    points = np.atleast_2d(points)
+    out = np.zeros(len(points), dtype=complex)
+    for a, profile in zip(dec.vectors, dec.profiles):
+        out += profile.eval_many((points @ a)[:, None])
+    return out
+
+
+@pytest.mark.parametrize("d,s", [(2, 3), (3, 2)])
+def test_complex_ridge_sum_from_rows_equals_unit_order_sum_of_profiles(d, s):
+    dirs = sample_complex_directions(d, s, s, dim_complex_bihomogeneous(d, s, s), seed=s)
+    dec = complex_decompose(random_complex_poly(d, s, 7 * d + s), dirs)
+    points = complex_ball_points(d, 600, d + s)
+    got = dec.eval_many(points)
+    assert dec._profiles is None  # evaluating builds no profile
+    assert got.tobytes() == unit_order_sum(dec, points).tobytes()
+    # the JSON round trip stores profiles, not rows, and evaluates them alike
+    clone = ComplexRidgeDecomposition.from_json_dict(json.loads(json.dumps(dec.to_json_dict())))
+    assert clone._rows is None
+    assert clone.eval_many(points).tobytes() == unit_order_sum(clone, points).tobytes()
+    assert clone.eval_many(points).tobytes() == got.tobytes()
+    assert dec.profiles == _polynomials_from_rows(ComplexBiPolynomial, *dec._rows)
+
+
+def test_complex_ridge_sum_from_rows_at_the_zero_polynomial_no_points_and_one_point():
+    d, s = 2, 2
+    dirs = sample_complex_directions(d, s, s, dim_complex_bihomogeneous(d, s, s), seed=4)
+    points = complex_ball_points(d, 40, 4)
+    zero = complex_decompose(ComplexBiPolynomial.zero(d), dirs)
+    assert zero.eval_many(points).tobytes() == np.zeros(40, dtype=complex).tobytes()
+    assert zero.eval_many(points).tobytes() == unit_order_sum(zero, points).tobytes()
+    assert all(profile.is_zero() for profile in zero.profiles)
+    dec = complex_decompose(random_complex_poly(d, s, 5), dirs)
+    assert dec.eval_many(np.zeros((0, d), dtype=complex)).shape == (0,)
+    one = dec.eval_many(points[0])
+    assert one.shape == (1,) and one.tobytes() == unit_order_sum(dec, points[:1]).tobytes()
+
+
+def test_complex_ridge_decomposition_rejects_points_of_the_wrong_width():
+    dirs = sample_complex_directions(3, 1, 1, dim_complex_bihomogeneous(3, 1, 1), seed=1)
+    for dec in (complex_decompose(random_complex_poly(3, 1, 2), dirs),
+                ComplexRidgeDecomposition(3, [[1.0, 0.0, 0.0]],
+                                          [ComplexBiPolynomial(1, {((1,), (0,)): 1.0})])):
+        with pytest.raises(ValueError, match="points have dimension 2, expected 3"):
+            dec.eval_many(np.ones((4, 2), dtype=complex))
 
 
 def test_realify_norm_squared():

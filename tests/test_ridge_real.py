@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import ridgekit
 from conftest import dd_linear, dd_poly_values, dd_total
 from ridgekit.polycore import (MultiIndexPolynomial, dim_complex_bihomogeneous,
-                               dim_homogeneous, _homogeneous_exponents, monomials_up_to)
+                               dim_homogeneous, grlex_key, _homogeneous_exponents,
+                               monomials_up_to, _polynomials_from_rows)
 from ridgekit.quadrature import ball_sup_grid
 from ridgekit.ridge_complex import ComplexDirectionSet, sample_complex_directions
-from ridgekit.ridge_real import (U, DecompositionError, DirectionSet,
+from ridgekit.ridge_real import (U, DecompositionError, DirectionSet, ProfileRows,
                                  RidgeDecomposition, SpanningError,
                                  build_block_matrices,
                                  decompose, lifted_power_matrix, _multinomial,
@@ -162,6 +163,87 @@ def test_json_round_trip():
     clone = RidgeDecomposition.from_json_dict(json.loads(json.dumps(dec.to_json_dict())))
     grid = ball_sup_grid(d, 100)
     assert np.max(np.abs(clone.eval_many(grid) - dec.eval_many(grid))) < 1e-12
+
+
+def ball_points(d, count, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((count, d))
+    return points / np.linalg.norm(points, axis=1, keepdims=True) * rng.random((count, 1))
+
+
+def unit_order_sum(dec, points):
+    """sum_k P_k(A_k x) by each profile's own eval_many, in unit order."""
+    points = np.atleast_2d(points)
+    out = np.zeros(len(points))
+    for A, profile in zip(dec.matrices, dec.profiles):
+        out += profile.eval_many(points @ A.T)
+    return out
+
+
+def sparse_poly(d, degree, seed):
+    # about a third of the monomials, so some profile keys and degree blocks are absent
+    rng = np.random.default_rng(seed)
+    return MultiIndexPolynomial(d, {k: rng.standard_normal() for k in monomials_up_to(d, degree)
+                                    if rng.random() < 0.35})
+
+
+@pytest.mark.parametrize("terms", ["dense", "sparse"])
+@pytest.mark.parametrize("d,ell,s", [(3, 1, 5), (3, 2, 7), (4, 3, 5)])
+def test_ridge_sum_from_rows_equals_unit_order_sum_of_profiles(d, ell, s, terms):
+    m = d - ell + 1
+    dirs = sample_spanning_directions(m, s, dim_homogeneous(m, s), seed=s)
+    P = (random_poly if terms == "dense" else sparse_poly)(d, s, 10 * d + ell)
+    dec = decompose(P, dirs, d, ell)
+    points = ball_points(d, 700, s)
+    got = dec.eval_many(points)
+    assert dec._profiles is None  # evaluating builds no profile
+    assert got.tobytes() == unit_order_sum(dec, points).tobytes()
+    # the JSON round trip stores profiles, not rows, and evaluates them alike
+    clone = RidgeDecomposition.from_json_dict(json.loads(json.dumps(dec.to_json_dict())))
+    assert clone._rows is None
+    assert clone.eval_many(points).tobytes() == unit_order_sum(clone, points).tobytes()
+    assert clone.eval_many(points).tobytes() == got.tobytes()
+
+
+def test_ridge_sum_from_rows_at_the_zero_polynomial_no_points_and_one_point():
+    d, ell, s = 3, 2, 4
+    dirs = sample_spanning_directions(2, s, dim_homogeneous(2, s), seed=6)
+    points = ball_points(d, 50, 6)
+    zero = decompose(MultiIndexPolynomial.zero(d), dirs, d, ell)
+    assert zero._rows.rows.shape == (dirs.count, 0)
+    assert zero.eval_many(points).tobytes() == np.zeros(50).tobytes()
+    assert zero.eval_many(points).tobytes() == unit_order_sum(zero, points).tobytes()
+    assert all(profile.is_zero() for profile in zero.profiles)
+    dec = decompose(random_poly(d, s, 8), dirs, d, ell)
+    assert dec.eval_many(np.zeros((0, d))).shape == (0,)
+    one = dec.eval_many(points[0])
+    assert one.shape == (1,) and one.tobytes() == unit_order_sum(dec, points[:1]).tobytes()
+    assert one.tobytes() == dec.eval_many(points[:1]).tobytes()
+
+
+@pytest.mark.parametrize("terms", ["dense", "sparse"])
+def test_decompose_profiles_are_built_from_its_rows(terms):
+    d, ell, s = 4, 2, 5
+    dirs = sample_spanning_directions(3, s, dim_homogeneous(3, s), seed=2)
+    P = (random_poly if terms == "dense" else sparse_poly)(d, s, 4)
+    dec = decompose(P, dirs, d, ell)
+    stored = dec._rows
+    assert isinstance(stored, ProfileRows) and not stored.rows.flags.writeable
+    # the keys are the grlex-sorted (j,) + tail over P's trailing exponents
+    tails = {K[3:] for K in P.terms}
+    assert list(stored.keys) == sorted(((j,) + t for t in tails for j in range(s - sum(t) + 1)),
+                                       key=grlex_key)
+    assert dec.profiles == _polynomials_from_rows(MultiIndexPolynomial, ell, stored.keys,
+                                                  stored.rows)
+    assert dec.profiles is dec.profiles  # built once
+
+
+def test_ridge_decomposition_rejects_points_of_the_wrong_width():
+    dirs = sample_spanning_directions(2, 2, dim_homogeneous(2, 2), seed=1)
+    for dec in (decompose(random_poly(3, 2, 3), dirs, 3, 2),
+                RidgeDecomposition(3, 2, [np.eye(2, 3)], [MultiIndexPolynomial.monomial((1, 0))])):
+        with pytest.raises(ValueError, match="points have dimension 2, expected 3"):
+            dec.eval_many(np.ones((4, 2)))
 
 
 def test_lifted_power_matrix_rows_are_power_coefficients():
