@@ -46,6 +46,9 @@ def _cmd_decompose(args):
     from .polycore import MultiIndexPolynomial, dim_homogeneous, monomials_up_to
     from .ridge_real import decompose, sample_spanning_directions
 
+    _check_ell(args)
+    if args.degree < 0:
+        args.usage_error(f"--degree must be non-negative, got {args.degree}")
     if args.input:
         with open(args.input) as handle:
             poly = MultiIndexPolynomial.from_json_dict(json.load(handle))
@@ -74,6 +77,12 @@ def _cmd_decompose(args):
     return 0
 
 
+def _check_ell(args):
+    """Exit with a usage error unless 1 <= --ell < --dim."""
+    if not 1 <= args.ell < args.dim:
+        args.usage_error(f"need 1 <= --ell < --dim, got --ell {args.ell} and --dim {args.dim}")
+
+
 def _cmd_verify(args):
     from .pipeline import verify
 
@@ -91,6 +100,7 @@ def _cmd_rate_sweep(args):
         cfg.csv_path = args.csv or cfg.csv_path
         cfg.json_path = args.json_out or cfg.json_path
     else:
+        _check_ell(args)
         cfg = ExperimentConfig(
             d=args.dim, ell=args.ell, r=args.smoothness,
             q=math.inf if args.q == "inf" else float(args.q),
@@ -140,7 +150,7 @@ def build_parser():
     p.add_argument("--input", default=None, help="polynomial JSON file")
     p.add_argument("--output", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_decompose)
+    p.set_defaults(func=_cmd_decompose, usage_error=p.error)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all",
@@ -161,7 +171,7 @@ def build_parser():
     p.add_argument("--max-degree", type=int, default=15)
     p.add_argument("--csv", default=None)
     p.add_argument("--json-out", default=None)
-    p.set_defaults(func=_cmd_rate_sweep)
+    p.set_defaults(func=_cmd_rate_sweep, usage_error=p.error)
 
     p = sub.add_parser("counterexample", help="norm-ratio decay of the worst-case family")
     p.add_argument("--dim", type=int, default=2)

@@ -156,7 +156,7 @@ class PolynomialDictionary(_Dictionary):
             raise ValueError("variable count mismatch")
         j = _denominator_exponent(len(profile.terms), tol)
         entry = MultiIndexPolynomial(self.var_count, {
-            k: _round_dyadic(Fraction(c), j) for k, c in profile.terms.items()})
+            k: _round_dyadic(c, j) for k, c in profile.terms.items()})
         index = self.index_of(entry)
         return index, self._remember(index, entry)
 
@@ -195,9 +195,12 @@ class ComplexPolynomialDictionary(_Dictionary):
         if profile.dim != self.var_count:
             raise ValueError("variable count mismatch")
         j = _denominator_exponent(2 * len(profile.terms), tol)
-        entry = ComplexBiPolynomial(1, {
-            key: ExactComplex(*(_round_dyadic(part, j) for part in _exact_parts(c)))
-            for key, c in profile.terms.items()})
+        terms = {}
+        for key, c in profile.terms.items():
+            parts = ((c.real, c.imag) if isinstance(c, (complex, np.complexfloating))
+                     else _exact_parts(c))
+            terms[key] = ExactComplex(*(_round_dyadic(part, j) for part in parts))
+        entry = ComplexBiPolynomial(1, terms)
         index = self.index_of(entry)
         return index, self._remember(index, entry)
 
@@ -225,8 +228,16 @@ def _denominator_exponent(count, tol):
 
 
 def _round_dyadic(value, j):
-    """Nearest multiple of 2^-j to the Fraction `value`."""
-    return Fraction(round(value * (1 << j)), 1 << j)
+    """Nearest multiple of 2^-j to `value`, ties to even.  A float is scaled
+    by ldexp, exact short of overflow, and rounded as a float (which also
+    rounds half to even); any other value, or a float whose scaling
+    overflows, is rounded as a Fraction."""
+    if isinstance(value, float):
+        try:
+            return Fraction(round(math.ldexp(value, j)), 1 << j)
+        except OverflowError:
+            pass
+    return Fraction(round(Fraction(value) * (1 << j)), 1 << j)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ floating-point quadrature work and exact identity checking.
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -22,15 +23,23 @@ TABLE_ELEMENTS = 2**17
 
 
 class MultiIndex(tuple):
-    """Tuple of non-negative integer exponents."""
+    """Tuple of non-negative integer exponents.  Each entry must be an integer
+    (Python or numpy, by `operator.index`): a float or a string is rejected,
+    not truncated or parsed.  Code that combines keys already validated (sums
+    of exponents, concatenations, slices) builds the result with
+    `tuple.__new__(MultiIndex, ...)`, so a key is validated once."""
 
     def __new__(cls, entries):
         if isinstance(entries, cls):
             return entries  # validated when it was built, and immutable
-        entries = tuple(int(e) for e in entries)
-        if any(e < 0 for e in entries):
-            raise ValueError("multi-index entries must be non-negative")
-        return super().__new__(cls, entries)
+        entries = tuple(entries)
+        try:
+            exponents = tuple(map(operator.index, entries))
+        except TypeError:
+            raise TypeError(f"multi-index entries must be integers, got {entries!r}") from None
+        if any(e < 0 for e in exponents):
+            raise ValueError(f"multi-index entries must be non-negative, got {exponents!r}")
+        return super().__new__(cls, exponents)
 
     def order(self):
         return sum(self)
@@ -47,33 +56,37 @@ def grlex_key(k):
     return (sum(k), tuple(k))
 
 
+def _grlex_terms(data):
+    """The map `data` over MultiIndex keys in grlex order, zero coefficients
+    pruned.  A MultiIndex compares as the tuple it is, so it sorts with no copy."""
+    return {k: c for k, c in sorted(data.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+            if not _is_zero_coeff(c)}
+
+
 def monomials_up_to(dim, max_degree):
     """All exponent tuples of length `dim` with total degree <= max_degree,
-    in graded lexicographic order."""
-    out = []
-    for total in range(max_degree + 1):
-        out.extend(_homogeneous_exponents(dim, total))
-    return out
+    in graded lexicographic order, as a new list of cached MultiIndex keys."""
+    return list(_grlex_multi_indices(dim, max_degree))
 
 
 @functools.lru_cache(maxsize=None)
 def _grlex_multi_indices(dim, max_degree):
-    """The monomials_up_to(dim, max_degree) as validated MultiIndex keys, in
-    a tuple: the keys `_polynomials_from_rows` takes for a dense polynomial."""
-    return tuple(MultiIndex(k) for k in monomials_up_to(dim, max_degree))
+    """The monomials_up_to(dim, max_degree) in a tuple: the keys
+    `_polynomials_from_rows` takes for a dense polynomial."""
+    return tuple(k for total in range(max_degree + 1) for k in _homogeneous_tuple(dim, total))
 
 
 def _homogeneous_exponents(dim, total):
     """Exponent tuples of length `dim` and total degree `total`, in graded
-    lexicographic order, as a new list."""
+    lexicographic order, as a new list of cached MultiIndex keys."""
     return list(_homogeneous_tuple(dim, total))
 
 
 @functools.lru_cache(maxsize=None)
 def _homogeneous_tuple(dim, total):
     if dim == 1:
-        return ((total,),)
-    return tuple((first,) + rest for first in range(total + 1)
+        return (tuple.__new__(MultiIndex, (total,)),)
+    return tuple(tuple.__new__(MultiIndex, (first,) + rest) for first in range(total + 1)
                  for rest in _homogeneous_tuple(dim - 1, total - first))
 
 
@@ -223,14 +236,14 @@ class _SparsePolynomial:
         width = self._halves * self.dim
         data = {}
         for k, c in items:
-            k = MultiIndex(k)
+            if type(k) is not MultiIndex:
+                k = MultiIndex(k)
             if len(k) != width:
                 raise ValueError(f"exponent {tuple(k)} has wrong length for dim={dim}")
             if k in data:
                 c = data[k] + c
             data[k] = c
-        self._terms = {k: c for k, c in sorted(data.items(), key=lambda kv: grlex_key(kv[0]))
-                       if not _is_zero_coeff(c)}
+        self._terms = _grlex_terms(data)
 
     @classmethod
     def _from_flat(cls, dim, terms):
@@ -239,12 +252,22 @@ class _SparsePolynomial:
         return out
 
     @classmethod
+    def _from_keys(cls, dim, terms):
+        """`_from_flat` for a map whose keys are MultiIndex keys of the flat
+        width, unique, as the sums, copies and rearrangements of this class's
+        own keys are: it sorts and prunes them, with no per-key checks."""
+        out = object.__new__(cls)
+        out.dim = dim
+        out._terms = _grlex_terms(terms)
+        return out
+
+    @classmethod
     def zero(cls, dim):
         return cls._from_flat(dim, {})
 
     @classmethod
     def constant(cls, dim, value):
-        return cls._from_flat(dim, {(0,) * (cls._halves * dim): value})
+        return cls._from_flat(dim, {tuple.__new__(MultiIndex, (0,) * (cls._halves * dim)): value})
 
     def is_zero(self):
         return not self._terms
@@ -254,22 +277,23 @@ class _SparsePolynomial:
         out = dict(self._terms)
         for k, c in other._terms.items():
             out[k] = out.get(k, 0) + c
-        return self._from_flat(self.dim, out)
+        return self._from_keys(self.dim, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, factor):
-        return self._from_flat(self.dim, {k: c * factor for k, c in self._terms.items()})
+        return self._from_keys(self.dim, {k: c * factor for k, c in self._terms.items()})
 
     def __mul__(self, other):
         self._check_dim(other)
         out = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
+                # the sum of two valid keys of one length is a valid key
+                k = tuple.__new__(MultiIndex, map(operator.add, k1, k2))
                 out[k] = out.get(k, 0) + c1 * c2
-        return self._from_flat(self.dim, out)
+        return self._from_keys(self.dim, out)
 
     def _check_dim(self, other):
         if type(other) is not type(self):
@@ -298,7 +322,7 @@ class _SparsePolynomial:
                     term = term * cache[e]
             for key, value in term._terms.items():
                 total[key] = total.get(key, 0) + value
-        return cls._from_flat(dim, total)
+        return cls._from_keys(dim, total)
 
     def eval(self, point):
         """Value at one point, in the arithmetic of its entries and of the
@@ -322,7 +346,7 @@ class _SparsePolynomial:
                             self._halves * self.dim)
 
     def map_coefficients(self, fn):
-        return self._from_flat(self.dim, {k: fn(c) for k, c in self._terms.items()})
+        return self._from_keys(self.dim, {k: fn(c) for k, c in self._terms.items()})
 
     def axis_values(self):
         """Values at the origin and at u e_i (i = 1..dim), read from the
@@ -576,7 +600,8 @@ class ComplexBiPolynomial(_SparsePolynomial):
 
     def conjugate(self):
         d = self.dim
-        return self._from_flat(d, {k[d:] + k[:d]: _conj(c) for k, c in self._terms.items()})
+        return self._from_keys(d, {tuple.__new__(MultiIndex, k[d:] + k[:d]): _conj(c)
+                                   for k, c in self._terms.items()})
 
     def eval_many(self, points):
         """Evaluate at an (n, dim) complex array; returns length-n complex array."""

@@ -127,7 +127,10 @@ class ComplexDirectionSet(_Directions):
     The vectors are copied and frozen.  `span` holds the powers
     (a_j . z)^s' (conj(a_j . z))^t' for every bidegree (s', t') <= (s, t), in
     the lexicographic order of `bidegrees`, with one row per monomial pair
-    (k, l) of that bidegree, and `blocks[b]` factors bidegree `bidegrees[b]`."""
+    (k, l) of that bidegree, and `blocks[b]` factors bidegree `bidegrees[b]`.
+    `_flat_rows` maps the flat key k + l of each pair to its row, and
+    `_profile_order` lists the blocks by grlex order of their bidegrees, with
+    `_profile_keys` those bidegrees as MultiIndex keys."""
 
     def __init__(self, d, s, t, vectors):
         self.d = int(d)
@@ -141,6 +144,10 @@ class ComplexDirectionSet(_Directions):
         self.span = PowerSpan([key for _, keys in powers for key in keys],
                               np.repeat(np.arange(len(powers)), [len(keys) for _, keys in powers]),
                               np.vstack([rows.T for rows, _ in powers]), self.s + self.t + 1)
+        self._flat_rows = {k + l: r for (k, l), r in self.span.rows.items()}
+        self._profile_order = sorted(range(len(self.bidegrees)),
+                                     key=lambda b: grlex_key(self.bidegrees[b]))
+        self._profile_keys = tuple(MultiIndex(self.bidegrees[b]) for b in self._profile_order)
 
 
 def sample_complex_directions(d, s, t, n, seed=0):
@@ -204,19 +211,17 @@ def complex_decompose(P, dirs):
         raise ValueError("polynomial degrees exceed the certified bidegree")
     d = P.dim
 
-    rows = dirs.span.rows
-    terms, count = P.terms, len(P.terms)
-    rhs = np.zeros((len(rows), 1), dtype=complex)
-    rhs[np.fromiter((rows[key] for key in terms), np.intp, count), 0] = np.fromiter(
+    terms, count = P._terms, len(P._terms)
+    rhs = np.zeros((len(dirs.span.rows), 1), dtype=complex)
+    rhs[np.fromiter(map(dirs._flat_rows.__getitem__, terms), np.intp, count), 0] = np.fromiter(
         terms.values(), complex, count)
     solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(),
                                           (f"bidegree {bidegree}" for bidegree in dirs.bidegrees))
 
     # profile keys (s', t'); `bidegrees` is lexicographic, profiles keep grlex order
-    order = sorted(range(len(dirs.bidegrees)), key=lambda b: grlex_key(dirs.bidegrees[b]))
-    keys = tuple(MultiIndex(dirs.bidegrees[b]) for b in order)
-    return ComplexRidgeDecomposition(d, dirs.vectors,
-                                     ProfileRows(1, keys, np.hstack(solutions)[:, order]), residual)
+    return ComplexRidgeDecomposition(
+        d, dirs.vectors, ProfileRows(1, dirs._profile_keys,
+                                     np.hstack(solutions)[:, dirs._profile_order]), residual)
 
 
 def realify(f):

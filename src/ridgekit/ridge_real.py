@@ -17,13 +17,15 @@ and it bounds the sup error on the unit ball because every monomial is at
 most 1 in modulus there.
 """
 
+import functools
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .polycore import (ZERO_PRUNE_FLOAT, MultiIndexPolynomial, contract_terms,
-                       dim_homogeneous, grlex_key, monomial_table, monomials_up_to, row_layouts,
+                       dim_homogeneous, monomial_table, monomials_up_to, row_layouts,
                        _grlex_multi_indices, _homogeneous_exponents, _polynomials_from_rows)
 
 RANK_TOLERANCE = 1e-10
@@ -292,13 +294,14 @@ def sample_spanning_directions(m, s, n, seed=0):
 
 
 def build_block_matrices(dirs, d, ell):
-    """A_i = [a_i^T | 0 ; 0 | I_(ell-1)], mapping R^d -> R^ell."""
+    """A_i = [a_i^T | 0 ; 0 | I_(ell-1)], mapping R^d -> R^ell, stacked in
+    one (count, ell, d) array."""
     if dirs.m != d - ell + 1:
         raise ValueError(f"direction dimension {dirs.m} != d - ell + 1 = {d - ell + 1}")
     mats = np.zeros((dirs.count, ell, d))
     mats[:, 0, :dirs.m] = dirs.vectors
     mats[:, 1:, dirs.m:] = np.eye(ell - 1)
-    return list(mats)
+    return mats
 
 
 def _json_array(value, dtype):
@@ -447,23 +450,51 @@ def decompose(P, dirs, d, ell):
     if P.degree() > s:
         raise ValueError(f"polynomial degree {P.degree()} exceeds direction degree {s}")
 
-    # rows: the set's leading-block monomials; columns: trailing-block exponents
-    heads = dirs.span.rows
-    tails = sorted({K[m:] for K in P.terms}, key=grlex_key)
-    columns = {t: i for i, t in enumerate(tails)}
+    # rows: the set's leading-block monomials; columns: the trailing-block
+    # exponents P holds, in the grlex order of their ranks
+    table, tail_count = _scatter_table(d, m, s)
     terms, count = P.terms, len(P.terms)
-    rhs = np.zeros((len(heads), max(1, len(tails))))
-    rhs[np.fromiter((heads[K[:m]] for K in terms), np.intp, count),
-        np.fromiter((columns[K[m:]] for K in terms), np.intp, count)] = np.fromiter(
-            terms.values(), float, count)
+    head, tail = np.divmod(np.fromiter(map(table.__getitem__, terms), np.intp, count), tail_count)
+    present = np.zeros(tail_count, dtype=bool)
+    present[tail] = True
+    column = np.cumsum(present) - 1
+    rhs = np.zeros((len(dirs.span.rows), max(1, int(column[-1]) + 1)))
+    rhs[head, column[tail]] = np.fromiter(terms.values(), float, count)
     solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(),
                                           (f"degree {j}" for j in range(s + 1)))
 
-    # profile keys (j,) + tail, in grlex order; P has degree <= s, so j <= s - |tail|
-    keys = tuple(key for key in _grlex_multi_indices(ell, s) if key[1:] in columns)
-    coeffs = np.stack(solutions)[[key[0] for key in keys], :, [columns[key[1:]] for key in keys]]
+    # profile keys (j,) + tail for the tails present, in grlex order
+    keys, power, key_tail = _profile_index(ell, s)
+    kept = present[key_tail]
+    coeffs = np.stack(solutions)[power[kept], :, column[key_tail[kept]]]
     return RidgeDecomposition(d, ell, build_block_matrices(dirs, d, ell),
-                              ProfileRows(ell, keys, coeffs.T), residual)
+                              ProfileRows(ell, tuple(itertools.compress(keys, kept.tolist())),
+                                          coeffs.T), residual)
+
+
+@functools.lru_cache(maxsize=None)
+def _scatter_table(d, m, s):
+    """The map from each flat key of degree <= s on R^d, in grlex order, to
+    the grlex rank of its leading m entries (its row in a DirectionSet's
+    span) times T plus the grlex rank of its trailing d - m entries, and the
+    count T of those trailing exponents, for `decompose` to scatter P."""
+    tails = {t: r for r, t in enumerate(monomials_up_to(d - m, s) if d > m else [()])}
+    heads = {h: r for r, h in enumerate(monomials_up_to(m, s))}
+    return {K: heads[K[:m]] * len(tails) + tails[K[m:]]
+            for K in _grlex_multi_indices(d, s)}, len(tails)
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_index(ell, s):
+    """The profile keys of degree <= s on R^ell in grlex order, with the
+    read-only arrays of their first entries and of the grlex ranks of their
+    other entries (read from `_scatter_table(ell, 1, s)`), for `decompose`
+    to pick and gather the profile keys of the tails present."""
+    table, tail_count = _scatter_table(ell, 1, s)
+    power, tail = np.divmod(np.fromiter(table.values(), np.intp, len(table)), tail_count)
+    power.setflags(write=False)
+    tail.setflags(write=False)
+    return tuple(table), power, tail
 
 
 def orthonormalize_rows(A, profile):

@@ -166,3 +166,44 @@ def dd_poly_values(exponents, coeffs, points):
     double-double points (hi, lo) of shape (N, k)."""
     exponents = np.asarray(exponents, dtype=np.intp).reshape(-1, points[0].shape[1])
     return dd_total(dd_monomials(exponents, points, np.asarray(coeffs)))
+
+
+def _grlex_pruned(terms):
+    """`terms` sorted by graded lexicographic order of the keys, zero
+    coefficients dropped (below 1e-300 in modulus for floats)."""
+    def is_zero(c):
+        return abs(c) < 1e-300 if isinstance(c, (float, complex)) else c == 0
+    return {k: c for k, c in sorted(terms.items(), key=lambda kv: (sum(kv[0]), tuple(kv[0])))
+            if not is_zero(c)}
+
+
+def reference_product(p, q):
+    """Product of two coefficient maps over flat exponent tuples, each key
+    rebuilt as a plain tuple, in the loop order of `_SparsePolynomial.__mul__`."""
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return _grlex_pruned(out)
+
+
+def reference_substitute(terms, lines, width):
+    """`_SparsePolynomial.substitute` on plain coefficient maps: the flat
+    variable i of `terms` replaced by the map `lines[i]` over keys of length
+    `width`, each power built once from the one below, each term multiplied
+    out in variable order and the terms summed in grlex order."""
+    one = (0,) * width
+    lines = [_grlex_pruned(line) for line in lines]
+    powers = [[{one: 1}] for _ in lines]
+    total = {}
+    for k, c in _grlex_pruned(terms).items():
+        term = {one: c}
+        for line, cache, e in zip(lines, powers, k):
+            while len(cache) <= e:
+                cache.append(reference_product(cache[-1], line))
+            if e:
+                term = reference_product(term, cache[e])
+        for key, value in term.items():
+            total[key] = total.get(key, 0) + value
+    return _grlex_pruned(total)

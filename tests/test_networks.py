@@ -10,6 +10,7 @@ from conftest import complex_sup_grid
 from ridgekit.networks import (BLEND_OUTER, CELL_SPACING, CVNNetwork, ComplexPolynomialDictionary,
                                GTNetwork, PolynomialDictionary, cvnn_from_decomposition,
                                gtn_from_decomposition, phi_eval, tau_eval, _blend_weight,
+                               _round_dyadic,
                                _coefficient_from_items, _coefficient_items,
                                _index_from_lists, _lists_from_index)
 from ridgekit.polycore import (TABLE_ELEMENTS, ComplexBiPolynomial, ExactComplex,
@@ -192,6 +193,23 @@ def test_find_index_within_tolerance():
     found = candidate.map_coefficients(float).eval_many(grid)
     assert np.max(np.abs(found - target)) <= 1e-7
     assert dictionary.polynomial_at(index) == candidate
+
+
+def test_float_rounding_equals_fraction_rounding():
+    # a float is scaled by ldexp and rounded as a float; the Fraction path is the reference
+    rng = np.random.default_rng(9)
+    for j in (0, 1, 20, 40, 60):
+        ties = (rng.integers(-2**20, 2**20, size=200) + 0.5) / 2.0 ** j
+        values = np.concatenate([rng.standard_normal(2000) * 10.0 ** rng.integers(-20, 8, 2000),
+                                 ties, [0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1e300, -1e300,
+                                        5e-324, -5e-324, 2.0**53 + 2, -(2.0**52) - 0.5]])
+        for value in values.tolist():
+            got = _round_dyadic(value, j)
+            assert type(got) is Fraction
+            assert got == Fraction(round(Fraction(value) * 2**j), 2**j), (value, j)
+    assert _round_dyadic(2.5, 0) == 2 and _round_dyadic(-3.5, 0) == -4  # ties to even
+    assert _round_dyadic(1e308, 60) == Fraction(1e308)  # 2^60 * 1e308 overflows a double
+    assert _round_dyadic(Fraction(5, 2), 0) == 2 and _round_dyadic(3, 2) == 3
 
 
 # (dim, profile terms, tol, index, candidate terms), recorded from the direct

@@ -217,3 +217,19 @@ def test_cli_reports_library_errors_without_traceback(capsys):
     assert main(["basis", "--dim", "6", "--max-degree", "40"]) == LIBRARY_ERROR_STATUS != 0
     err = capsys.readouterr().err
     assert err.startswith("NodeCapError: ball rule needs ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--dim", "3", "--ell", "3"], "need 1 <= --ell < --dim, got --ell 3 and --dim 3"),
+    (["decompose", "--dim", "3", "--ell", "0"], "need 1 <= --ell < --dim, got --ell 0 and --dim 3"),
+    (["decompose", "--dim", "3", "--ell", "1", "--degree", "-1"],
+     "--degree must be non-negative, got -1"),
+    (["rate-sweep", "--ell", "3"], "need 1 <= --ell < --dim, got --ell 3 and --dim 3"),
+])
+def test_cli_rejects_out_of_range_ell_and_degree_as_usage_errors(argv, message, capsys):
+    from ridgekit.cli import main
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2  # argparse's usage-error status
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"ridgekit {argv[0]}: error: {message}" in captured.err

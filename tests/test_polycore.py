@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dd_poly_values
+from conftest import dd_poly_values, reference_substitute
 from ridgekit.orthobasis import monomial_values
 from ridgekit.polycore import (TABLE_ELEMENTS, ComplexBiPolynomial, ExactComplex, MultiIndex,
                                MultiIndexPolynomial, contract_terms, dim_complex_bihomogeneous,
@@ -17,7 +17,7 @@ from ridgekit.polycore import (TABLE_ELEMENTS, ComplexBiPolynomial, ExactComplex
                                terms_layout, unrank_grlex, _grlex_multi_indices,
                                _polynomials_from_rows)
 from ridgekit.quadrature import ball_sup_grid
-from ridgekit.ridge_real import U
+from ridgekit.ridge_real import U, decompose, sample_spanning_directions
 
 EVAL_TOL = 1e-12
 
@@ -58,6 +58,74 @@ def test_multi_index_is_validated_once():
     assert MultiIndex([2, 0, 3]) == k and MultiIndex([2, 0, 3]) is not k
     with pytest.raises(ValueError):
         MultiIndex((1, -1))
+
+
+def test_multi_index_rejects_non_integer_entries():
+    # a float, integral or not, a string or None is rejected, not truncated or parsed
+    for entries in (("2", 1), (1.5, 0), (1.0, 0), (np.float64(2), 0), (None,)):
+        with pytest.raises(TypeError, match="must be integers"):
+            MultiIndex(entries)
+    with pytest.raises(TypeError, match=r"\(1\.5, 0\)"):
+        MultiIndexPolynomial(2, {(1.5, 0): 1.0, (1, 0): 2.0})
+    with pytest.raises(TypeError, match="must be integers"):
+        ComplexBiPolynomial(1, {((1,), ("0",)): 1.0})
+    # Python and numpy integers pass, as plain ints
+    k = MultiIndex((np.int64(2), np.uint8(1), True, 0))
+    assert k == (2, 1, 1, 0) and all(type(e) is int for e in k)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """A list counting the MultiIndex constructions that validate entries,
+    that is, every one not handed a MultiIndex."""
+    count = [0]
+    validate = MultiIndex.__new__
+
+    def counting_new(cls, entries):
+        count[0] += not isinstance(entries, MultiIndex)
+        return validate(cls, entries)
+
+    monkeypatch.setattr(MultiIndex, "__new__", counting_new)
+    return count
+
+
+def test_enumerated_keys_products_and_decompositions_are_not_revalidated(validations):
+    d, ell, s = 4, 2, 4
+    dirs = sample_spanning_directions(3, s, dim_homogeneous(3, s), seed=1)
+    rng = np.random.default_rng(2)
+    assert validations == [0]
+    P = MultiIndexPolynomial(d, {k: rng.standard_normal() for k in monomials_up_to(d, s)})
+    Q = MultiIndexPolynomial(d, {k: rng.standard_normal() for k in monomials_up_to(d, 2)})
+    complex_p = ComplexBiPolynomial(2, {(k, l): 1j for k in monomials_up_to(2, 2)
+                                        for l in monomials_up_to(2, 1)})
+    assert validations == [0]
+    product, complex_product = P * Q, complex_p * complex_p.conjugate()
+    assert validations == [0]
+    dec = decompose(P, dirs, d, ell)
+    assert validations == [0]
+    assert product.degree() == s + 2 and complex_product.holomorphic_degree() == 3
+    assert all(type(k) is MultiIndex for k in list(product.terms) + list(dec._rows.keys))
+    MultiIndexPolynomial(2, {(1, 0): 1.0})  # a plain tuple is validated, once
+    assert validations == [1]
+
+
+def test_compose_linear_is_bitwise_the_reference_substitution():
+    # 300 random polynomials and maps: every key, and every coefficient's
+    # bits, equal those of the substitution that rebuilds every key as a tuple
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        dim, d_out, degree = (int(v) for v in rng.integers(1, [4, 4, 6]))
+        scale = 10.0 ** rng.integers(-3, 4, size=len(monomials_up_to(dim, degree)))
+        p = MultiIndexPolynomial(dim, {k: c * rng.standard_normal() for k, c in
+                                       zip(monomials_up_to(dim, degree), scale)
+                                       if rng.random() < 0.6})
+        A = rng.standard_normal((dim, d_out))
+        units = [tuple(int(i == j) for i in range(d_out)) for j in range(d_out)]
+        want = reference_substitute(p.terms, [dict(zip(units, row)) for row in A], d_out)
+        got = p.compose_linear(A)
+        assert list(got.terms) == list(want)
+        assert (np.array(list(got.terms.values()), float).tobytes()
+                == np.array(list(want.values()), float).tobytes())
 
 
 def test_monomials_up_to_sorted_grlex():

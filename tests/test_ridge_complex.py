@@ -9,21 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgekit
-from conftest import complex_sup_grid, dd_linear, dd_poly_values, dd_total
-from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex,
-                               MultiIndexPolynomial,
+from conftest import complex_sup_grid, dd_linear, dd_poly_values, dd_total, reference_substitute
+from ridgekit.polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex,
+                               MultiIndexPolynomial, grlex_key,
                                dim_complex_bihomogeneous,
                                _homogeneous_exponents, monomials_up_to,
                                _polynomials_from_rows)
 from ridgekit.ridge_complex import (ComplexDirectionSet,
                                     ComplexRidgeDecomposition,
-                                    apply_wirtinger, bidegree_power_matrix,
+                                    _power_pair, apply_wirtinger, bidegree_power_matrix,
                                     complex_decompose,
                                     realify, sample_complex_directions,
                                     verify_power_identity,
                                     verify_wirtinger_monomial_identity,
                                     wirtinger_derivative)
-from ridgekit.ridge_real import U
+from ridgekit.ridge_real import U, ProfileRows, certified_solve
 
 RESIDUAL_TOL = 1e-8
 
@@ -262,6 +262,43 @@ def test_complex_ridge_sum_from_rows_at_the_zero_polynomial_no_points_and_one_po
     assert one.shape == (1,) and one.tobytes() == unit_order_sum(dec, points[:1]).tobytes()
 
 
+def pair_keyed_decompose(P, dirs):
+    """`complex_decompose` by a scatter over P's (k, l) pair keys through the
+    span's pair-keyed rows, with the profile keys sorted on each call."""
+    rows = dirs.span.rows
+    rhs = np.zeros((len(rows), 1), dtype=complex)
+    for key, c in P.terms.items():
+        rhs[rows[key], 0] = complex(c)
+    solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(),
+                                          (f"bidegree {b}" for b in dirs.bidegrees))
+    order = sorted(range(len(dirs.bidegrees)), key=lambda b: grlex_key(dirs.bidegrees[b]))
+    keys = tuple(MultiIndex(dirs.bidegrees[b]) for b in order)
+    return ComplexRidgeDecomposition(P.dim, dirs.vectors,
+                                     ProfileRows(1, keys, np.hstack(solutions)[:, order]), residual)
+
+
+@pytest.mark.parametrize("d,s", [(2, 1), (2, 3), (3, 2)])
+def test_flat_key_scatter_matches_the_pair_keyed_scatter(d, s):
+    dirs = sample_complex_directions(d, s, s, dim_complex_bihomogeneous(d, s, s), seed=d + s)
+    rng = np.random.default_rng(10 * d + s)
+    exponents = monomials_up_to(d, s)
+    pairs = [(k, l) for k in exponents for l in exponents]
+    dense = random_complex_poly(d, s, 3 * d + s)
+    exact = ComplexBiPolynomial(d, {
+        pair: ExactComplex(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9))),
+                           Fraction(int(rng.integers(-9, 10)), 8))
+        for pair in pairs if rng.random() < 0.5})
+    sparse = ComplexBiPolynomial(d, {pair: complex(*rng.standard_normal(2))
+                                     for pair in pairs[:len(pairs) // 3]})
+    points = complex_ball_points(d, 50, s)
+    for P in (dense, exact, sparse, ComplexBiPolynomial.zero(d)):
+        got, want = complex_decompose(P, dirs), pair_keyed_decompose(P, dirs)
+        assert got._rows.keys == want._rows.keys
+        assert got._rows.rows.tobytes() == want._rows.rows.tobytes()
+        assert got.residual == want.residual
+        assert got.eval_many(points).tobytes() == want.eval_many(points).tobytes()
+
+
 def test_complex_ridge_decomposition_rejects_points_of_the_wrong_width():
     dirs = sample_complex_directions(3, 1, 1, dim_complex_bihomogeneous(3, 1, 1), seed=1)
     for dec in (complex_decompose(random_complex_poly(3, 1, 2), dirs),
@@ -292,6 +329,42 @@ def test_realify_pointwise():
     fv = f.eval_many(pts)
     gv = g.eval_many(zs)
     assert np.max(np.abs(gv - fv)) < 1e-10
+
+
+def exact_fraction(rng, denominator=8):
+    return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, denominator + 1)))
+
+
+@pytest.mark.parametrize("d,degree", [(1, 5), (2, 3), (3, 2)])
+def test_realify_equals_the_reference_substitution_exactly(d, degree):
+    rng = np.random.default_rng(d)
+    f = MultiIndexPolynomial(2 * d, {k: exact_fraction(rng)
+                                     for k in monomials_up_to(2 * d, degree) if rng.random() < 0.7})
+    half, minus_i_half = ExactComplex(Fraction(1, 2)), ExactComplex(0, Fraction(-1, 2))
+    units = [tuple(int(i == j) for i in range(2 * d)) for j in range(2 * d)]
+    bases = [{units[j]: w, units[d + j]: w.conjugate()}
+             for w in (half, minus_i_half) for j in range(d)]
+    want = reference_substitute({k: ExactComplex(c) for k, c in f.terms.items()}, bases, 2 * d)
+    got = realify(f)
+    assert list(got._terms) == list(want)
+    assert all(type(c) is ExactComplex and c == want[k] for k, c in got._terms.items())
+
+
+@pytest.mark.parametrize("kind", ["fraction", "exact complex"])
+def test_power_pair_equals_the_reference_substitution_exactly(kind):
+    rng = np.random.default_rng(3)
+    for dim, s, t in [(1, 3, 2), (2, 2, 2), (3, 1, 3), (2, 0, 0)]:
+        a = [exact_fraction(rng) if kind == "fraction"
+             else ExactComplex(exact_fraction(rng), exact_fraction(rng)) for _ in range(dim)]
+        units = [tuple(int(i == j) for i in range(2 * dim)) for j in range(dim)]
+        lin = dict(zip(units, a))
+        conj = {k[dim:] + k[:dim]: c if kind == "fraction" else c.conjugate()
+                for k, c in lin.items()}
+        one = 1 if kind == "fraction" else ExactComplex(1, 0)
+        want = reference_substitute({(s, t): one}, [lin, conj], 2 * dim)
+        got = _power_pair(a, s, t, dim)
+        assert list(got._terms) == list(want)
+        assert all(c == want[k] and type(c) is type(want[k]) for k, c in got._terms.items())
 
 
 def _exact_equal(a, b):

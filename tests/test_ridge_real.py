@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 import ridgekit
 from conftest import dd_linear, dd_poly_values, dd_total
-from ridgekit.polycore import (MultiIndexPolynomial, dim_complex_bihomogeneous,
+from ridgekit.polycore import (MultiIndex, MultiIndexPolynomial, dim_complex_bihomogeneous,
                                dim_homogeneous, grlex_key, _homogeneous_exponents,
                                monomials_up_to, _polynomials_from_rows)
 from ridgekit.quadrature import ball_sup_grid
 from ridgekit.ridge_complex import ComplexDirectionSet, sample_complex_directions
 from ridgekit.ridge_real import (U, DecompositionError, DirectionSet, ProfileRows,
                                  RidgeDecomposition, SpanningError,
-                                 build_block_matrices,
+                                 build_block_matrices, certified_solve,
                                  decompose, lifted_power_matrix, _multinomial,
                                  orthonormalize_rows, pick_directions,
                                  sample_spanning_directions, spanning_rank)
@@ -309,6 +309,59 @@ def test_decompose_reads_the_gate_scale_from_coefficients(monkeypatch):
     monkeypatch.setattr(ridgekit.ridge_real, "RESIDUAL_TOLERANCE", -1.0)
     with pytest.raises(ridgekit.DecompositionError):
         decompose(P, dirs, 4, 2)
+
+
+def per_term_decompose(P, dirs, d, ell):
+    """`decompose` by a per-term scatter over P's own keys: the rows by the
+    span's key map, the columns by P's trailing exponents sorted in grlex
+    order, and the profile keys and coefficients picked key by key."""
+    m, s = d - ell + 1, dirs.s
+    heads = dirs.span.rows
+    tails = sorted({K[m:] for K in P.terms}, key=grlex_key)
+    columns = {t: i for i, t in enumerate(tails)}
+    rhs = np.zeros((len(heads), max(1, len(tails))))
+    for K, c in P.terms.items():
+        rhs[heads[K[:m]], columns[K[m:]]] = c
+    solutions, residual = certified_solve(dirs.span, rhs, P.axis_values(),
+                                          (f"degree {j}" for j in range(s + 1)))
+    keys = tuple(MultiIndex(key) for key in monomials_up_to(ell, s) if key[1:] in columns)
+    coeffs = np.stack(solutions)[[key[0] for key in keys], :, [columns[key[1:]] for key in keys]]
+    return RidgeDecomposition(d, ell, build_block_matrices(dirs, d, ell),
+                              ProfileRows(ell, keys, coeffs.T), residual)
+
+
+def scatter_cases(d, ell, s, seed):
+    """Polynomials on R^d of degree <= s: dense, sparse, of lower degree,
+    with every key of some trailing exponents left out, and zero."""
+    m, rng = d - ell + 1, np.random.default_rng(seed)
+    keys = monomials_up_to(d, s)
+    tails = monomials_up_to(ell - 1, s) if ell > 1 else [()]
+    dropped = {tails[i] for i in rng.permutation(len(tails))[:min(2, len(tails) - 1)]}
+    terms = {
+        "dense": keys,
+        "sparse": [k for k in keys if rng.random() < 0.3],
+        "lower degree": monomials_up_to(d, s - 1),
+        "tails missing": [k for k in keys if k[m:] not in dropped],
+        "zero": [],
+    }
+    return {name: MultiIndexPolynomial(d, {k: rng.standard_normal() for k in chosen})
+            for name, chosen in terms.items()}
+
+
+@pytest.mark.parametrize("s", [1, 3, 7])
+@pytest.mark.parametrize("d,ell", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_table_scatter_matches_the_per_term_scatter(d, ell, s):
+    m = d - ell + 1
+    dirs = sample_spanning_directions(m, s, dim_homogeneous(m, s), seed=d + ell + s)
+    points = ball_points(d, 60, s)
+    for name, P in scatter_cases(d, ell, s, 100 * d + 10 * ell + s).items():
+        got, want = decompose(P, dirs, d, ell), per_term_decompose(P, dirs, d, ell)
+        assert got._rows.keys == want._rows.keys, name
+        assert all(type(key) is MultiIndex for key in got._rows.keys)
+        assert got._rows.rows.tobytes() == want._rows.rows.tobytes(), name
+        assert got.residual == want.residual, name
+        assert got.eval_many(points).tobytes() == want.eval_many(points).tobytes(), name
+        assert np.array_equal(got._maps, want._maps)
 
 
 @st.composite
