@@ -50,8 +50,7 @@ def _cmd_decompose(args):
     if args.degree < 0:
         args.usage_error(f"--degree must be non-negative, got {args.degree}")
     if args.input:
-        with open(args.input) as handle:
-            poly = MultiIndexPolynomial.from_json_dict(json.load(handle))
+        poly = _read_input(args, args.input, MultiIndexPolynomial.from_json_dict)
         if poly.dim != args.dim:
             print(f"input polynomial has dim {poly.dim}, expected {args.dim}",
                   file=sys.stderr)
@@ -77,6 +76,16 @@ def _cmd_decompose(args):
     return 0
 
 
+def _read_input(args, path, parse):
+    """`parse` of the JSON in the file `path`.  A file that cannot be read,
+    malformed JSON or a value `parse` rejects is a usage error."""
+    try:
+        with open(path) as handle:
+            return parse(json.load(handle))
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        args.usage_error(f"bad input file {path}: {type(exc).__name__}: {exc}")
+
+
 def _check_ell(args):
     """Exit with a usage error unless 1 <= --ell < --dim."""
     if not 1 <= args.ell < args.dim:
@@ -95,8 +104,7 @@ def _cmd_rate_sweep(args):
     from .pipeline import ExperimentConfig, rate_sweep
 
     if args.config:
-        with open(args.config) as handle:
-            cfg = ExperimentConfig.from_json_dict(json.load(handle))
+        cfg = _read_input(args, args.config, ExperimentConfig.from_json_dict)
         cfg.csv_path = args.csv or cfg.csv_path
         cfg.json_path = args.json_out or cfg.json_path
     else:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndexPolynomial,
-                       contract_terms, rank_grlex, unrank_grlex)
+                       contract_terms, point_rows, rank_grlex, unrank_grlex)
 from .quasiproj import smooth_step
 
 CELL_SPACING = 3.0
@@ -89,21 +89,35 @@ def _coefficient_from_items(items):
 class _Dictionary:
     """Index <-> polynomial maps shared by both dictionaries: index 1 is the
     zero polynomial, and index i > 1 is `_index_from_lists` of one list per
-    nonzero coefficient, in slot order, plus 2: the count of empty slots
-    before its slot since the previous term's, then the coefficient's items
-    (`_coefficient_items`).  Subclasses map a polynomial's terms to
-    (slot, nonzero Fraction) pairs and back."""
+    nonzero slot, in slot order, plus 2: the count of empty slots before it
+    since the previous nonzero slot, then the slot's items
+    (`_coefficient_items`).  A coefficient has `_parts` real parts (1 in a
+    real dictionary; real and imaginary, 2, in a complex one), and part p of
+    the coefficient whose flat key has grlex rank r sits in slot
+    `_parts * r + p`.  Subclasses give `_parts`, the polynomial class `_poly`
+    and `_coefficient`, which makes a coefficient from its parts."""
+
+    def __init__(self, var_count):
+        if var_count < 1:
+            raise ValueError("need at least one variable")
+        self.var_count = var_count
+        self._cache = {}
 
     def polynomial_at(self, index):
         if index < 1:
             raise ValueError("indices start at 1")
         if index in self._cache:
             return self._cache[index]
-        slots, slot = [], -1
+        coefficients, slot = {}, -1
         for gap, *items in (_lists_from_index(index - 2) if index > 1 else []):
             slot += gap + 1
-            slots.append((slot, _coefficient_from_items(items)))
-        return self._remember(index, self._from_slots(slots))
+            rank, part = divmod(slot, self._parts)
+            coefficients.setdefault(rank, [Fraction(0)] * self._parts)[part] = (
+                _coefficient_from_items(items))
+        width = self._poly._halves * self.var_count
+        return self._remember(index, self._poly._from_flat(self.var_count, {
+            unrank_grlex(width, rank): self._coefficient(*parts)
+            for rank, parts in coefficients.items()}))
 
     def _remember(self, index, poly):
         """Cache the entry `poly` at `index` (up to 4096 entries) and return it."""
@@ -116,37 +130,27 @@ class _Dictionary:
             raise ValueError("variable count mismatch")
         if poly.is_zero():
             return 1
+        # the terms are in grlex order, so their slots ascend
         lists, previous = [], -1
-        for slot, c in sorted(self._slots(poly)):
-            lists.append([slot - previous - 1] + _coefficient_items(c))
-            previous = slot
+        for key, c in poly._terms.items():
+            for slot, value in enumerate(map(Fraction, self._split(c)),
+                                         self._parts * rank_grlex(key)):
+                if value:
+                    lists.append([slot - previous - 1] + _coefficient_items(value))
+                    previous = slot
         return _index_from_lists(lists) + 2
 
+    def _split(self, c):
+        """The `_parts` parts of the coefficient c (see `_parts_of`)."""
+        parts = _parts_of(c)
+        if parts[1] and self._parts == 1:
+            raise ValueError(f"coefficient {c!r} is not real")
+        return parts[:self._parts]
 
-class PolynomialDictionary(_Dictionary):
-    """Indexed enumeration of rational-coefficient polynomials in `var_count`
-    real variables.  Index 1 is the zero polynomial; the index <-> polynomial
-    maps are mutually inverse for every index."""
-
-    def __init__(self, var_count):
-        if var_count < 1:
-            raise ValueError("need at least one variable")
-        self.var_count = var_count
-        self._cache = {}
-
-    def _from_slots(self, slots):
-        return MultiIndexPolynomial(self.var_count, {
-            unrank_grlex(self.var_count, slot): c for slot, c in slots})
-
-    @staticmethod
-    def _slots(poly):
-        """The slot of a monomial is its graded lexicographic rank."""
-        return [(rank_grlex(tuple(key)), Fraction(c)) for key, c in poly.terms.items()]
-
-    def find_index(self, profile, tol):
+    def _find_index(self, profile, tol):
         """Dictionary entry within `tol` of a float-coefficient profile in the
-        l1 norm of the coefficients, by one dyadic rounding: each of the T
-        coefficients goes to the nearest multiple of 2^-j with
+        l1 norm of the coefficients' parts, by one dyadic rounding: each of
+        the T parts goes to the nearest multiple of 2^-j with
         j = ceil(log2(T / tol)) - 1 (at least 0), so it moves by at most
         2^(-j-1) <= tol / T.  Every monomial is at most 1 in modulus on the
         unit ball, so the entry is within `tol` of the profile there too.
@@ -154,64 +158,50 @@ class PolynomialDictionary(_Dictionary):
         need not decode it."""
         if profile.dim != self.var_count:
             raise ValueError("variable count mismatch")
-        j = _denominator_exponent(len(profile.terms), tol)
-        entry = MultiIndexPolynomial(self.var_count, {
-            k: _round_dyadic(c, j) for k, c in profile.terms.items()})
+        j = _denominator_exponent(self._parts * len(profile._terms), tol)
+        entry = self._poly._from_keys(self.var_count, {
+            key: self._coefficient(*(_round_dyadic(part, j) for part in self._split(c)))
+            for key, c in profile._terms.items()})
         index = self.index_of(entry)
         return index, self._remember(index, entry)
+
+
+class PolynomialDictionary(_Dictionary):
+    """Indexed enumeration of rational-coefficient polynomials in `var_count`
+    real variables.  Index 1 is the zero polynomial; the index <-> polynomial
+    maps are mutually inverse for every index."""
+
+    _poly, _parts, _coefficient = MultiIndexPolynomial, 1, Fraction
+
+    def find_index(self, profile, tol):
+        """(index, entry) of the entry within `tol` of `profile` (see `_find_index`)."""
+        return self._find_index(profile, tol)
 
 
 class ComplexPolynomialDictionary(_Dictionary):
     """Enumeration of univariate bidegree polynomials (in w and conj w) with
-    Gaussian-rational coefficients."""
+    Gaussian-rational coefficients.  Real and imaginary parts are rounded
+    separately, so `find_index` bounds sum |d re| + |d im| (at least the l1
+    distance, with no square roots) with one more bit than the real rule."""
 
-    var_count = 1
+    _poly, _parts, _coefficient = ComplexBiPolynomial, 2, ExactComplex
 
     def __init__(self):
-        self._cache = {}
-
-    @staticmethod
-    def _from_slots(slots):
-        parts = {}
-        for slot, c in slots:
-            parts.setdefault(slot // 2, [Fraction(0), Fraction(0)])[slot % 2] = c
-        return ComplexBiPolynomial(1, {
-            tuple((e,) for e in unrank_grlex(2, rank)): ExactComplex(*pair)
-            for rank, pair in parts.items()})
-
-    @staticmethod
-    def _slots(poly):
-        """The real part of the w^s conj(w)^t coefficient sits in slot
-        2 rank_grlex((s, t)), its imaginary part in the slot after."""
-        return [(2 * rank_grlex((s, t)) + part, value)
-                for ((s,), (t,)), c in poly.terms.items()
-                for part, value in enumerate(_exact_parts(c)) if value]
+        super().__init__(1)
 
     def find_index(self, profile, tol):
-        """Complex counterpart of `PolynomialDictionary.find_index`: real and
-        imaginary parts are rounded separately, so the bound is on
-        sum |d re| + |d im| (at least the l1 distance, with no square roots),
-        with j = ceil(log2(2 T / tol)) - 1, one more bit than the real rule."""
-        if profile.dim != self.var_count:
-            raise ValueError("variable count mismatch")
-        j = _denominator_exponent(2 * len(profile.terms), tol)
-        terms = {}
-        for key, c in profile.terms.items():
-            parts = ((c.real, c.imag) if isinstance(c, (complex, np.complexfloating))
-                     else _exact_parts(c))
-            terms[key] = ExactComplex(*(_round_dyadic(part, j) for part in parts))
-        entry = ComplexBiPolynomial(1, terms)
-        index = self.index_of(entry)
-        return index, self._remember(index, entry)
+        """(index, entry) of the entry within `tol` of `profile` (see `_find_index`)."""
+        return self._find_index(profile, tol)
 
 
-def _exact_parts(c):
-    """Real and imaginary parts of a coefficient, as Fractions."""
+def _parts_of(c):
+    """Real and imaginary parts of a coefficient: floats for a complex, a
+    coefficient's own parts for an ExactComplex, and c and 0 for a real c."""
     if isinstance(c, ExactComplex):
         return c.re, c.im
     if isinstance(c, (complex, np.complexfloating)):
-        return Fraction(c.real), Fraction(c.imag)
-    return Fraction(c), Fraction(0)
+        return c.real, c.imag
+    return c, 0
 
 
 def _denominator_exponent(count, tol):
@@ -343,9 +333,7 @@ class _Network:
     def _local(self, points):
         """The (N, n, ell) inputs of the units, in their own cells, at an
         (N, d) array of points (or one point)."""
-        points = np.atleast_2d(np.asarray(points, dtype=self._dtype))
-        if points.shape[1] != self.d:
-            raise ValueError(f"points have dimension {points.shape[1]}, expected {self.d}")
+        points = point_rows(points, self._dtype, self.d)
         return (points @ self._maps + self._shifts).reshape(points.shape[0], self.n, self.ell)
 
     def _unit_sum(self, inputs, weights):
@@ -432,8 +420,8 @@ def _build(cls, decomp, maps, dictionary, tol, name, remedy):
                              f"the cell where the activation equals its profile; {remedy}")
         index, entry = dictionary.find_index(P, tol)
         rounded = entry.terms
-        mismatch = sum(abs(a - b) for key, c in P.terms.items()
-                       for a, b in zip(_exact_parts(c), _exact_parts(rounded.get(key, 0))))
+        mismatch = sum(abs(Fraction(a) - b) for key, c in P.terms.items()
+                       for a, b in zip(_parts_of(c), _parts_of(rounded.get(key, 0))))
         degree = max((key.order() for key in P._terms), default=0)
         certificate += mismatch * Fraction(max(1.0, float(norm))) ** degree
         units.append(dict(zip(cls._fields, (M, np.zeros(M.shape[:-1]), 1.0)), dict_index=index))

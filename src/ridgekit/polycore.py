@@ -383,12 +383,7 @@ class MultiIndexPolynomial(_SparsePolynomial):
 
     def eval_many(self, points):
         """Evaluate at an (n, dim) array of points; returns length-n array."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
-        if points.shape[1] != self.dim:
-            raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
-        return contract_terms(self.layout(float), points)
+        return contract_terms(self.layout(float), point_rows(points, float, self.dim))
 
     __call__ = eval_many
 
@@ -418,6 +413,15 @@ class MultiIndexPolynomial(_SparsePolynomial):
     def __repr__(self):
         body = " + ".join(f"{c}*x^{tuple(k)}" for k, c in self.terms.items()) or "0"
         return f"MultiIndexPolynomial(dim={self.dim}: {body})"
+
+
+def point_rows(points, dtype, width):
+    """`points` as a 2-D array of `dtype`, one point a row (a 1-D `points` is
+    one point); raises ValueError unless each point has `width` coordinates."""
+    points = np.atleast_2d(np.asarray(points, dtype=dtype))
+    if points.shape[1] != width:
+        raise ValueError(f"points have dimension {points.shape[1]}, expected {width}")
+    return points
 
 
 def monomial_table(exponents, points):
@@ -605,11 +609,7 @@ class ComplexBiPolynomial(_SparsePolynomial):
 
     def eval_many(self, points):
         """Evaluate at an (n, dim) complex array; returns length-n complex array."""
-        points = np.asarray(points, dtype=complex)
-        if points.ndim == 1:
-            points = points[None, :]
-        if points.shape[1] != self.dim:
-            raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
+        points = point_rows(points, complex, self.dim)
         return contract_terms(self.layout(complex), np.hstack([points, np.conj(points)]))
 
     __call__ = eval_many

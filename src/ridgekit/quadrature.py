@@ -54,20 +54,6 @@ class QuadratureRule:
     def integrate_values(self, values):
         return float(np.sum(self.weights * np.asarray(values, dtype=float)))
 
-    def to_json_dict(self):
-        return {
-            "domain": self.domain,
-            "dim": self.dim,
-            "exactness_degree": self.exactness_degree,
-            "nodes": self.nodes.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls(obj["domain"], obj["dim"], obj["nodes"], obj["weights"],
-                   obj["exactness_degree"])
-
 
 def ball_volume(d):
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)

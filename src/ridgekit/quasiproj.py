@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .orthobasis import filtered_projection
+from .orthobasis import _monomial_coefficients, filtered_projection
 from .polycore import _grlex_multi_indices, contract_terms, terms_layout
 from .quadrature import _require_finite, evaluate_on_nodes, lq_of_values
 
@@ -150,10 +150,9 @@ def estimate_l1_operator_norm(proj, trial_count, seed=0):
         denom = lq_of_values(values, rule, 1)  # the values are checked finite
         if denom >= 1e-14:
             denoms.append(denom)
-            images.append(proj.apply(on_nodes).terms)
+            images.append(proj.apply(on_nodes))
     prefix = _grlex_multi_indices(d, 2 * proj.s - 1)
-    rows = np.zeros((len(images), len(prefix)))
-    for row, terms in zip(rows, images):
-        row[[basis._position[k] for k in terms]] = list(terms.values())
+    rows = np.array([_monomial_coefficients(image, basis)[:len(prefix)]
+                     for image in images]).reshape(-1, len(prefix))
     norms = [lq_of_values(values, rule, 1) for values in _rows_on_nodes(prefix, rows, rule)]
     return max([0.0] + [norm / denom for norm, denom in zip(norms, denoms)])

@@ -17,10 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .polycore import (ComplexBiPolynomial, ExactComplex, MultiIndex, _as_exact,
-                       _conj, _homogeneous_exponents, dim_complex_bihomogeneous, grlex_key,
-                       monomial_table)
+                       _conj, _homogeneous_exponents, dim_complex_bihomogeneous, grlex_key)
 from .ridge_real import (CLOUD_FACTOR, PowerSpan, ProfileRows, SpanningError, _Directions,
-                         _RidgeSum, _multinomial, certified_solve, pick_directions, unit_cloud)
+                         _RidgeSum, certified_solve, lifted_power_matrix, pick_directions,
+                         unit_cloud)
 
 
 def wirtinger_derivative(P, kind, j):
@@ -108,17 +108,14 @@ def verify_power_identity(a, k, l):
 
 def bidegree_power_matrix(vectors, s, t):
     """Rows: coefficient vectors of (a_j . z)^s (conj(a_j . z))^t over the
-    monomial pairs (k, l) with |k| = s, |l| = t (multinomial factors folded in)."""
+    monomial pairs (k, l) with |k| = s, |l| = t: the products of the
+    `lifted_power_matrix` rows of the vectors at s and of their conjugates at t."""
     vectors = np.asarray(vectors, dtype=complex)
+    rows = np.einsum("na,nb->nab", lifted_power_matrix(vectors, s),
+                     lifted_power_matrix(np.conj(vectors), t))
     d = vectors.shape[1]
-    k_exps = _homogeneous_exponents(d, s)
-    l_exps = _homogeneous_exponents(d, t)
-    k_factors = np.array([_multinomial(s, k) for k in k_exps], dtype=float)
-    l_factors = np.array([_multinomial(t, l) for l in l_exps], dtype=float)
-    k_cols = k_factors * monomial_table(k_exps, vectors).T
-    l_cols = l_factors * monomial_table(l_exps, np.conj(vectors)).T
-    rows = np.einsum("na,nb->nab", k_cols, l_cols)
-    return rows.reshape(vectors.shape[0], -1), [(k, l) for k in k_exps for l in l_exps]
+    return rows.reshape(vectors.shape[0], -1), [
+        (k, l) for k in _homogeneous_exponents(d, s) for l in _homogeneous_exponents(d, t)]
 
 
 class ComplexDirectionSet(_Directions):

@@ -25,8 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .polycore import (ZERO_PRUNE_FLOAT, MultiIndexPolynomial, contract_terms,
-                       dim_homogeneous, monomial_table, monomials_up_to, row_layouts,
-                       _grlex_multi_indices, _homogeneous_exponents, _polynomials_from_rows)
+                       dim_homogeneous, monomial_table, monomials_up_to, point_rows,
+                       row_layouts, _grlex_multi_indices, _homogeneous_exponents,
+                       _polynomials_from_rows)
 
 RANK_TOLERANCE = 1e-10
 # the certificate gate, relative to 1 + max|P| (see certified_solve)
@@ -60,8 +61,8 @@ def _multinomial(total, exponents):
 
 def lifted_power_matrix(vectors, s):
     """Rows: coefficient vectors of (a_i . x)^s over the homogeneous degree-s
-    monomials of R^m (with multinomial factors)."""
-    vectors = np.asarray(vectors, dtype=float)
+    monomials of R^m, or of C^m for complex vectors (with multinomial factors)."""
+    vectors = np.asarray(vectors, dtype=complex if np.iscomplexobj(vectors) else float)
     exps = _homogeneous_exponents(vectors.shape[1], s)
     factors = np.array([_multinomial(s, k) for k in exps], dtype=float)
     return factors * monomial_table(exps, vectors).T
@@ -375,9 +376,7 @@ class _RidgeSum:
         """The ridge sum at an (N, d) array of points (or one point), one unit
         after another, each contracted with its profile's layout: from one
         `row_layouts` of the rows when the profiles are stored as rows."""
-        points = np.atleast_2d(np.asarray(points, dtype=self._dtype))
-        if points.shape[1] != self.d:
-            raise ValueError(f"points have dimension {points.shape[1]}, expected {self.d}")
+        points = point_rows(points, self._dtype, self.d)
         if self._rows is None:
             layouts = [P.layout(self._dtype) for P in self._profiles]
         else:

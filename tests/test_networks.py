@@ -174,6 +174,12 @@ def test_find_index_validates_inputs():
             PolynomialDictionary(1).find_index(real_profile, tol)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             ComplexPolynomialDictionary().find_index(complex_profile, tol)
+    # a real dictionary has one slot per coefficient, so an imaginary part has none
+    for c in (0.3 + 0.1j, ExactComplex(Fraction(3, 10), 1)):
+        with pytest.raises(ValueError, match="is not real"):
+            PolynomialDictionary(1).find_index(MultiIndexPolynomial(1, {(1,): c}), 1e-6)
+        with pytest.raises(ValueError, match="is not real"):
+            PolynomialDictionary(1).index_of(MultiIndexPolynomial(1, {(1,): c}))
 
 
 def test_find_index_exact_rational_profile():

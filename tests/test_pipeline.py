@@ -233,3 +233,29 @@ def test_cli_rejects_out_of_range_ell_and_degree_as_usage_errors(argv, message, 
     assert exit_info.value.code == 2  # argparse's usage-error status
     captured = capsys.readouterr()
     assert captured.out == "" and f"ridgekit {argv[0]}: error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["rate-sweep", "--config"], '{"d": 3, "ell": 3, "r": 3, "q": 2, "n_list": [4, 8]}',
+     "ValueError: need 1 <= ell < d"),
+    (["rate-sweep", "--config"],
+     '{"d": 3, "ell": 2, "r": 3, "q": 2, "n_list": [4, 8], "bogus": 1}',
+     "TypeError: ExperimentConfig.__init__() got an unexpected keyword argument 'bogus'"),
+    (["decompose", "--dim", "2", "--ell", "1", "--input"],
+     '{"dim": 2, "terms": [{"k": [1.5, 0], "c": 1.0}]}',
+     "TypeError: multi-index entries must be integers, got (1.5, 0)"),
+    (["decompose", "--dim", "2", "--ell", "1", "--input"], '{"dim": 2, ',
+     "JSONDecodeError: Expecting property name"),
+    (["rate-sweep", "--config"], None, "FileNotFoundError: "),
+], ids=["config-ell", "config-field", "input-float-exponent", "input-malformed", "config-missing"])
+def test_cli_rejects_bad_input_files_as_usage_errors(command, text, message, tmp_path, capsys):
+    from ridgekit.cli import main
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + [str(path)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ridgekit {command[0]}: error: bad input file {path}: {message}" in captured.err

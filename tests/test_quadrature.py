@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -155,14 +154,6 @@ def test_ball_sup_grid_deterministic_and_inside():
     assert np.all(g1[0] == 0.0)
 
 
-def test_rule_json_round_trip():
-    rule = build_ball_rule(2, 4)
-    clone = QuadratureRule.from_json_dict(rule.to_json_dict())
-    assert np.array_equal(clone.nodes, rule.nodes)
-    assert np.array_equal(clone.weights, rule.weights)
-    assert clone.exactness_degree == rule.exactness_degree
-
-
 def _set_entry(array, value):
     array = np.array(array, dtype=float)
     array.flat[1] = value
@@ -185,11 +176,6 @@ def _set_entry(array, value):
 def test_rule_rejects_unusable_input(domain, dim, nodes, weights, exactness, match):
     with pytest.raises(ValueError, match=match):
         QuadratureRule(domain, dim, nodes, weights, exactness)
-    # as written to and read back from a file
-    text = json.dumps({"domain": domain, "dim": dim, "exactness_degree": exactness,
-                       "nodes": nodes.tolist(), "weights": weights.tolist()})
-    with pytest.raises(ValueError, match=match):
-        QuadratureRule.from_json_dict(json.loads(text))
 
 
 def test_polynomial_vectorised_and_scalar_callables_evaluate_alike():
