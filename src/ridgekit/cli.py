@@ -50,11 +50,13 @@ def _cmd_decompose(args):
     if args.degree < 0:
         args.usage_error(f"--degree must be non-negative, got {args.degree}")
     if args.input:
-        poly = _read_input(args, args.input, MultiIndexPolynomial.from_json_dict)
-        if poly.dim != args.dim:
-            print(f"input polynomial has dim {poly.dim}, expected {args.dim}",
-                  file=sys.stderr)
-            return 1
+        def parse(obj):
+            poly = MultiIndexPolynomial.from_json_dict(obj)
+            if poly.dim != args.dim:
+                raise ValueError(f"input polynomial has dim {poly.dim}, expected {args.dim}")
+            return poly
+
+        poly = _read_input(args, args.input, parse)
     else:
         rng = np.random.default_rng(args.seed)
         poly = MultiIndexPolynomial(args.dim, {
@@ -109,13 +111,16 @@ def _cmd_rate_sweep(args):
         cfg.json_path = args.json_out or cfg.json_path
     else:
         _check_ell(args)
-        cfg = ExperimentConfig(
-            d=args.dim, ell=args.ell, r=args.smoothness,
-            q=math.inf if args.q == "inf" else float(args.q),
-            n_list=tuple(int(n) for n in args.n_list.split(",")),
-            target=args.target, seed=args.seed,
-            budget_factor=args.budget_factor, max_degree=args.max_degree,
-            csv_path=args.csv, json_path=args.json_out)
+        try:
+            cfg = ExperimentConfig(
+                d=args.dim, ell=args.ell, r=args.smoothness,
+                q=math.inf if args.q == "inf" else float(args.q),
+                n_list=tuple(int(n) for n in args.n_list.split(",")),
+                target=args.target, seed=args.seed,
+                budget_factor=args.budget_factor, max_degree=args.max_degree,
+                csv_path=args.csv, json_path=args.json_out)
+        except ValueError as exc:
+            args.usage_error(str(exc))
     report = rate_sweep(cfg)
     print(report.to_csv_text(), end="")
     print(json.dumps({"slope": report.slope,

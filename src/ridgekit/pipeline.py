@@ -15,7 +15,7 @@ import numpy as np
 
 from .orthobasis import build_basis, filtered_projection
 from .polycore import MultiIndexPolynomial, dim_homogeneous, monomials_up_to
-from .quadrature import _values, ball_sup_grid, build_ball_rule, lq_norm
+from .quadrature import _values, ball_sup_grid, build_ball_rule, evaluate_on_nodes, lq_norm
 from .ridge_real import decompose, sample_spanning_directions
 
 CSV_HEADER = "n,s,error_lq,residual,seconds"
@@ -57,7 +57,9 @@ def make_target(name, d, params=None):
     raise ValueError(f"unknown target {name!r}")
 
 
-TARGET_NAMES = ("gaussian", "ramp_cubed", "cosine", "random_polynomial")
+# each target's name and the params it reads
+TARGET_PARAMS = {"gaussian": set(), "ramp_cubed": set(), "cosine": set(),
+                 "random_polynomial": {"degree", "seed"}}
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +96,13 @@ class ExperimentConfig:
             raise ValueError("n_list must be strictly increasing")
         if self.budget_factor < 1:
             raise ValueError("budget_factor must be >= 1")
-        if self.target not in TARGET_NAMES:
+        if self.max_degree < 1:
+            raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
+        if self.target not in TARGET_PARAMS:
             raise ValueError(f"unknown target {self.target!r}")
+        unread = sorted(set(self.target_params or {}) - TARGET_PARAMS[self.target])
+        if unread:
+            raise ValueError(f"target {self.target!r} does not read params {unread}")
 
     def to_json_dict(self):
         return {
@@ -169,11 +176,17 @@ def select_degree(n, d, ell, budget_factor=1, max_degree=15):
 
 
 def _lq_error(f, g, rule, q, sup_grid):
-    def diff(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _values(f, points) - _values(g, points)
+    """L^q norm of f - g on the rule; for q = inf, on the sup grid.  At a
+    finite q, f and g are evaluated on the rule's nodes each on its own, so
+    `evaluate_on_nodes` can take a ridge sum shell by shell."""
+    if q == math.inf:
+        def diff(points):
+            points = np.atleast_2d(np.asarray(points, dtype=float))
+            return _values(f, points) - _values(g, points)
 
-    return lq_norm(diff, rule, q, sup_grid=sup_grid)
+        return lq_norm(diff, rule, q, sup_grid=sup_grid)
+    values = evaluate_on_nodes(f, rule) - evaluate_on_nodes(g, rule)
+    return lq_norm(lambda points: values, rule, q)  # asked only for the rule's nodes
 
 
 def approximate_by_ridge(f, n, cfg, basis=None, rule=None):

@@ -5,6 +5,13 @@ the r^(d-1) Jacobian folded into Gauss-Jacobi weights, an equispaced circle
 factor, and Gauss-Jacobi factors for the polar angles (weight (1-u^2)^((m-3)/2)
 in u = cos(angle)).  Every monomial of total degree <= exactness_degree is
 integrated to its analytic moment.
+
+A ball rule in d >= 2 dimensions is a product of radii and sphere nodes, and
+keeps the two factors as `shells`.  `evaluate_on_nodes`, the one place that
+evaluates a function at a rule's nodes, takes a real ridge sum on such a
+rule from its graded values at the sphere nodes alone: a unit's degree-k
+part scales by r^k on the shell of radius r.  Every other function, and
+every rule without shells, is evaluated at every node.
 """
 
 import math
@@ -20,7 +27,9 @@ class NodeCapError(RuntimeError):
 
 
 class QuadratureRule:
-    """Immutable nodes/weights with a declared exactness degree."""
+    """Immutable nodes/weights with a declared exactness degree.  `shells` is
+    None, or the read-only (radii, sphere nodes) of a ball rule that
+    `build_ball_rule` built as their product."""
 
     def __init__(self, domain, dim, nodes, weights, exactness_degree):
         if domain not in ("ball", "sphere"):
@@ -46,6 +55,7 @@ class QuadratureRule:
             raise ValueError(f"node {self.nodes[np.argmax(off)].tolist()} is not on the {domain}")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
+        self.shells = None
 
     @property
     def node_count(self):
@@ -128,7 +138,11 @@ def build_ball_rule(d, exactness_degree):
     radial_w = w / 2**d
     nodes = (radii[:, None, None] * sub_nodes).reshape(count, d)
     weights = np.outer(radial_w, sub_weights).ravel()
-    return QuadratureRule("ball", d, nodes, weights, exactness_degree)
+    rule = QuadratureRule("ball", d, nodes, weights, exactness_degree)
+    for factor in (radii, sub_nodes):
+        factor.setflags(write=False)
+    rule.shells = (radii, sub_nodes)
+    return rule
 
 
 class MirrorOrbits:
@@ -242,8 +256,20 @@ def _require_finite(values, points):
 
 def evaluate_on_nodes(f, rule):
     """Evaluate `f` at the rule's nodes: a polynomial or a vectorised callable.
-    A non-finite value raises ValueError."""
-    return _finite_values(f, rule.nodes)
+    On a rule with `shells`, a real ridge sum (an `f` with `graded_values`) is
+    evaluated at the sphere nodes only: a unit's degree-k part scales by r^k
+    on the shell of radius r, so each unit's values on the shells are the
+    radii's powers times its graded values, and the units are summed at the
+    nodes, in the rule's radius-major order.  A non-finite value raises
+    ValueError."""
+    if rule.shells is None or not hasattr(f, "graded_values"):
+        return _finite_values(f, rule.nodes)
+    radii, sphere = rule.shells
+    values = np.zeros((len(radii), len(sphere)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for parts in f.graded_values(sphere):
+            values += radii[:, None] ** np.arange(len(parts)) @ parts
+    return _require_finite(values.reshape(-1), rule.nodes)
 
 
 def inner_product(f, g, rule):

@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .polycore import (ZERO_PRUNE_FLOAT, MultiIndexPolynomial, contract_terms,
-                       dim_homogeneous, monomial_table, monomials_up_to, point_rows,
-                       row_layouts, _grlex_multi_indices, _homogeneous_exponents,
+                       dim_homogeneous, monomial_table, monomials_up_to, point_chunks,
+                       point_rows, row_layouts, _grlex_multi_indices, _homogeneous_exponents,
                        _polynomials_from_rows)
 
 RANK_TOLERANCE = 1e-10
@@ -423,6 +423,40 @@ class RidgeDecomposition(_RidgeSum):
         return self._sum(points)
 
     __call__ = eval_many
+
+    def graded_values(self, points):
+        """Per unit, in order, the (t + 1, N) array whose row k is the
+        degree-k part of its profile, t its top degree, at the unit's inputs
+        from the (N, d) `points`: the unit's value at r x is sum_k r^k row_k,
+        since P(A r x) = sum_k r^k P_k(A x) for the degree-k part P_k of P.
+        A unit's terms are tabulated by `monomial_table`, one chunk of points
+        at a time, and grouped by degree with one matmul G @ table, G holding
+        each coefficient in the row of its degree.  Both storage forms give
+        every unit the same terms, so they agree bitwise."""
+        points = point_rows(points, float, self.d)
+        for A, (exps, coeffs) in zip(self._maps, self._unit_terms()):
+            degrees = exps.sum(axis=1)
+            grouped = np.zeros((int(degrees.max(initial=0)) + 1, len(coeffs)))
+            grouped[degrees, np.arange(len(coeffs))] = coeffs
+            inputs = self._unit_input(points, A)
+            parts = np.empty((len(grouped), len(points)))
+            for chunk in point_chunks(len(coeffs), len(points)):
+                parts[:, chunk] = grouped @ monomial_table(exps, inputs[chunk])
+            yield parts
+
+    def _unit_terms(self):
+        """Per unit, the (T, ell) exponent rows and the T coefficients of its
+        profile's terms in grlex order: the profile's own, or the entries of
+        its row not below ZERO_PRUNE_FLOAT in modulus, which are the terms of
+        the profile built from the row."""
+        if self._rows is None:
+            return [(np.array(list(P.terms), dtype=np.intp).reshape(-1, self.ell),
+                     np.fromiter(P.terms.values(), float, len(P.terms)))
+                    for P in self._profiles]
+        dim, keys, rows = self._rows
+        exps = np.array(keys, dtype=np.intp).reshape(len(keys), dim)
+        return [(exps[kept], row[kept])
+                for row, kept in zip(rows, ~(np.abs(rows) < ZERO_PRUNE_FLOAT))]
 
 
 def decompose(P, dirs, d, ell):

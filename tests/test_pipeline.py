@@ -10,7 +10,7 @@ from ridgekit.pipeline import (CSV_HEADER, ExperimentConfig, RateReport,
                                make_target, rate_sweep, select_degree, verify)
 from ridgekit.orthobasis import build_basis
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
-from ridgekit.quadrature import ball_sup_grid, build_ball_rule
+from ridgekit.quadrature import QuadratureRule, ball_sup_grid, build_ball_rule
 
 
 def coeff_max(poly):
@@ -36,6 +36,29 @@ def test_config_validation():
         small_cfg(q=0.5)
     with pytest.raises(ValueError):
         small_cfg(target="nope")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"max_degree": 0}, "max_degree must be >= 1, got 0"),
+    ({"max_degree": -3}, "max_degree must be >= 1, got -3"),
+    ({"target_params": {"degree": 2}}, "target 'gaussian' does not read params \\['degree'\\]"),
+    ({"target": "ramp_cubed", "target_params": {"seed": 1}},
+     "target 'ramp_cubed' does not read params \\['seed'\\]"),
+    ({"target": "cosine", "target_params": {"width": 1}},
+     "target 'cosine' does not read params \\['width'\\]"),
+    ({"target": "random_polynomial", "target_params": {"degree": 2, "sede": 1}},
+     "target 'random_polynomial' does not read params \\['sede'\\]"),
+], ids=["max-degree-0", "max-degree-negative", "gaussian", "ramp", "cosine", "typo"])
+def test_config_rejects_a_degree_cap_below_one_and_unread_target_params(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        small_cfg(**overrides)
+
+
+def test_config_keeps_the_params_its_target_reads():
+    cfg = small_cfg(target="random_polynomial", target_params={"degree": 2, "seed": 3},
+                    max_degree=1)
+    assert cfg.target_params == {"degree": 2, "seed": 3} and cfg.max_degree == 1
+    assert small_cfg(target="cosine", target_params={}).target_params == {}
 
 
 def test_config_json_round_trip():
@@ -99,6 +122,20 @@ def test_approximate_by_ridge_polynomial_target():
         make_target("random_polynomial", 3, {"degree": 2, "seed": 3}), 16, cfg)
     assert report["error_lq"] < 1e-7  # fit and decomposition are both exact
     assert report["s"] >= 2
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_ridge_error_on_shells_matches_the_error_at_every_node(q):
+    # a hand-built rule over the same nodes has no shells, so it evaluates the
+    # ridge sum at every node; the fitted polynomial takes eval_many on both
+    cfg = small_cfg(target="ramp_cubed", q=q)
+    rule = build_ball_rule(3, 2 * 6 + 2)
+    hand = QuadratureRule("ball", 3, rule.nodes, rule.weights, rule.exactness_degree)
+    basis = build_basis(3, 6, rule)
+    _, shells = approximate_by_ridge(make_target("ramp_cubed", 3), 64, cfg, basis=basis, rule=rule)
+    _, nodes = approximate_by_ridge(make_target("ramp_cubed", 3), 64, cfg, basis=basis, rule=hand)
+    assert shells["fit_error"] == nodes["fit_error"]
+    assert shells["error_lq"] == pytest.approx(nodes["error_lq"], rel=1e-12)
 
 
 def test_approximate_by_ridge_error_report_fields():
@@ -225,6 +262,8 @@ def test_cli_reports_library_errors_without_traceback(capsys):
     (["decompose", "--dim", "3", "--ell", "1", "--degree", "-1"],
      "--degree must be non-negative, got -1"),
     (["rate-sweep", "--ell", "3"], "need 1 <= --ell < --dim, got --ell 3 and --dim 3"),
+    (["rate-sweep", "--max-degree", "0"], "max_degree must be >= 1, got 0"),
+    (["rate-sweep", "--q", "0.5"], "q must lie in [1, inf]"),
 ])
 def test_cli_rejects_out_of_range_ell_and_degree_as_usage_errors(argv, message, capsys):
     from ridgekit.cli import main
@@ -247,7 +286,16 @@ def test_cli_rejects_out_of_range_ell_and_degree_as_usage_errors(argv, message, 
     (["decompose", "--dim", "2", "--ell", "1", "--input"], '{"dim": 2, ',
      "JSONDecodeError: Expecting property name"),
     (["rate-sweep", "--config"], None, "FileNotFoundError: "),
-], ids=["config-ell", "config-field", "input-float-exponent", "input-malformed", "config-missing"])
+    (["rate-sweep", "--config"], '{"d": 3, "ell": 2, "r": 3, "q": 2, "n_list": [4], "max_degree": 0}',
+     "ValueError: max_degree must be >= 1, got 0"),
+    (["rate-sweep", "--config"],
+     '{"d": 3, "ell": 2, "r": 3, "q": 2, "n_list": [4], "target_params": {"degree": 4}}',
+     "ValueError: target 'gaussian' does not read params ['degree']"),
+    (["decompose", "--dim", "3", "--ell", "1", "--input"],
+     '{"dim": 2, "terms": [{"k": [1, 0], "c": 1.0}]}',
+     "ValueError: input polynomial has dim 2, expected 3"),
+], ids=["config-ell", "config-field", "input-float-exponent", "input-malformed", "config-missing",
+        "config-max-degree", "config-target-params", "input-dimension"])
 def test_cli_rejects_bad_input_files_as_usage_errors(command, text, message, tmp_path, capsys):
     from ridgekit.cli import main
     path = tmp_path / "input.json"

@@ -98,6 +98,24 @@ def test_tensor_products_equal_a_loop_over_the_outer_factor(d, exactness):
     assert np.array(weights).tobytes() == ball.weights.tobytes()
 
 
+@pytest.mark.parametrize("exactness", [0, 5, 16, 32])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ball_rule_shells_rebuild_its_nodes(d, exactness):
+    rule = build_ball_rule(d, exactness)
+    radii, sphere = rule.shells
+    assert not radii.flags.writeable and not sphere.flags.writeable
+    assert radii.shape == (exactness // 2 + 1,)
+    assert sphere.tobytes() == build_sphere_rule(d - 1, exactness).nodes.tobytes()
+    assert (radii[:, None, None] * sphere).reshape(-1, d).tobytes() == rule.nodes.tobytes()
+
+
+def test_only_ball_rules_in_two_or_more_dimensions_have_shells():
+    rule = build_ball_rule(3, 6)
+    assert build_ball_rule(1, 6).shells is None
+    assert build_sphere_rule(2, 6).shells is None
+    assert QuadratureRule("ball", 3, rule.nodes, rule.weights, 6).shells is None
+
+
 def test_refinement_stability():
     # integrating a fixed polynomial with rules of increasing exactness must
     # return the same value once the degree is covered

@@ -12,7 +12,8 @@ from conftest import dd_linear, dd_poly_values, dd_total
 from ridgekit.polycore import (MultiIndex, MultiIndexPolynomial, dim_complex_bihomogeneous,
                                dim_homogeneous, grlex_key, _homogeneous_exponents,
                                monomials_up_to, _polynomials_from_rows)
-from ridgekit.quadrature import ball_sup_grid
+from ridgekit.quadrature import (QuadratureRule, ball_sup_grid, build_ball_rule,
+                                 evaluate_on_nodes)
 from ridgekit.ridge_complex import ComplexDirectionSet, sample_complex_directions
 from ridgekit.ridge_real import (U, DecompositionError, DirectionSet, ProfileRows,
                                  RidgeDecomposition, SpanningError,
@@ -236,6 +237,85 @@ def test_decompose_profiles_are_built_from_its_rows(terms):
     assert dec.profiles == _polynomials_from_rows(MultiIndexPolynomial, ell, stored.keys,
                                                   stored.rows)
     assert dec.profiles is dec.profiles  # built once
+
+
+def exact_graded_values(dec, point):
+    """{k: the degree-k part of the ridge sum at `point`} in exact rational
+    arithmetic.  A float is a dyadic rational, so a unit's inputs are taken as
+    integers over one power of two, and each term is one Fraction."""
+    parts = {}
+    for A, profile in zip(dec.matrices, dec.profiles):
+        inputs = [sum(Fraction(a) * Fraction(x) for a, x in zip(row, point)) for row in A]
+        shift = max(y.denominator.bit_length() for y in inputs) - 1  # input = int / 2**shift
+        ints = [y.numerator << (shift + 1 - y.denominator.bit_length()) for y in inputs]
+        for k, c in profile.terms.items():
+            num, den = float(c).as_integer_ratio()
+            term = Fraction(num * math.prod(y ** e for y, e in zip(ints, k)), den << shift * sum(k))
+            parts[sum(k)] = parts.get(sum(k), 0) + term
+    return parts
+
+
+def test_shell_values_are_no_less_accurate_than_eval_many():
+    # both against the exact sum at the rule's nodes r_i u_j, whole shells of
+    # 11 sphere nodes: eval_many takes the stored nodes, each u_j scaled by r_i
+    # and rounded, and the shell path the two factors
+    d, ell, s = 3, 2, 15
+    dec = decompose(random_poly(d, s, 0), sample_spanning_directions(2, s, s + 1, seed=0), d, ell)
+    rule = build_ball_rule(d, 2 * s + 2)
+    radii, sphere = rule.shells
+    columns = np.arange(0, len(sphere), 51)
+    exact = np.empty((len(radii), len(columns)))
+    for j, u in enumerate(sphere[columns]):
+        parts = exact_graded_values(dec, u)
+        exact[:, j] = [float(sum(Fraction(r) ** k * v for k, v in parts.items())) for r in radii]
+    assert exact.size >= 100
+    shell = evaluate_on_nodes(dec, rule).reshape(len(radii), -1)[:, columns]
+    nodes = rule.nodes.reshape(len(radii), -1, d)[:, columns]
+    plain = dec.eval_many(nodes.reshape(-1, d)).reshape(exact.shape)
+    shell_error, plain_error = np.abs(shell - exact), np.abs(plain - exact)
+    assert shell_error.max() <= plain_error.max()
+    assert shell_error.sum() <= plain_error.sum()
+
+
+@pytest.mark.parametrize("terms", ["dense", "sparse"])
+@pytest.mark.parametrize("d,ell,s", [(3, 1, 5), (3, 2, 7), (4, 3, 5)])
+def test_shell_values_from_rows_and_from_profiles_agree_bitwise(d, ell, s, terms):
+    m = d - ell + 1
+    dirs = sample_spanning_directions(m, s, dim_homogeneous(m, s), seed=s)
+    dec = decompose((random_poly if terms == "dense" else sparse_poly)(d, s, 3 * d + ell),
+                    dirs, d, ell)
+    listed = RidgeDecomposition(d, ell, dec.matrices, dec.profiles)
+    rule = build_ball_rule(d, 2 * s + 2)
+    got = evaluate_on_nodes(dec, rule)
+    assert got.tobytes() == evaluate_on_nodes(listed, rule).tobytes()
+    for rows, profiles in zip(dec.graded_values(rule.shells[1]),
+                              listed.graded_values(rule.shells[1])):
+        assert rows.tobytes() == profiles.tobytes()
+    assert np.max(np.abs(got - dec.eval_many(rule.nodes))) < 1e-12
+
+
+def test_a_hand_built_rule_evaluates_a_ridge_sum_by_eval_many():
+    d, ell, s = 3, 2, 6
+    dec = decompose(random_poly(d, s, 5), sample_spanning_directions(2, s, s + 1, seed=5), d, ell)
+    rule = build_ball_rule(d, 2 * s + 2)
+    hand = QuadratureRule("ball", d, rule.nodes, rule.weights, rule.exactness_degree)
+    assert evaluate_on_nodes(dec, hand).tobytes() == dec.eval_many(rule.nodes).tobytes()
+
+
+@pytest.mark.parametrize("form", ["rows", "profiles"])
+def test_shell_values_reject_a_non_finite_coefficient(form):
+    # an infinite coefficient meets zero inputs, and the powers of every
+    # other unit, as NaN; the ValueError names a node
+    d, ell = 3, 2
+    dec = decompose(random_poly(d, 3, 2), sample_spanning_directions(2, 3, 4, seed=2), d, ell)
+    dim, keys, rows = dec._rows
+    rows = rows.copy()
+    rows[1, -1] = math.inf
+    profiles = (ProfileRows(dim, keys, rows) if form == "rows"
+                else _polynomials_from_rows(MultiIndexPolynomial, dim, keys, rows))
+    bad = RidgeDecomposition(d, ell, dec.matrices, profiles)
+    with pytest.raises(ValueError, match="non-finite evaluation at node"):
+        evaluate_on_nodes(bad, build_ball_rule(d, 8))
 
 
 def test_ridge_decomposition_rejects_points_of_the_wrong_width():
