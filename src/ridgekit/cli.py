@@ -22,8 +22,11 @@ def _cmd_basis(args):
     from .quadrature import build_ball_rule
 
     exactness = args.exactness if args.exactness is not None else 2 * args.max_degree + 2
-    rule = build_ball_rule(args.dim, exactness)
-    basis = build_basis(args.dim, args.max_degree, rule)
+    try:
+        rule = build_ball_rule(args.dim, exactness)
+        basis = build_basis(args.dim, args.max_degree, rule)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     gram = basis.gram_matrix()
     report = {
         "dim": basis.dim,
@@ -47,8 +50,9 @@ def _cmd_decompose(args):
     from .ridge_real import decompose, sample_spanning_directions
 
     _check_ell(args)
-    if args.degree < 0:
-        args.usage_error(f"--degree must be non-negative, got {args.degree}")
+    for name in ("degree", "seed"):
+        if getattr(args, name) < 0:
+            args.usage_error(f"--{name} must be non-negative, got {getattr(args, name)}")
     if args.input:
         def parse(obj):
             poly = MultiIndexPolynomial.from_json_dict(obj)
@@ -131,11 +135,12 @@ def _cmd_rate_sweep(args):
 def _cmd_counterexample(args):
     from .testfuncs import counterexample_ratio, sup_norm_counterexample
 
-    ns = [int(n) for n in args.n_list.split(",")]
-    rows = []
-    for n in ns:
-        rows.append({"n": n, "ratio": counterexample_ratio(n, args.dim),
-                     "sup_norm": sup_norm_counterexample(n)})
+    try:
+        rows = [{"n": n, "ratio": counterexample_ratio(n, args.dim),
+                 "sup_norm": sup_norm_counterexample(n)}
+                for n in map(int, args.n_list.split(","))]
+    except ValueError as exc:
+        args.usage_error(str(exc))
     decreasing = all(b["ratio"] < a["ratio"] for a, b in zip(rows, rows[1:]))
     print(json.dumps({"rows": rows, "strictly_decreasing": decreasing}, indent=2))
     return 0 if decreasing else 1
@@ -153,7 +158,7 @@ def build_parser():
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--exactness", type=int, default=None)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_basis)
+    p.set_defaults(func=_cmd_basis, usage_error=p.error)
 
     p = sub.add_parser("decompose", help="decompose a polynomial into ridge terms")
     p.add_argument("--dim", type=int, required=True)
@@ -189,7 +194,7 @@ def build_parser():
     p = sub.add_parser("counterexample", help="norm-ratio decay of the worst-case family")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--n-list", default="16,64,256,1024")
-    p.set_defaults(func=_cmd_counterexample)
+    p.set_defaults(func=_cmd_counterexample, usage_error=p.error)
 
     return parser
 

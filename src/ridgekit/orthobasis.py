@@ -150,6 +150,8 @@ def build_basis(d, s_max, rule):
     """
     if rule.domain != "ball" or rule.dim != d:
         raise ValueError("rule must be a ball rule in the same dimension")
+    if s_max < 0:
+        raise ValueError(f"max degree must be >= 0, got {s_max}")
     if rule.exactness_degree < 2 * s_max:
         raise ValueError(
             f"rule exactness {rule.exactness_degree} insufficient for degree {s_max}")

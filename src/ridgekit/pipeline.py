@@ -19,6 +19,10 @@ from .quadrature import _values, ball_sup_grid, build_ball_rule, evaluate_on_nod
 from .ridge_real import decompose, sample_spanning_directions
 
 CSV_HEADER = "n,s,error_lq,residual,seconds"
+# a sweep's rule is exact to degree 2 s + RULE_EXTRA_EXACTNESS
+RULE_EXTRA_EXACTNESS = 2
+# points of the `ball_sup_grid` that q = inf errors are taken on
+SUP_GRID_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +82,6 @@ class ExperimentConfig:
     seed: int = 0
     budget_factor: int = 1
     max_degree: int = 15
-    rule_extra_exactness: int = 2
-    sup_grid_size: int = 4096
     record_timing: bool = True
     csv_path: str = None
     json_path: str = None
@@ -98,6 +100,8 @@ class ExperimentConfig:
             raise ValueError("budget_factor must be >= 1")
         if self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.target not in TARGET_PARAMS:
             raise ValueError(f"unknown target {self.target!r}")
         unread = sorted(set(self.target_params or {}) - TARGET_PARAMS[self.target])
@@ -111,8 +115,6 @@ class ExperimentConfig:
             "n_list": list(self.n_list), "target": self.target,
             "target_params": self.target_params, "seed": self.seed,
             "budget_factor": self.budget_factor, "max_degree": self.max_degree,
-            "rule_extra_exactness": self.rule_extra_exactness,
-            "sup_grid_size": self.sup_grid_size,
             "record_timing": self.record_timing,
         }
 
@@ -197,12 +199,12 @@ def approximate_by_ridge(f, n, cfg, basis=None, rule=None):
         raise ValueError(f"budget n={n} below the minimal direction count {dim_homogeneous(m, 1)}")
     s = select_degree(n, d, ell, cfg.budget_factor, cfg.max_degree)
     if rule is None:
-        rule = build_ball_rule(d, 2 * s + cfg.rule_extra_exactness)
+        rule = build_ball_rule(d, 2 * s + RULE_EXTRA_EXACTNESS)
     if basis is None:
         basis = build_basis(d, s, rule)
 
     fitted = fit_polynomial(f, s, basis)
-    sup_grid = ball_sup_grid(d, cfg.sup_grid_size) if cfg.q == math.inf else None
+    sup_grid = ball_sup_grid(d, SUP_GRID_SIZE) if cfg.q == math.inf else None
     fit_error = _lq_error(f, fitted, rule, cfg.q, sup_grid)
 
     n_dirs = dim_homogeneous(m, s)
@@ -244,7 +246,7 @@ def rate_sweep(cfg):
     d = cfg.d
     s_max = max(select_degree(n, d, cfg.ell, cfg.budget_factor, cfg.max_degree)
                 for n in cfg.n_list)
-    rule = build_ball_rule(d, 2 * s_max + cfg.rule_extra_exactness)
+    rule = build_ball_rule(d, 2 * s_max + RULE_EXTRA_EXACTNESS)
     basis = build_basis(d, s_max, rule)
     target = make_target(cfg.target, d, cfg.target_params)
 

@@ -459,9 +459,10 @@ def point_chunks(terms, count):
 def terms_layout(keys, coefficients, width):
     """The pair (grouped, head_exponents) that `contract_terms` evaluates at
     flat points (x, or z then conj z): the polynomials with coefficients over
-    the flat `keys` (of length `width`) along the last axis of `coefficients`.
-    Entry (..., h, p) of `grouped` is the coefficient of head h (a key but its
-    last entry) times x_last^p; heads are in order of first appearance."""
+    the flat `keys` (of length `width`, an iterable read once) along the last
+    axis of `coefficients`.  Entry (..., h, p) of `grouped` is the coefficient
+    of head h (a key but its last entry) times x_last^p; heads are in order of
+    first appearance, which fixes the contraction's summation order."""
     heads, rows, powers = {}, [], []
     for k in keys:
         rows.append(heads.setdefault(k[:-1], len(heads)))
@@ -470,25 +471,6 @@ def terms_layout(keys, coefficients, width):
                        coefficients.dtype)
     grouped[..., rows, powers] = coefficients
     return grouped, np.array(list(heads), dtype=np.intp).reshape(len(heads), width - 1)
-
-
-def row_layouts(keys, rows, width):
-    """The `layout()` of each polynomial that `_polynomials_from_rows` builds
-    from the 2-D `rows` over `keys`, sliced from one `terms_layout` of all the
-    rows: a row keeps the heads of its kept entries (those not below
-    ZERO_PRUNE_FLOAT in modulus), in order of their first kept key, and the
-    powers up to its largest kept one, so its contraction is its polynomial's."""
-    grouped, heads = terms_layout(keys, rows, width)
-    kept = ~(np.abs(grouped) < ZERO_PRUNE_FLOAT)  # a cell with no key holds 0
-    grouped = np.where(kept, grouped, 0)
-    # each key's position, counted from 1 (0 in a cell with no key); len(keys) + 1 if not kept
-    place, _ = terms_layout(keys, np.arange(1, len(keys) + 1), width)
-    first = np.where(kept, place, len(keys) + 1).min(axis=2, initial=len(keys) + 1)
-    order = np.argsort(first, axis=1)
-    counts = (first <= len(keys)).sum(axis=1)
-    tops = np.where(kept.any(axis=1), np.arange(1, grouped.shape[2] + 1), 0).max(axis=1, initial=0)
-    return [(grouped[r, order[r, :count], :top], heads[order[r, :count]])
-            for r, (count, top) in enumerate(zip(counts.tolist(), tops.tolist()))]
 
 
 def contract_terms(layout, points):

@@ -285,7 +285,7 @@ def lq_norm(f, rule, q, sup_grid=None):
     if q == math.inf or q == "inf":
         points = rule.nodes if sup_grid is None else np.asarray(sup_grid, dtype=float)
         return float(np.max(np.abs(_finite_values(f, points))))
-    if q < 1:
+    if not q >= 1:  # rejects NaN as well
         raise ValueError("q must be >= 1 or inf")
     return lq_of_values(evaluate_on_nodes(f, rule), rule, q)
 

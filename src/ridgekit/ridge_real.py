@@ -26,7 +26,7 @@ import numpy as np
 
 from .polycore import (ZERO_PRUNE_FLOAT, MultiIndexPolynomial, contract_terms,
                        dim_homogeneous, monomial_table, monomials_up_to, point_chunks,
-                       point_rows, row_layouts, _grlex_multi_indices, _homogeneous_exponents,
+                       point_rows, terms_layout, _grlex_multi_indices, _homogeneous_exponents,
                        _polynomials_from_rows)
 
 RANK_TOLERANCE = 1e-10
@@ -341,7 +341,8 @@ class _RidgeSum:
     The maps are copied into one frozen stack `_maps` of dtype `_dtype`, so the
     caller's arrays stay writeable.  The profiles are a list of `_profile`
     polynomials or a ProfileRows, whose rows are copied and frozen too and
-    from which `profiles` is built when first read.  Subclasses give the hook
+    from which `profiles` is built when first read.  Evaluation reads either
+    form only through `_unit_terms`.  Subclasses give the hook
     `_unit_input(points, map)`, the JSON key `_key` of a map, the profile
     class `_profile` and `_header`, the constructor arguments before the maps.
     `residual` is the certified bound the decomposition found, or None."""
@@ -372,19 +373,30 @@ class _RidgeSum:
     def count(self):
         return len(self._maps)
 
+    def _unit_terms(self):
+        """Per unit, in order, its profile's terms in grlex order: an iterable
+        of their flat keys, read lazily, their (T, width) exponents and their
+        T coefficients as `_dtype`.  A stored row keeps its entries not below
+        ZERO_PRUNE_FLOAT in modulus, the terms of the profile built from it."""
+        if self._rows is None:
+            for P in self._profiles:
+                terms, width = P._terms, P._halves * P.dim
+                yield (terms, np.array(list(terms), dtype=np.intp).reshape(len(terms), width),
+                       np.fromiter(terms.values(), self._dtype, len(terms)))
+            return
+        dim, keys, rows = self._rows
+        exps = np.array(keys, dtype=np.intp).reshape(len(keys), self._profile._halves * dim)
+        for row, kept in zip(rows, ~(np.abs(rows) < ZERO_PRUNE_FLOAT)):
+            yield itertools.compress(keys, kept), exps[kept], row[kept]
+
     def _sum(self, points):
         """The ridge sum at an (N, d) array of points (or one point), one unit
-        after another, each contracted with its profile's layout: from one
-        `row_layouts` of the rows when the profiles are stored as rows."""
+        after another, each contracted with the `terms_layout` of its terms."""
         points = point_rows(points, self._dtype, self.d)
-        if self._rows is None:
-            layouts = [P.layout(self._dtype) for P in self._profiles]
-        else:
-            dim, keys, rows = self._rows
-            layouts = row_layouts(keys, rows, self._profile._halves * dim)
         out = np.zeros(points.shape[0], dtype=self._dtype)
-        for M, layout in zip(self._maps, layouts):
-            out += contract_terms(layout, self._unit_input(points, M))
+        for M, (keys, exps, coeffs) in zip(self._maps, self._unit_terms()):
+            out += contract_terms(terms_layout(keys, coeffs, exps.shape[1]),
+                                  self._unit_input(points, M))
         return out
 
     def to_json_dict(self):
@@ -429,12 +441,11 @@ class RidgeDecomposition(_RidgeSum):
         degree-k part of its profile, t its top degree, at the unit's inputs
         from the (N, d) `points`: the unit's value at r x is sum_k r^k row_k,
         since P(A r x) = sum_k r^k P_k(A x) for the degree-k part P_k of P.
-        A unit's terms are tabulated by `monomial_table`, one chunk of points
-        at a time, and grouped by degree with one matmul G @ table, G holding
-        each coefficient in the row of its degree.  Both storage forms give
-        every unit the same terms, so they agree bitwise."""
+        A unit's terms, from `_unit_terms`, are tabulated by `monomial_table`,
+        one chunk of points at a time, and grouped by degree with one matmul
+        G @ table, G holding each coefficient in the row of its degree."""
         points = point_rows(points, float, self.d)
-        for A, (exps, coeffs) in zip(self._maps, self._unit_terms()):
+        for A, (_, exps, coeffs) in zip(self._maps, self._unit_terms()):
             degrees = exps.sum(axis=1)
             grouped = np.zeros((int(degrees.max(initial=0)) + 1, len(coeffs)))
             grouped[degrees, np.arange(len(coeffs))] = coeffs
@@ -443,20 +454,6 @@ class RidgeDecomposition(_RidgeSum):
             for chunk in point_chunks(len(coeffs), len(points)):
                 parts[:, chunk] = grouped @ monomial_table(exps, inputs[chunk])
             yield parts
-
-    def _unit_terms(self):
-        """Per unit, the (T, ell) exponent rows and the T coefficients of its
-        profile's terms in grlex order: the profile's own, or the entries of
-        its row not below ZERO_PRUNE_FLOAT in modulus, which are the terms of
-        the profile built from the row."""
-        if self._rows is None:
-            return [(np.array(list(P.terms), dtype=np.intp).reshape(-1, self.ell),
-                     np.fromiter(P.terms.values(), float, len(P.terms)))
-                    for P in self._profiles]
-        dim, keys, rows = self._rows
-        exps = np.array(keys, dtype=np.intp).reshape(len(keys), dim)
-        return [(exps[kept], row[kept])
-                for row, kept in zip(rows, ~(np.abs(rows) < ZERO_PRUNE_FLOAT))]
 
 
 def decompose(P, dirs, d, ell):

@@ -317,6 +317,8 @@ def counterexample_ratio(n, d):
     mass concentrates near the boundary of integrability."""
     from scipy.integrate import quad
 
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     if n < math.ceil(4 * math.sqrt(d)):
         raise ValueError(f"n below the family's regime (need n >= {math.ceil(4 * math.sqrt(d))})")
     slab = ball_volume(d - 1) if d > 1 else 1.0

@@ -151,6 +151,8 @@ def test_insufficient_exactness_rejected():
     rule = build_ball_rule(2, 3)
     with pytest.raises(ValueError):
         build_basis(2, 4, rule)
+    with pytest.raises(ValueError, match="max degree must be >= 0, got -1"):
+        build_basis(2, -1, rule)
 
 
 def test_combine_matches_node_values(basis_factory):

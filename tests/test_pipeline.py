@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from ridgekit.pipeline import (CSV_HEADER, ExperimentConfig, RateReport,
-                               approximate_by_ridge, fit_polynomial,
-                               make_target, rate_sweep, select_degree, verify)
+from ridgekit.pipeline import (CSV_HEADER, RULE_EXTRA_EXACTNESS, SUP_GRID_SIZE,
+                               ExperimentConfig, RateReport, approximate_by_ridge,
+                               fit_polynomial, make_target, rate_sweep, select_degree, verify)
 from ridgekit.orthobasis import build_basis
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
 from ridgekit.quadrature import QuadratureRule, ball_sup_grid, build_ball_rule
@@ -19,8 +19,7 @@ def coeff_max(poly):
 
 def small_cfg(**overrides):
     base = dict(d=3, ell=2, r=3, q=2, n_list=(4, 8, 16), target="gaussian",
-                seed=0, budget_factor=4, max_degree=6, record_timing=False,
-                sup_grid_size=512)
+                seed=0, budget_factor=4, max_degree=6, record_timing=False)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -41,6 +40,7 @@ def test_config_validation():
 @pytest.mark.parametrize("overrides, message", [
     ({"max_degree": 0}, "max_degree must be >= 1, got 0"),
     ({"max_degree": -3}, "max_degree must be >= 1, got -3"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"target_params": {"degree": 2}}, "target 'gaussian' does not read params \\['degree'\\]"),
     ({"target": "ramp_cubed", "target_params": {"seed": 1}},
      "target 'ramp_cubed' does not read params \\['seed'\\]"),
@@ -48,7 +48,7 @@ def test_config_validation():
      "target 'cosine' does not read params \\['width'\\]"),
     ({"target": "random_polynomial", "target_params": {"degree": 2, "sede": 1}},
      "target 'random_polynomial' does not read params \\['sede'\\]"),
-], ids=["max-degree-0", "max-degree-negative", "gaussian", "ramp", "cosine", "typo"])
+], ids=["max-degree-0", "max-degree-negative", "seed", "gaussian", "ramp", "cosine", "typo"])
 def test_config_rejects_a_degree_cap_below_one_and_unread_target_params(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_cfg(**overrides)
@@ -150,9 +150,9 @@ def test_sup_norm_errors_are_taken_on_the_sup_grid():
     cfg = small_cfg(q=math.inf)
     target = make_target("gaussian", 3)
     dec, report = approximate_by_ridge(target, 8, cfg)
-    rule = build_ball_rule(3, 2 * report["s"] + cfg.rule_extra_exactness)
+    rule = build_ball_rule(3, 2 * report["s"] + RULE_EXTRA_EXACTNESS)
     fitted = fit_polynomial(target, report["s"], build_basis(3, report["s"], rule))
-    grid = ball_sup_grid(3, cfg.sup_grid_size)
+    grid = ball_sup_grid(3, SUP_GRID_SIZE)
     assert report["fit_error"] == np.max(np.abs(target(grid) - fitted.eval_many(grid)))
     assert report["error_lq"] == np.max(np.abs(target(grid) - dec.eval_many(grid)))
 
@@ -264,6 +264,14 @@ def test_cli_reports_library_errors_without_traceback(capsys):
     (["rate-sweep", "--ell", "3"], "need 1 <= --ell < --dim, got --ell 3 and --dim 3"),
     (["rate-sweep", "--max-degree", "0"], "max_degree must be >= 1, got 0"),
     (["rate-sweep", "--q", "0.5"], "q must lie in [1, inf]"),
+    (["rate-sweep", "--seed", "-1", "--n-list", "4,8"], "seed must be >= 0, got -1"),
+    (["decompose", "--dim", "3", "--ell", "1", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    (["basis", "--dim", "3", "--max-degree", "-1"], "max degree must be >= 0, got -1"),
+    (["basis", "--dim", "0", "--max-degree", "2"], "dimension must be >= 1"),
+    (["basis", "--dim", "2", "--max-degree", "3", "--exactness", "2"],
+     "rule exactness 2 insufficient for degree 3"),
+    (["counterexample", "--n-list", "4"], "n below the family's regime (need n >= 6)"),
+    (["counterexample", "--dim", "0"], "dimension must be >= 1, got 0"),
 ])
 def test_cli_rejects_out_of_range_ell_and_degree_as_usage_errors(argv, message, capsys):
     from ridgekit.cli import main
@@ -294,8 +302,16 @@ def test_cli_rejects_out_of_range_ell_and_degree_as_usage_errors(argv, message, 
     (["decompose", "--dim", "3", "--ell", "1", "--input"],
      '{"dim": 2, "terms": [{"k": [1, 0], "c": 1.0}]}',
      "ValueError: input polynomial has dim 2, expected 3"),
+    (["rate-sweep", "--config"],
+     '{"d": 3, "ell": 2, "r": 3, "q": 2, "n_list": [4], "rule_extra_exactness": 2}',
+     "TypeError: ExperimentConfig.__init__() got an unexpected keyword argument "
+     "'rule_extra_exactness'"),
+    (["rate-sweep", "--config"], '{"d": 3, "ell": 2, "r": 3, "q": 2, "n_list": [4], '
+     '"sup_grid_size": 512}',
+     "TypeError: ExperimentConfig.__init__() got an unexpected keyword argument 'sup_grid_size'"),
 ], ids=["config-ell", "config-field", "input-float-exponent", "input-malformed", "config-missing",
-        "config-max-degree", "config-target-params", "input-dimension"])
+        "config-max-degree", "config-target-params", "input-dimension", "config-rule-exactness",
+        "config-sup-grid"])
 def test_cli_rejects_bad_input_files_as_usage_errors(command, text, message, tmp_path, capsys):
     from ridgekit.cli import main
     path = tmp_path / "input.json"

@@ -13,9 +13,8 @@ from ridgekit.orthobasis import monomial_values
 from ridgekit.polycore import (TABLE_ELEMENTS, ComplexBiPolynomial, ExactComplex, MultiIndex,
                                MultiIndexPolynomial, contract_terms, dim_complex_bihomogeneous,
                                dim_homogeneous, grlex_key, monomial_table,
-                               monomials_up_to, point_chunks, rank_grlex, row_layouts,
-                               terms_layout, unrank_grlex, _grlex_multi_indices,
-                               _polynomials_from_rows)
+                               monomials_up_to, point_chunks, rank_grlex, terms_layout,
+                               unrank_grlex)
 from ridgekit.quadrature import ball_sup_grid
 from ridgekit.ridge_real import U, decompose, sample_spanning_directions
 
@@ -548,32 +547,6 @@ def test_stacked_complex_contraction_equals_each_rows_eval_many_bitwise():
     assert values.shape == (4, len(z)) and values.dtype == np.complex128
     for row, poly in zip(values, polys):
         assert row.tobytes() == poly.eval_many(z).tobytes()
-
-
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_row_layouts_equal_each_rows_polynomial_layout(kind):
-    # rows with unit-dependent zero patterns, an all-zero row, entries below
-    # the prune threshold (+-0 and a subnormal) and a NaN, which is kept
-    rng = np.random.default_rng(23 + (kind == "complex"))
-    cls, dim, dtype = ((MultiIndexPolynomial, 3, float) if kind == "real"
-                       else (ComplexBiPolynomial, 1, complex))
-    width = cls._halves * dim
-    for trial in range(30):
-        keys = [k for k in _grlex_multi_indices(width, int(rng.integers(0, 6)))
-                if rng.random() < 0.7]
-        rows = rng.standard_normal((6, len(keys))).astype(dtype)
-        if kind == "complex":
-            rows += 1j * rng.standard_normal(rows.shape)
-        rows[rng.random(rows.shape) < 0.4] = 0
-        rows[0] = 0
-        if keys:
-            rows[1, 0], rows[2, -1], rows[3, 0] = 1e-310, np.nan, -0.0
-        polys = _polynomials_from_rows(cls, dim, keys, rows)
-        for (grouped, heads), poly in zip(row_layouts(keys, rows, width), polys):
-            want_grouped, want_heads = poly.layout(dtype)
-            assert grouped.shape == want_grouped.shape and grouped.dtype == want_grouped.dtype
-            assert grouped.tobytes() == want_grouped.tobytes()
-            assert heads.shape == want_heads.shape and np.array_equal(heads, want_heads)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

@@ -157,6 +157,12 @@ def test_lq_norm_constant_function():
     assert abs(lq_norm(one, rule, math.inf) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("q", [0.5, -math.inf, math.nan])
+def test_lq_norm_rejects_q_below_one_and_nan(q):
+    with pytest.raises(ValueError, match="q must be >= 1 or inf"):
+        lq_norm(MultiIndexPolynomial.constant(2, 1.0), build_ball_rule(2, 4), q)
+
+
 def test_lq_norm_monomial_oracle():
     # ||x||_{L^2(B^1)} = sqrt(2/3) on [-1, 1]
     rule = build_ball_rule(1, 6)

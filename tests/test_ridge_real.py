@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 import ridgekit
 from conftest import dd_linear, dd_poly_values, dd_total
-from ridgekit.polycore import (MultiIndex, MultiIndexPolynomial, dim_complex_bihomogeneous,
-                               dim_homogeneous, grlex_key, _homogeneous_exponents,
+from ridgekit.polycore import (ComplexBiPolynomial, MultiIndex, MultiIndexPolynomial,
+                               dim_complex_bihomogeneous, dim_homogeneous, grlex_key,
+                               _grlex_multi_indices, _homogeneous_exponents,
                                monomials_up_to, _polynomials_from_rows)
 from ridgekit.quadrature import (QuadratureRule, ball_sup_grid, build_ball_rule,
                                  evaluate_on_nodes)
-from ridgekit.ridge_complex import ComplexDirectionSet, sample_complex_directions
+from ridgekit.ridge_complex import (ComplexDirectionSet, ComplexRidgeDecomposition,
+                                    sample_complex_directions)
 from ridgekit.ridge_real import (U, DecompositionError, DirectionSet, ProfileRows,
                                  RidgeDecomposition, SpanningError,
                                  build_block_matrices, certified_solve,
@@ -220,6 +222,42 @@ def test_ridge_sum_from_rows_at_the_zero_polynomial_no_points_and_one_point():
     one = dec.eval_many(points[0])
     assert one.shape == (1,) and one.tobytes() == unit_order_sum(dec, points[:1]).tobytes()
     assert one.tobytes() == dec.eval_many(points[:1]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_ridge_sums_from_edge_rows_keep_their_profiles_terms(kind):
+    # rows with unit-dependent zero patterns, an all-zero row, entries below
+    # the prune threshold (+-0 and a subnormal) and a NaN, which is kept
+    rng = np.random.default_rng(23 + (kind == "complex"))
+    profile, d, dim, dtype = ((MultiIndexPolynomial, 4, 3, float) if kind == "real"
+                              else (ComplexBiPolynomial, 2, 1, complex))
+    points, maps = ball_points(2 * d, 37, 5), rng.standard_normal((6, dim, d)) / 3
+    points = points[:, :d] if kind == "real" else points[:, :d] + 1j * points[:, d:]
+    if kind == "complex":
+        maps = maps[:, 0] + 1j * maps[:, -1] / 2
+    for trial in range(30):
+        keys = tuple(k for k in _grlex_multi_indices(profile._halves * dim, int(rng.integers(0, 6)))
+                     if rng.random() < 0.7)
+        rows = rng.standard_normal((6, len(keys))).astype(dtype)
+        if kind == "complex":
+            rows += 1j * rng.standard_normal(rows.shape)
+        rows[rng.random(rows.shape) < 0.4] = 0
+        rows[0] = 0
+        if keys:
+            rows[1, 0], rows[2, -1], rows[3, 0] = 1e-310, np.nan, -0.0
+        stored = ProfileRows(dim, keys, rows)
+        dec = (RidgeDecomposition(d, dim, maps, stored) if kind == "real"
+               else ComplexRidgeDecomposition(d, maps, stored))
+        polys = _polynomials_from_rows(profile, dim, keys, rows)
+        for (kept, exps, coeffs), poly in zip(dec._unit_terms(), polys):
+            assert list(kept) == list(poly._terms)
+            assert exps.tolist() == [list(k) for k in poly._terms]
+            want = np.array(list(poly._terms.values()), dtype)
+            assert coeffs.dtype == want.dtype and coeffs.tobytes() == want.tobytes()
+        want = np.zeros(len(points), dtype)
+        for M, poly in zip(maps, polys):
+            want += poly.eval_many(points @ M.T if kind == "real" else (points @ M)[:, None])
+        assert dec.eval_many(points).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("terms", ["dense", "sparse"])

@@ -164,6 +164,8 @@ def test_counterexample_sup_norm_exact():
 def test_counterexample_rejects_small_n():
     with pytest.raises(ValueError):
         counterexample_ratio(4, 2)
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        counterexample_ratio(16, 0)
 
 
 def test_import_leaves_scipy_integrate_unloaded():
