@@ -12,7 +12,8 @@ from .quadrature import NodeCapError
 from .ridge_real import DecompositionError, SpanningError
 
 # Exit status of a command stopped by one of LIBRARY_ERRORS; 1 is a failed
-# check, and argparse exits with 2 on a usage error.
+# check, and argparse exits with 2 on a usage error, an output file that
+# cannot be written among them.
 LIBRARY_ERROR_STATUS = 3
 LIBRARY_ERRORS = (ConditioningError, DecompositionError, NodeCapError, SpanningError)
 
@@ -46,7 +47,8 @@ def _cmd_basis(args):
 
 
 def _cmd_decompose(args):
-    from .polycore import MultiIndexPolynomial, dim_homogeneous, monomials_up_to
+    from .pipeline import make_target
+    from .polycore import MultiIndexPolynomial, dim_homogeneous
     from .ridge_real import decompose, sample_spanning_directions
 
     _check_ell(args)
@@ -62,9 +64,8 @@ def _cmd_decompose(args):
 
         poly = _read_input(args, args.input, parse)
     else:
-        rng = np.random.default_rng(args.seed)
-        poly = MultiIndexPolynomial(args.dim, {
-            k: rng.standard_normal() for k in monomials_up_to(args.dim, args.degree)})
+        poly = make_target("random_polynomial", args.dim,
+                           {"degree": args.degree, "seed": args.seed})
     s = max(1, poly.degree())
     m = args.dim - args.ell + 1
     dirs = sample_spanning_directions(m, s, dim_homogeneous(m, s), seed=args.seed)
@@ -174,7 +175,7 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=["projector", "expansion", "trig", "bumps",
                             "counterexample", "all"])
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, usage_error=p.error)
 
     p = sub.add_parser("rate-sweep", help="run the approximation-rate experiment")
     p.add_argument("--config", default=None, help="JSON config file")
@@ -206,6 +207,8 @@ def main(argv=None):
     except LIBRARY_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return LIBRARY_ERROR_STATUS
+    except OSError as exc:  # an output file that cannot be written
+        args.usage_error(f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

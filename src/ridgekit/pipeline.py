@@ -9,13 +9,14 @@ requested L^q norm as the ridge budget n grows.
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
 from .orthobasis import build_basis, filtered_projection
 from .polycore import MultiIndexPolynomial, dim_homogeneous, monomials_up_to
-from .quadrature import _values, ball_sup_grid, build_ball_rule, evaluate_on_nodes, lq_norm
+from .quadrature import _finite_values, ball_sup_grid, build_ball_rule, evaluate_on_nodes, lq_norm
 from .ridge_real import decompose, sample_spanning_directions
 
 CSV_HEADER = "n,s,error_lq,residual,seconds"
@@ -44,26 +45,38 @@ def _cosine(points):
     return np.cos(np.pi * points[:, 0])
 
 
+def _random_polynomial(d, params):
+    rng = np.random.default_rng(int(params.get("seed", 0)))
+    degree = int(params.get("degree", 3))
+    return MultiIndexPolynomial(d, {k: rng.standard_normal() for k in monomials_up_to(d, degree)})
+
+
+# each target's maker, called with the dimension and the target's params, and
+# the params it reads
+TARGETS = {
+    "gaussian": (lambda d, params: _gaussian, ()),
+    "ramp_cubed": (lambda d, params: _ramp_cubed, ()),
+    "cosine": (lambda d, params: _cosine, ()),
+    "random_polynomial": (_random_polynomial, ("degree", "seed")),
+}
+
+
+def _target_maker(name, params):
+    """The maker of the target `name`; an unknown name, or a param the target
+    does not read, raises ValueError."""
+    if name not in TARGETS:
+        raise ValueError(f"unknown target {name!r}")
+    maker, reads = TARGETS[name]
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise ValueError(f"target {name!r} does not read params {unread}")
+    return maker
+
+
 def make_target(name, d, params=None):
     """Named target function on B^d; `random_polynomial` takes degree/seed params."""
-    params = dict(params or {})
-    if name == "gaussian":
-        return _gaussian
-    if name == "ramp_cubed":
-        return _ramp_cubed
-    if name == "cosine":
-        return _cosine
-    if name == "random_polynomial":
-        degree = int(params.get("degree", 3))
-        rng = np.random.default_rng(int(params.get("seed", 0)))
-        terms = {k: rng.standard_normal() for k in monomials_up_to(d, degree)}
-        return MultiIndexPolynomial(d, terms)
-    raise ValueError(f"unknown target {name!r}")
-
-
-# each target's name and the params it reads
-TARGET_PARAMS = {"gaussian": set(), "ramp_cubed": set(), "cosine": set(),
-                 "random_polynomial": {"degree", "seed"}}
+    params = params or {}
+    return _target_maker(name, params)(d, params)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +102,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 1 <= self.ell < self.d:
             raise ValueError("need 1 <= ell < d")
+        if self.r < 1:
+            raise ValueError(f"r must be >= 1, got {self.r}")
         if not (self.q == math.inf or 1 <= self.q):
             raise ValueError("q must lie in [1, inf]")
         self.n_list = tuple(int(n) for n in self.n_list)
@@ -96,35 +111,31 @@ class ExperimentConfig:
             raise ValueError("n_list must be non-empty")
         if any(b >= a for a, b in zip(self.n_list[1:], self.n_list)):
             raise ValueError("n_list must be strictly increasing")
+        m = self.d - self.ell + 1
+        if self.n_list[0] < m:
+            raise ValueError(f"n_list entries must be >= {m}, the minimal direction count, "
+                             f"got {self.n_list[0]}")
         if self.budget_factor < 1:
             raise ValueError("budget_factor must be >= 1")
         if self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.target not in TARGET_PARAMS:
-            raise ValueError(f"unknown target {self.target!r}")
-        unread = sorted(set(self.target_params or {}) - TARGET_PARAMS[self.target])
-        if unread:
-            raise ValueError(f"target {self.target!r} does not read params {unread}")
+        _target_maker(self.target, self.target_params or {})
 
     def to_json_dict(self):
-        return {
-            "d": self.d, "ell": self.ell, "r": self.r,
-            "q": "inf" if self.q == math.inf else self.q,
-            "n_list": list(self.n_list), "target": self.target,
-            "target_params": self.target_params, "seed": self.seed,
-            "budget_factor": self.budget_factor, "max_degree": self.max_degree,
-            "record_timing": self.record_timing,
-        }
+        """Every field that is set, in declaration order; q = inf as "inf"."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if getattr(self, f.name) is not None}
+        out["q"] = "inf" if self.q == math.inf else self.q
+        out["n_list"] = list(self.n_list)
+        return out
 
     @classmethod
     def from_json_dict(cls, obj):
         obj = dict(obj)
         if obj.get("q") == "inf":
             obj["q"] = math.inf
-        obj.pop("csv_path", None)
-        obj.pop("json_path", None)
         return cls(**obj)
 
 
@@ -162,7 +173,8 @@ class RateReport:
 
 def fit_polynomial(f, s, basis):
     """Discrete-L^2 best polynomial approximation of degree <= s: the sharp
-    cutoff, weight 1 on every degree."""
+    cutoff, weight 1 on every degree.  `f` is a polynomial, a vectorised
+    callable or an ndarray of its values at the basis rule's nodes."""
     return filtered_projection(f, basis, np.ones(s + 1))
 
 
@@ -177,41 +189,39 @@ def select_degree(n, d, ell, budget_factor=1, max_degree=15):
     return s
 
 
-def _lq_error(f, g, rule, q, sup_grid):
-    """L^q norm of f - g on the rule; for q = inf, on the sup grid.  At a
-    finite q, f and g are evaluated on the rule's nodes each on its own, so
-    `evaluate_on_nodes` can take a ridge sum shell by shell."""
-    if q == math.inf:
-        def diff(points):
-            points = np.atleast_2d(np.asarray(points, dtype=float))
-            return _values(f, points) - _values(g, points)
-
-        return lq_norm(diff, rule, q, sup_grid=sup_grid)
-    values = evaluate_on_nodes(f, rule) - evaluate_on_nodes(g, rule)
-    return lq_norm(lambda points: values, rule, q)  # asked only for the rule's nodes
+def _lq_error(f_values, g, rule, q, sup_grid):
+    """L^q norm of f - g on the rule, or for q = inf on the sup grid, from the
+    values `f_values` of f there.  At a finite q, `evaluate_on_nodes` takes g
+    (a ridge sum shell by shell on a rule with shells)."""
+    g_values = evaluate_on_nodes(g, rule) if sup_grid is None else _finite_values(g, sup_grid)
+    return lq_norm(f_values - g_values, rule, q, sup_grid=sup_grid)
 
 
-def approximate_by_ridge(f, n, cfg, basis=None, rule=None):
-    """Fit + decompose with budget n; returns (decomposition, error report dict)."""
+def approximate_by_ridge(f, n, cfg, basis, rule):
+    """Fit + decompose with budget n on `basis`, which is built on the nodes
+    of `rule`; returns (decomposition, error report dict).  f is evaluated
+    once on the rule, and at q = inf once on the sup grid; both errors, and
+    the fit of a target that is not a polynomial, read those values."""
     d, ell = cfg.d, cfg.ell
     m = d - ell + 1
-    if n < dim_homogeneous(m, 1):
-        raise ValueError(f"budget n={n} below the minimal direction count {dim_homogeneous(m, 1)}")
+    if n < m:
+        raise ValueError(f"budget n={n} below the minimal direction count {m}")
+    if not np.array_equal(basis.rule.nodes, rule.nodes):
+        raise ValueError("the basis is not built on the rule's nodes")
     s = select_degree(n, d, ell, cfg.budget_factor, cfg.max_degree)
-    if rule is None:
-        rule = build_ball_rule(d, 2 * s + RULE_EXTRA_EXACTNESS)
-    if basis is None:
-        basis = build_basis(d, s, rule)
-
-    fitted = fit_polynomial(f, s, basis)
+    on_rule = evaluate_on_nodes(f, rule)
     sup_grid = ball_sup_grid(d, SUP_GRID_SIZE) if cfg.q == math.inf else None
-    fit_error = _lq_error(f, fitted, rule, cfg.q, sup_grid)
+    f_values = on_rule if sup_grid is None else _finite_values(f, sup_grid)
+
+    # a polynomial keeps its coefficient-space projection, exact to rounding
+    fitted = fit_polynomial(f if isinstance(f, MultiIndexPolynomial) else on_rule, s, basis)
+    fit_error = _lq_error(f_values, fitted, rule, cfg.q, sup_grid)
 
     n_dirs = dim_homogeneous(m, s)
     dirs = sample_spanning_directions(m, s, n_dirs, seed=int(np.random.default_rng(
         [cfg.seed, n]).integers(0, 2 ** 31)))
     dec = decompose(fitted, dirs, d, ell)
-    total_error = _lq_error(f, dec, rule, cfg.q, sup_grid)
+    total_error = _lq_error(f_values, dec, rule, cfg.q, sup_grid)
 
     # triangle inequality guard (residual is a sup-norm bound, so it dominates
     # every L^q norm on the unit-volume ball)
@@ -250,28 +260,17 @@ def rate_sweep(cfg):
     basis = build_basis(d, s_max, rule)
     target = make_target(cfg.target, d, cfg.target_params)
 
-    def run_point(n):
+    rows = []
+    for n in cfg.n_list:
         start = time.perf_counter()
-        _, report = approximate_by_ridge(target, n, cfg, basis=basis, rule=rule)
-        report["seconds"] = time.perf_counter() - start
-        return report
-
-    rows = [run_point(n) for n in cfg.n_list]
-
+        _, row = approximate_by_ridge(target, n, cfg, basis, rule)
+        rows.append({**row, "seconds": time.perf_counter() - start})
     report = RateReport(cfg, rows, _fit_slope(rows))
     if cfg.csv_path:
-        _write_text(cfg.csv_path, report.to_csv_text())
+        Path(cfg.csv_path).write_text(report.to_csv_text())
     if cfg.json_path:
-        _write_text(cfg.json_path, json.dumps(report.to_json_dict(), indent=2) + "\n")
+        Path(cfg.json_path).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
     return report
-
-
-def _write_text(path, text):
-    try:
-        with open(path, "w") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -226,12 +226,13 @@ def pointwise(f):
 
 
 def _values(f, points):
-    """Flat float array of `f` at an (N, d) array of points: `f.eval_many` when
-    it exists, else `f` on all points at once (wrap a callable that takes one
-    point at a time in `pointwise`)."""
-    if hasattr(f, "eval_many"):
-        return np.asarray(f.eval_many(points), dtype=float).reshape(-1)
-    return np.asarray(f(points), dtype=float).reshape(-1)
+    """Flat float array of `f` at an (N, d) array of points: an ndarray `f` is
+    taken as those values, else `f.eval_many` when it exists, else `f` on all
+    points at once (wrap a callable that takes one point at a time in
+    `pointwise`)."""
+    if not isinstance(f, np.ndarray):
+        f = f.eval_many(points) if hasattr(f, "eval_many") else f(points)
+    return np.asarray(f, dtype=float).reshape(-1)
 
 
 def _finite_values(f, points):
@@ -255,13 +256,13 @@ def _require_finite(values, points):
 
 
 def evaluate_on_nodes(f, rule):
-    """Evaluate `f` at the rule's nodes: a polynomial or a vectorised callable.
-    On a rule with `shells`, a real ridge sum (an `f` with `graded_values`) is
-    evaluated at the sphere nodes only: a unit's degree-k part scales by r^k
-    on the shell of radius r, so each unit's values on the shells are the
-    radii's powers times its graded values, and the units are summed at the
-    nodes, in the rule's radius-major order.  A non-finite value raises
-    ValueError."""
+    """Evaluate `f` at the rule's nodes: a polynomial, a vectorised callable
+    or an ndarray of its values there.  On a rule with `shells`, a real ridge
+    sum (an `f` with `graded_values`) is evaluated at the sphere nodes only: a
+    unit's degree-k part scales by r^k on the shell of radius r, so each
+    unit's values on the shells are the radii's powers times its graded
+    values, and the units are summed at the nodes, in the rule's radius-major
+    order.  A non-finite value raises ValueError."""
     if rule.shells is None or not hasattr(f, "graded_values"):
         return _finite_values(f, rule.nodes)
     radii, sphere = rule.shells

@@ -146,11 +146,10 @@ def estimate_l1_operator_norm(proj, trial_count, seed=0):
     for t in range(trial_count):
         values = polys[t // 2] if t % 2 == 0 else evaluate_on_nodes(
             _bump_trial(d, np.random.default_rng([seed, t])), rule)
-        on_nodes = lambda points: values  # asked only for the rule's nodes
         denom = lq_of_values(values, rule, 1)  # the values are checked finite
         if denom >= 1e-14:
             denoms.append(denom)
-            images.append(proj.apply(on_nodes))
+            images.append(proj.apply(values))
     prefix = _grlex_multi_indices(d, 2 * proj.s - 1)
     rows = np.array([_monomial_coefficients(image, basis)[:len(prefix)]
                      for image in images]).reshape(-1, len(prefix))

@@ -142,10 +142,7 @@ class ExpansionCertificate:
         as a tensor with one axis of size 2*freq_count per angle."""
         grids = _angle_grids(self.ell, points)
         mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
-        if self.ell == 1:
-            coords = [np.sin(mesh[0])]
-        else:
-            coords = _head_coordinates(self.ell, mesh)
+        coords = _head_coordinates(self.ell, mesh)
         pts = np.stack([c.reshape(-1) for c in coords], axis=1)
         rho_vals = np.asarray(rho(pts), dtype=float).reshape(mesh[0].shape)
         weight = rho_vals

@@ -5,12 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from conftest import cached_basis
 from ridgekit.pipeline import (CSV_HEADER, RULE_EXTRA_EXACTNESS, SUP_GRID_SIZE,
                                ExperimentConfig, RateReport, approximate_by_ridge,
                                fit_polynomial, make_target, rate_sweep, select_degree, verify)
 from ridgekit.orthobasis import build_basis
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
-from ridgekit.quadrature import QuadratureRule, ball_sup_grid, build_ball_rule
+from ridgekit.quadrature import QuadratureRule, ball_sup_grid, build_ball_rule, lq_norm
 
 
 def coeff_max(poly):
@@ -22,6 +23,14 @@ def small_cfg(**overrides):
                 seed=0, budget_factor=4, max_degree=6, record_timing=False)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def point_basis_and_rule(cfg, n):
+    """A basis of the degree s that budget n selects, on a rule exact to
+    degree 2 s + RULE_EXTRA_EXACTNESS: a sweep over n alone."""
+    s = select_degree(n, cfg.d, cfg.ell, cfg.budget_factor, cfg.max_degree)
+    basis = cached_basis(cfg.d, s, 2 * s + RULE_EXTRA_EXACTNESS)
+    return basis, basis.rule
 
 
 def test_config_validation():
@@ -48,7 +57,13 @@ def test_config_validation():
      "target 'cosine' does not read params \\['width'\\]"),
     ({"target": "random_polynomial", "target_params": {"degree": 2, "sede": 1}},
      "target 'random_polynomial' does not read params \\['sede'\\]"),
-], ids=["max-degree-0", "max-degree-negative", "seed", "gaussian", "ramp", "cosine", "typo"])
+    ({"r": 0}, "r must be >= 1, got 0"),
+    ({"r": -3}, "r must be >= 1, got -3"),
+    ({"n_list": (1, 2)}, "n_list entries must be >= 2, the minimal direction count, got 1"),
+    ({"ell": 1, "n_list": (2, 4)},
+     "n_list entries must be >= 3, the minimal direction count, got 2"),
+], ids=["max-degree-0", "max-degree-negative", "seed", "gaussian", "ramp", "cosine", "typo",
+        "r-0", "r-negative", "n-below-directions", "n-below-directions-ell-1"])
 def test_config_rejects_a_degree_cap_below_one_and_unread_target_params(overrides, message):
     with pytest.raises(ValueError, match=message):
         small_cfg(**overrides)
@@ -67,6 +82,16 @@ def test_config_json_round_trip():
     assert clone == cfg
 
 
+def test_config_json_keeps_output_paths_and_omits_unset_ones():
+    cfg = small_cfg(csv_path="rates.csv", json_path="rates.json")
+    payload = cfg.to_json_dict()
+    assert (payload["csv_path"], payload["json_path"]) == ("rates.csv", "rates.json")
+    assert ExperimentConfig.from_json_dict(json.loads(json.dumps(payload))) == cfg
+    assert list(small_cfg().to_json_dict()) == [
+        "d", "ell", "r", "q", "n_list", "target", "target_params", "seed", "budget_factor",
+        "max_degree", "record_timing"]
+
+
 def test_make_target_registry():
     g = make_target("gaussian", 2)
     assert g(np.zeros((1, 2)))[0] == pytest.approx(1.0)
@@ -74,6 +99,8 @@ def test_make_target_registry():
     assert p.degree() == 2
     with pytest.raises(ValueError):
         make_target("unknown", 2)
+    with pytest.raises(ValueError, match="target 'gaussian' does not read params"):
+        make_target("gaussian", 2, {"degree": 2})
 
 
 def test_select_degree_budget():
@@ -119,7 +146,8 @@ def test_approximate_by_ridge_polynomial_target():
     cfg = small_cfg(target="random_polynomial",
                     target_params={"degree": 2, "seed": 3})
     dec, report = approximate_by_ridge(
-        make_target("random_polynomial", 3, {"degree": 2, "seed": 3}), 16, cfg)
+        make_target("random_polynomial", 3, {"degree": 2, "seed": 3}), 16, cfg,
+        *point_basis_and_rule(cfg, 16))
     assert report["error_lq"] < 1e-7  # fit and decomposition are both exact
     assert report["s"] >= 2
 
@@ -140,7 +168,8 @@ def test_ridge_error_on_shells_matches_the_error_at_every_node(q):
 
 def test_approximate_by_ridge_error_report_fields():
     cfg = small_cfg()
-    dec, report = approximate_by_ridge(make_target("gaussian", 3), 8, cfg)
+    dec, report = approximate_by_ridge(make_target("gaussian", 3), 8, cfg,
+                                       *point_basis_and_rule(cfg, 8))
     for key in ("n", "s", "fit_error", "residual", "error_lq", "n_directions"):
         assert key in report
     assert report["error_lq"] <= report["fit_error"] + report["residual"] + 1e-10
@@ -149,7 +178,7 @@ def test_approximate_by_ridge_error_report_fields():
 def test_sup_norm_errors_are_taken_on_the_sup_grid():
     cfg = small_cfg(q=math.inf)
     target = make_target("gaussian", 3)
-    dec, report = approximate_by_ridge(target, 8, cfg)
+    dec, report = approximate_by_ridge(target, 8, cfg, *point_basis_and_rule(cfg, 8))
     rule = build_ball_rule(3, 2 * report["s"] + RULE_EXTRA_EXACTNESS)
     fitted = fit_polynomial(target, report["s"], build_basis(3, report["s"], rule))
     grid = ball_sup_grid(3, SUP_GRID_SIZE)
@@ -160,7 +189,55 @@ def test_sup_norm_errors_are_taken_on_the_sup_grid():
 def test_approximate_by_ridge_rejects_tiny_budget():
     cfg = small_cfg(ell=1)
     with pytest.raises(ValueError):
-        approximate_by_ridge(make_target("gaussian", 3), 1, cfg)
+        approximate_by_ridge(make_target("gaussian", 3), 1, cfg, *point_basis_and_rule(cfg, 1))
+
+
+def test_approximate_by_ridge_rejects_a_basis_on_other_nodes():
+    cfg = small_cfg()
+    basis, _ = point_basis_and_rule(cfg, 8)
+    with pytest.raises(ValueError, match="the basis is not built on the rule's nodes"):
+        approximate_by_ridge(make_target("gaussian", 3), 8, cfg, basis,
+                             build_ball_rule(3, basis.rule.exactness_degree + 2))
+
+
+class CountingTarget:
+    """`ramp_cubed` that records the number of points of each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, points):
+        self.calls.append(len(points))
+        return make_target("ramp_cubed", 3)(points)
+
+
+@pytest.mark.parametrize("q", [1, 2, math.inf])
+def test_approximate_by_ridge_evaluates_the_target_once_per_point_set(q):
+    cfg = small_cfg(target="ramp_cubed", q=q)
+    basis = cached_basis(3, 6)
+    target = CountingTarget()
+    _, report = approximate_by_ridge(target, 64, cfg, basis, basis.rule)
+    _, expected = approximate_by_ridge(make_target("ramp_cubed", 3), 64, cfg, basis, basis.rule)
+    on_grid = [SUP_GRID_SIZE] if q == math.inf else []
+    assert target.calls == [basis.rule.node_count] + on_grid
+    assert report == expected
+
+
+def test_fit_polynomial_reads_node_values(basis_factory):
+    basis = basis_factory(2, 4)
+    target = make_target("gaussian", 2)
+    from_values = fit_polynomial(target(basis.rule.nodes), 4, basis)
+    assert from_values.terms == fit_polynomial(target, 4, basis).terms
+
+
+@pytest.mark.parametrize("q", [1, math.inf])
+def test_node_values_of_the_wrong_length_raise(q, basis_factory):
+    rule = basis_factory(2, 2).rule
+    values = np.ones(rule.node_count + 1)
+    with pytest.raises(ValueError, match="function did not return one value per node"):
+        lq_norm(values, rule, q)
+    with pytest.raises(ValueError, match="function did not return one value per node"):
+        fit_polynomial(values, 2, basis_factory(2, 2))
 
 
 def test_rate_sweep_rows_and_csv(tmp_path):
@@ -272,6 +349,10 @@ def test_cli_reports_library_errors_without_traceback(capsys):
      "rule exactness 2 insufficient for degree 3"),
     (["counterexample", "--n-list", "4"], "n below the family's regime (need n >= 6)"),
     (["counterexample", "--dim", "0"], "dimension must be >= 1, got 0"),
+    (["rate-sweep", "--n-list", "1,2"],
+     "n_list entries must be >= 2, the minimal direction count, got 1"),
+    (["rate-sweep", "--smoothness", "-3"], "r must be >= 1, got -3"),
+    (["rate-sweep", "--smoothness", "0", "--n-list", "4,8"], "r must be >= 1, got 0"),
 ])
 def test_cli_rejects_out_of_range_ell_and_degree_as_usage_errors(argv, message, capsys):
     from ridgekit.cli import main
@@ -309,9 +390,13 @@ def test_cli_rejects_out_of_range_ell_and_degree_as_usage_errors(argv, message, 
     (["rate-sweep", "--config"], '{"d": 3, "ell": 2, "r": 3, "q": 2, "n_list": [4], '
      '"sup_grid_size": 512}',
      "TypeError: ExperimentConfig.__init__() got an unexpected keyword argument 'sup_grid_size'"),
+    (["rate-sweep", "--config"], '{"d": 3, "ell": 2, "r": -3, "q": 2, "n_list": [4, 8]}',
+     "ValueError: r must be >= 1, got -3"),
+    (["rate-sweep", "--config"], '{"d": 3, "ell": 2, "r": 3, "q": 2, "n_list": [1, 2]}',
+     "ValueError: n_list entries must be >= 2, the minimal direction count, got 1"),
 ], ids=["config-ell", "config-field", "input-float-exponent", "input-malformed", "config-missing",
         "config-max-degree", "config-target-params", "input-dimension", "config-rule-exactness",
-        "config-sup-grid"])
+        "config-sup-grid", "config-smoothness", "config-n-below-directions"])
 def test_cli_rejects_bad_input_files_as_usage_errors(command, text, message, tmp_path, capsys):
     from ridgekit.cli import main
     path = tmp_path / "input.json"
@@ -323,3 +408,50 @@ def test_cli_rejects_bad_input_files_as_usage_errors(command, text, message, tmp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"ridgekit {command[0]}: error: bad input file {path}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--dim", "2", "--max-degree", "2", "--output"],
+    ["decompose", "--dim", "3", "--ell", "2", "--output"],
+    ["rate-sweep", "--n-list", "4,8", "--max-degree", "2", "--csv"],
+    ["rate-sweep", "--n-list", "4,8", "--max-degree", "2", "--json-out"],
+], ids=["basis", "decompose", "rate-sweep-csv", "rate-sweep-json"])
+def test_cli_rejects_unwritable_output_paths_as_usage_errors(argv, tmp_path, capsys):
+    from ridgekit.cli import main
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"ridgekit {argv[0]}: error: FileNotFoundError: [Errno 2] "
+            f"No such file or directory: '{path}'") in err
+    assert "Traceback" not in err
+
+
+def test_cli_rate_sweep_writes_the_config_paths_unless_flags_override(tmp_path, capsys):
+    from ridgekit.cli import main
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_cfg(
+        n_list=(4, 8), csv_path=str(tmp_path / "file.csv"),
+        json_path=str(tmp_path / "file.json")).to_json_dict()))
+    assert main(["rate-sweep", "--config", str(config)]) == 0
+    csv_text = (tmp_path / "file.csv").read_text()
+    assert csv_text.splitlines()[0] == CSV_HEADER
+    assert json.loads((tmp_path / "file.json").read_text())["config"]["n_list"] == [4, 8]
+    assert main(["rate-sweep", "--config", str(config), "--csv", str(tmp_path / "flag.csv"),
+                 "--json-out", str(tmp_path / "flag.json")]) == 0
+    assert (tmp_path / "flag.csv").read_text() == csv_text
+    assert json.loads((tmp_path / "flag.json").read_text())["config"]["csv_path"] == str(
+        tmp_path / "flag.csv")
+    capsys.readouterr()
+
+
+def test_cli_decompose_draws_the_random_polynomial_target(tmp_path, capsys):
+    from ridgekit.cli import main
+    path = tmp_path / "poly.json"
+    poly = make_target("random_polynomial", 3, {"degree": 3, "seed": 4})
+    path.write_text(json.dumps(poly.to_json_dict()))
+    assert main(["decompose", "--dim", "3", "--ell", "2", "--seed", "4"]) == 0
+    drawn = capsys.readouterr().out
+    assert main(["decompose", "--dim", "3", "--ell", "2", "--seed", "4", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == drawn
