@@ -16,7 +16,8 @@ dgeqr2.  inv(R).T and the basis values inv(R).T @ block then come from
 triangular solves; an explicit triangular inverse loses orthogonality.  All
 dense work in the loop stays within scipy's LAPACK and BLAS: numpy and scipy
 each load their own BLAS, and the two thread pools contend when calls
-alternate between them.
+alternate between them.  `build_basis` imports these scipy.linalg routines
+when it runs, so importing the package does not load scipy.
 
 Within a block every product of two monomials is even in each coordinate, so
 its quadrature sums equal sums over one representative node per mirror orbit
@@ -34,8 +35,6 @@ import hashlib
 import math
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_triangular
-from scipy.linalg.lapack import dgeqrt
 
 from .polycore import (MultiIndexPolynomial, _grlex_multi_indices, _polynomials_from_rows,
                        monomial_table, monomials_up_to, point_chunks)
@@ -148,6 +147,9 @@ def build_basis(d, s_max, rule):
     order.  Raises ConditioningError when a monomial is numerically dependent
     on the ones before it in its parity block.
     """
+    from scipy.linalg import LinAlgError, solve_triangular
+    from scipy.linalg.lapack import dgeqrt
+
     if rule.domain != "ball" or rule.dim != d:
         raise ValueError("rule must be a ball rule in the same dimension")
     if s_max < 0:

@@ -252,7 +252,15 @@ def _fit_slope(rows):
 
 
 def rate_sweep(cfg):
-    """Run the pipeline over cfg.n_list; emit CSV/JSON when paths are set."""
+    """Run the pipeline over cfg.n_list; emit CSV/JSON when paths are set.
+    Each path is opened for appending before any work, so one that cannot be
+    written raises OSError before the rule is built; a file that the probe
+    creates is removed again, so a failed sweep leaves none behind."""
+    for path in filter(None, (cfg.csv_path, cfg.json_path)):
+        existed = Path(path).exists()
+        open(path, "a").close()
+        if not existed:
+            Path(path).unlink()
     d = cfg.d
     s_max = max(select_degree(n, d, cfg.ell, cfg.budget_factor, cfg.max_degree)
                 for n in cfg.n_list)

@@ -17,7 +17,6 @@ every rule without shells, is evaluated at every node.
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 NODE_CAP = 10**7
 
@@ -107,6 +106,8 @@ def _sphere_nodes(m, degree):
             nodes[count // 2, 1] = 0.0
         weights = np.full(count, 2 * math.pi / count)
         return nodes, weights
+    from scipy.special import roots_jacobi
+
     sub_nodes, sub_weights = _sphere_nodes(m - 1, degree)
     n_u = degree // 2 + 1
     alpha = (m - 3) / 2
@@ -120,6 +121,8 @@ def _sphere_nodes(m, degree):
 
 def build_ball_rule(d, exactness_degree):
     """Quadrature on B^d exact for monomials of total degree <= exactness_degree."""
+    from scipy.special import roots_jacobi, roots_legendre
+
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if exactness_degree < 0:

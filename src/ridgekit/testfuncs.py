@@ -12,7 +12,6 @@ sin(h phi).
 import math
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .polycore import ExactComplex, MultiIndexPolynomial, monomial_table, monomials_up_to
 from .quadrature import ball_volume, build_sphere_rule, inner_product
@@ -69,6 +68,8 @@ def _angle_grids(ell, points):
     """Gauss-Legendre grids for the head-variable angles: the azimuthal angle
     over [-pi, pi], middle angles over [0, pi], the radial angle over [0, pi/2].
     For ell = 1 a single angle over [-pi/2, pi/2]."""
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(points)
     grids = []
     if ell == 1:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import LinAlgError
 
 from ridgekit import orthobasis
@@ -267,6 +268,7 @@ def test_qr_failure_is_raised(monkeypatch):
     def failing_dgeqrt(nb, a, overwrite_a=False):
         return a, np.zeros((nb, min(a.shape))), -2
 
-    monkeypatch.setattr(orthobasis, "dgeqrt", failing_dgeqrt)
+    # build_basis imports dgeqrt from scipy.linalg.lapack when it runs
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", failing_dgeqrt)
     with pytest.raises(LinAlgError, match="info -2"):
         build_basis(2, 3, build_ball_rule(2, 6))

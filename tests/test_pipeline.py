@@ -428,6 +428,35 @@ def test_cli_rejects_unwritable_output_paths_as_usage_errors(argv, tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["csv_path", "json_path"])
+def test_rate_sweep_rejects_an_unwritable_output_path_before_building_the_rule(
+        field, tmp_path, monkeypatch):
+    import ridgekit.pipeline as pipeline
+
+    def no_rule(*args):
+        raise AssertionError("the rule was built")
+
+    monkeypatch.setattr(pipeline, "build_ball_rule", no_rule)
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(FileNotFoundError, match="No such file or directory"):
+        rate_sweep(small_cfg(**{field: str(path)}))
+
+
+def test_a_failed_rate_sweep_leaves_its_output_paths_as_they_were(tmp_path, monkeypatch):
+    import ridgekit.pipeline as pipeline
+
+    def failing_rule(*args):
+        raise RuntimeError("no rule")
+
+    monkeypatch.setattr(pipeline, "build_ball_rule", failing_rule)
+    new, old = tmp_path / "new.csv", tmp_path / "old.json"
+    old.write_text("kept\n")
+    with pytest.raises(RuntimeError, match="no rule"):
+        rate_sweep(small_cfg(csv_path=str(new), json_path=str(old)))
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+
+
 def test_cli_rate_sweep_writes_the_config_paths_unless_flags_override(tmp_path, capsys):
     from ridgekit.cli import main
     config = tmp_path / "config.json"

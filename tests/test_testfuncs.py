@@ -168,10 +168,33 @@ def test_counterexample_rejects_small_n():
         counterexample_ratio(16, 0)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # only counterexample_ratio needs quad, and it imports it when called
-    code = "import sys, ridgekit; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                             [SRC, os.environ.get("PYTHONPATH", "")])})
-    assert out.stdout.strip() == "False"
+SCIPY_FREE_PATH = """
+import sys
+import numpy as np
+import ridgekit as rk
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert "scipy.integrate" not in sys.modules
+assert scipy_modules() == [], scipy_modules()
+rng = np.random.default_rng(0)
+P = rk.MultiIndexPolynomial(3, {k: rng.standard_normal() for k in rk.monomials_up_to(3, 2)})
+dec = rk.decompose(P, rk.sample_spanning_directions(2, 2, 3, seed=1), 3, 2)
+F = rk.ComplexBiPolynomial(2, {((1, 0), (0, 1)): 1.0 + 0.5j, ((0, 0), (0, 0)): -2.0})
+rk.complex_decompose(F, rk.sample_complex_directions(2, 1, 1, 4, seed=3))
+net = rk.gtn_from_decomposition(dec, rk.PolynomialDictionary(2), 1e-6)
+points = rng.uniform(-0.5, 0.5, (5, 3))
+assert np.max(np.abs(net.eval_many(points) - P.eval_many(points))) <= net.n * 1e-6
+assert scipy_modules() == [], scipy_modules()
+rk.build_ball_rule(3, 4)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_import_and_decomposition_path_leave_scipy_unloaded():
+    # the exact decompositions and the networks built from them need no rule,
+    # basis or quadrature, so scipy loads only when a rule is built
+    subprocess.run([sys.executable, "-c", SCIPY_FREE_PATH], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                       [SRC, os.environ.get("PYTHONPATH", "")])})
