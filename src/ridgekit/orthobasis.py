@@ -10,20 +10,39 @@ a positive diagonal of R, so each block is orthonormalized by one QR, and the
 coefficients of its basis elements over its monomials are inv(R).T.  Entries
 between different parities are exactly zero.
 
-Each block is factored by LAPACK's blocked QR dgeqrt: np.linalg.qr factors a
-matrix narrower than 128 columns, as most blocks are, with the unblocked
-dgeqr2.  inv(R).T and the basis values inv(R).T @ block then come from
-triangular solves; an explicit triangular inverse loses orthogonality.  All
-dense work in the loop stays within scipy's LAPACK and BLAS: numpy and scipy
-each load their own BLAS, and the two thread pools contend when calls
-alternate between them.  `build_basis` imports these scipy.linalg routines
-when it runs, so importing the package does not load scipy.
-
 Within a block every product of two monomials is even in each coordinate, so
 its quadrature sums equal sums over one representative node per mirror orbit
-of the rule with the orbit's summed weight (quadrature.MirrorOrbits).  The
-QRs run on the representatives, the basis keeps its values only there, and a
-projection folds f onto them first.
+of the rule with the orbit's summed weight.  A ball rule is a product of radii
+r_i (weights W_i) and sphere nodes, and its orbits are the products of the
+radii with the sphere orbits u_o (summed weights V_o; quadrature.ShellOrbits).
+A block's degrees are j0 + 2t, so its weighted monomial matrix on the
+representatives factors exactly:
+
+    B[(i, o), k] = sqrt(W_i) r_i^(j0 + 2 t(k)) * sqrt(V_o) u_o^k
+                 = sum_t' Q_phi[i, t'] Z[(t', o), k],
+
+where Phi[i, t] = sqrt(W_i) r_i^(j0 + 2t) = Q_phi R_phi is one thin QR with T
+<= floor(s/2) + 1 columns and Z[(t', o), k] = R_phi[t', t(k)] sqrt(V_o) u_o^k.
+Q_phi has orthonormal columns, so B and Z have the same R, and the QR runs on
+Z: T * (sphere orbits) rows instead of (radii) * (sphere orbits), 1,224
+instead of 2,601 at d=3, s=15.  The monomials are tabulated on the sphere
+representatives only.  A rule without shells counts as one unit radius over
+its own nodes (Q_phi = [1]), so every rule takes this one path.
+
+Each block is factored by LAPACK's blocked QR dgeqrt: np.linalg.qr factors a
+matrix narrower than 128 columns, as most blocks are, with the unblocked
+dgeqr2.  inv(R).T and the values inv(R).T @ Z.T then come from BLAS
+triangular solves (dtrsm, the second in place on Z); an explicit triangular
+inverse loses orthogonality.  One batched matmul by Q_phi / sqrt(W) expands
+the values to the representatives, numbered radius-major, into one array that
+holds every block's values.  All dense work in the loop but that expansion
+stays within scipy's LAPACK and BLAS: numpy and scipy each load their own
+BLAS, and the two thread pools contend when calls alternate between them.
+`build_basis` imports these scipy.linalg routines when it runs, so importing
+the package does not load scipy.
+
+The basis keeps its values only at the representatives, and a projection
+folds f onto them first.
 
 Each block also keeps its R.  The weighted monomial values of a block are
 Q R, so monomial j equals sum_i R_ij P_i in the rule's inner product, and a
@@ -38,7 +57,7 @@ import numpy as np
 
 from .polycore import (MultiIndexPolynomial, _grlex_multi_indices, _polynomials_from_rows,
                        monomial_table, monomials_up_to, point_chunks)
-from .quadrature import MirrorOrbits, evaluate_on_nodes
+from .quadrature import ShellOrbits, evaluate_on_nodes
 
 
 QR_BLOCK = 32      # dgeqrt block size
@@ -147,7 +166,8 @@ def build_basis(d, s_max, rule):
     order.  Raises ConditioningError when a monomial is numerically dependent
     on the ones before it in its parity block.
     """
-    from scipy.linalg import LinAlgError, solve_triangular
+    from scipy.linalg import LinAlgError, qr
+    from scipy.linalg.blas import dtrsm
     from scipy.linalg.lapack import dgeqrt
 
     if rule.domain != "ball" or rule.dim != d:
@@ -158,27 +178,44 @@ def build_basis(d, s_max, rule):
         raise ValueError(
             f"rule exactness {rule.exactness_degree} insufficient for degree {s_max}")
     exponents = monomials_up_to(d, s_max)
-    orbits = MirrorOrbits(rule)
-    sqrt_w = np.sqrt(orbits.weights)
+    degrees = np.array([sum(k) for k in exponents])
+    orbits = ShellOrbits(rule)
+    sqrt_radial = np.sqrt(orbits.radial_weights)[:, None]
+    sqrt_sphere = np.sqrt(orbits.sphere_weights)
     n = len(exponents)
     rows_of = {}
     for i, k in enumerate(exponents):
         rows_of.setdefault(tuple(e % 2 for e in k), []).append(i)
     coeffs = np.zeros((n, n))
+    # the values of all blocks, block after block, in one allocation: with one
+    # array per block, glibc's heap was left so that the rate sweep's later
+    # evaluations at the nodes page-faulted, and its points ran up to 20% slower
+    stacked = np.empty((n, orbits.count))
     blocks = []
     for parity, rows in rows_of.items():
-        if len(rows) > orbits.count:
+        rows = np.array(rows, dtype=np.intp)
+        # the block's degrees are j0 + 2t; Phi[i, t] = sqrt(W_i) r_i^(j0 + 2t)
+        j0 = sum(parity)
+        t = (degrees[rows] - j0) // 2
+        phi = sqrt_radial * orbits.radii[:, None] ** (j0 + 2 * np.arange(t[-1] + 1))
+        q_phi, r_phi = qr(phi, mode="economic")
+        depth = r_phi.shape[0]
+        if len(rows) > depth * len(orbits.sphere):
             raise ConditioningError(
-                f"monomial {exponents[rows[orbits.count]]} is numerically dependent "
-                f"({len(rows)} monomials of its parity on {orbits.count} node orbits)")
-        block = monomial_values([exponents[i] for i in rows], orbits.representatives)
-        weighted = block * sqrt_w
-        # the QR of weighted.T, factored in place
+                f"monomial {exponents[rows[depth * len(orbits.sphere)]]} is numerically "
+                f"dependent ({len(rows)} monomials of its parity on {depth} radial degrees "
+                f"times {len(orbits.sphere)} sphere orbits)")
+        # z[k, t', o] = R_phi[t', t(k)] u_o^k, so monomial k at radius i and
+        # sphere orbit o is sum_t' Q_phi[i, t'] z[k, t', o] / sqrt(W_i)
+        z = (r_phi.T[t][:, :, None]
+             * monomial_values([exponents[i] for i in rows], orbits.sphere)[:, None, :])
+        weighted = (z * sqrt_sphere).reshape(len(rows), -1)
+        # the QR of weighted.T (Z in the module docstring), factored in place
         factored, _, info = dgeqrt(min(QR_BLOCK, len(rows)), weighted.T, overwrite_a=True)
         if info != 0:
             raise LinAlgError(f"dgeqrt failed with info {info}")
         r = np.triu(factored[:len(rows)])
-        del weighted, factored      # free the block-sized buffer before the solves
+        del weighted, factored      # free the weighted copy before the solves
         diag = np.diag(r)
         # column i of R has the norm of weighted monomial i (Q is orthonormal)
         floor = 1e-12 * np.maximum(1.0, np.linalg.norm(r, axis=0))
@@ -189,11 +226,15 @@ def build_basis(d, s_max, rule):
                 f"monomial {exponents[rows[i]]} is numerically dependent "
                 f"(residual {abs(diag[i]):.2e})")
         r *= np.sign(diag)[:, None]
-        # inv(R).T and inv(R).T @ block, each by one triangular solve
-        block_coeffs = solve_triangular(r, np.eye(len(rows)), trans="T")
-        coeffs[np.ix_(rows, rows)] = block_coeffs
-        blocks.append((parity, np.array(rows, dtype=np.intp),
-                       solve_triangular(r, block, trans="T"), r))
+        # inv(R).T by one triangular solve, and inv(R).T @ z as z.T inv(R),
+        # solved in place on z's buffer; the values at the representatives
+        # (radius-major) take Q_phi back in one batched matmul
+        coeffs[np.ix_(rows, rows)] = dtrsm(1.0, r, np.eye(len(rows)), trans_a=1)
+        reduced = dtrsm(1.0, r, z.reshape(len(rows), -1).T, side=1, overwrite_b=True).T
+        values, stacked = stacked[:len(rows)], stacked[len(rows):]
+        np.matmul(q_phi / sqrt_radial, reduced.reshape(len(rows), depth, -1),
+                  out=values.reshape(len(rows), len(orbits.radii), -1))
+        blocks.append((parity, rows, values, r))
     return OrthoBasis(d, s_max, exponents, coeffs, blocks, orbits, rule)
 
 

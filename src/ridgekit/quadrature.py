@@ -7,11 +7,14 @@ in u = cos(angle)).  Every monomial of total degree <= exactness_degree is
 integrated to its analytic moment.
 
 A ball rule in d >= 2 dimensions is a product of radii and sphere nodes, and
-keeps the two factors as `shells`.  `evaluate_on_nodes`, the one place that
-evaluates a function at a rule's nodes, takes a real ridge sum on such a
-rule from its graded values at the sphere nodes alone: a unit's degree-k
-part scales by r^k on the shell of radius r.  Every other function, and
-every rule without shells, is evaluated at every node.
+keeps the two factors as `shells`, with their weights as `shell_weights`.
+Two places use them.  `evaluate_on_nodes`, the one place that evaluates a
+function at a rule's nodes, takes a real ridge sum on such a rule from its
+graded values at the sphere nodes alone: a unit's degree-k part scales by r^k
+on the shell of radius r.  Every other function, and every rule without
+shells, is evaluated at every node.  `ShellOrbits` finds a rule's mirror
+orbits on the sphere nodes and takes their products with the radii, which
+lets `orthobasis.build_basis` factor the radial part out of its QRs.
 """
 
 import math
@@ -28,7 +31,8 @@ class NodeCapError(RuntimeError):
 class QuadratureRule:
     """Immutable nodes/weights with a declared exactness degree.  `shells` is
     None, or the read-only (radii, sphere nodes) of a ball rule that
-    `build_ball_rule` built as their product."""
+    `build_ball_rule` built as their product; `shell_weights` is then the
+    read-only (radial weights, sphere weights) whose products are `weights`."""
 
     def __init__(self, domain, dim, nodes, weights, exactness_degree):
         if domain not in ("ball", "sphere"):
@@ -55,6 +59,7 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
         self.shells = None
+        self.shell_weights = None
 
     @property
     def node_count(self):
@@ -142,9 +147,10 @@ def build_ball_rule(d, exactness_degree):
     nodes = (radii[:, None, None] * sub_nodes).reshape(count, d)
     weights = np.outer(radial_w, sub_weights).ravel()
     rule = QuadratureRule("ball", d, nodes, weights, exactness_degree)
-    for factor in (radii, sub_nodes):
+    for factor in (radii, sub_nodes, radial_w, sub_weights):
         factor.setflags(write=False)
     rule.shells = (radii, sub_nodes)
+    rule.shell_weights = (radial_w, sub_weights)
     return rule
 
 
@@ -202,6 +208,39 @@ class MirrorOrbits:
         """Orbit sums of weight * values * signs(parity), one per representative."""
         return np.bincount(self.index, weights=self.node_weights * values * self.signs(parity),
                            minlength=self.count)
+
+
+class ShellOrbits(MirrorOrbits):
+    """The mirror orbits of a ball rule, found on its sphere nodes.
+
+    A rule with `shells` is the product of its radii and its sphere nodes, and
+    a positive radius keeps every coordinate's sign, so the reflections and
+    orbits of the sphere nodes (under the sphere weights) give the rule's: its
+    orbits are their products with the radii, numbered radius-major, orbit
+    i * len(sphere) + o being radius i times sphere orbit o.  A rule without
+    shells counts as one unit radius over its own nodes, and its orbits are
+    MirrorOrbits(rule).  `radii` and `radial_weights` keep the radial factor,
+    `sphere` and `sphere_weights` the sphere orbits' representatives and
+    summed weights.
+    """
+
+    def __init__(self, rule):
+        if rule.shells is None:
+            self.radii, self.radial_weights, factor = np.ones(1), np.ones(1), MirrorOrbits(rule)
+        else:
+            self.radii, sphere = rule.shells
+            self.radial_weights, weights = rule.shell_weights
+            factor = MirrorOrbits(
+                QuadratureRule("sphere", rule.dim, sphere, weights, rule.exactness_degree))
+        self.axes = factor.axes
+        self.sphere, self.sphere_weights = factor.representatives, factor.weights
+        shift = np.arange(len(self.radii))[:, None] * factor.count
+        self.index = (shift + factor.index).reshape(-1)
+        self.representatives = (self.radii[:, None, None] * self.sphere).reshape(-1, rule.dim)
+        self.weights = np.bincount(self.index, weights=rule.weights)
+        self.node_weights = rule.weights
+        self.node_signs = np.sign(rule.nodes[:, self.axes])
+        self._signs = {}
 
 
 def _row_groups(table):

@@ -16,6 +16,10 @@ from ridgekit.quasiproj import CutoffFunction, QuasiProjector, cesaro_mean
 
 GRAM_TOL = 1e-8
 ORACLE_TOL = 1e-12
+# Coefficients reach 1.7e6 at d=2, s=15 and carry the rounding of R's
+# inverse; a build on the shells and one on the same nodes without them
+# differed by at most 3.7e-12 of the largest coefficient (d <= 4, s <= 15).
+FACTORED_COEFF_TOL = 1e-10
 
 
 def test_legendre_oracle_1d(basis_factory):
@@ -272,3 +276,18 @@ def test_qr_failure_is_raised(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", failing_dgeqrt)
     with pytest.raises(LinAlgError, match="info -2"):
         build_basis(2, 3, build_ball_rule(2, 6))
+
+
+@pytest.mark.parametrize("d,s_max,exactness", [(2, 15, 32), (3, 10, 22), (4, 7, 16)])
+def test_factored_build_matches_the_build_without_shells(d, s_max, exactness):
+    # the same nodes and weights without shells are one unit radius over all
+    # nodes: the QR of the unfactored weighted monomials
+    rule = build_ball_rule(d, exactness)
+    bare = QuadratureRule("ball", d, rule.nodes, rule.weights, exactness)
+    factored, plain = build_basis(d, s_max, rule), build_basis(d, s_max, bare)
+    assert len(factored.orbits.radii) == exactness // 2 + 1
+    assert len(plain.orbits.radii) == 1
+    scale = np.max(np.abs(plain.coeff_matrix))
+    assert np.max(np.abs(factored.coeff_matrix - plain.coeff_matrix)) <= FACTORED_COEFF_TOL * scale
+    for basis in (factored, plain):
+        assert np.max(np.abs(basis.gram_matrix() - np.eye(basis.size))) <= 1e-10

@@ -8,7 +8,7 @@ from scipy.special import gamma, roots_jacobi
 from ridgekit import quadrature
 from ridgekit.polycore import MultiIndexPolynomial, monomials_up_to
 from ridgekit.quadrature import (NODE_CAP, MirrorOrbits, NodeCapError,
-                                 QuadratureRule, ball_sup_grid,
+                                 QuadratureRule, ShellOrbits, ball_sup_grid,
                                  ball_volume, build_ball_rule,
                                  build_sphere_rule, evaluate_on_nodes,
                                  inner_product, lq_norm, pointwise)
@@ -109,11 +109,24 @@ def test_ball_rule_shells_rebuild_its_nodes(d, exactness):
     assert (radii[:, None, None] * sphere).reshape(-1, d).tobytes() == rule.nodes.tobytes()
 
 
+@pytest.mark.parametrize("exactness", [0, 5, 16, 32])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ball_rule_shell_weights_rebuild_its_weights(d, exactness):
+    rule = build_ball_rule(d, exactness)
+    radii, sphere = rule.shells
+    radial, spherical = rule.shell_weights
+    assert not radial.flags.writeable and not spherical.flags.writeable
+    assert radial.shape == radii.shape
+    assert spherical.tobytes() == build_sphere_rule(d - 1, exactness).weights.tobytes()
+    assert np.outer(radial, spherical).reshape(-1).tobytes() == rule.weights.tobytes()
+
+
 def test_only_ball_rules_in_two_or_more_dimensions_have_shells():
     rule = build_ball_rule(3, 6)
     assert build_ball_rule(1, 6).shells is None
     assert build_sphere_rule(2, 6).shells is None
     assert QuadratureRule("ball", 3, rule.nodes, rule.weights, 6).shells is None
+    assert QuadratureRule("ball", 3, rule.nodes, rule.weights, 6).shell_weights is None
 
 
 def test_refinement_stability():
@@ -353,3 +366,46 @@ def test_mirror_orbits_match_brute_force(d, exactness):
     representatives = [tuple(x) for x in orbits.representatives.tolist()]
     assert set(representatives) == set(weights)
     assert [weights[x] for x in representatives] == orbits.weights.tolist()
+
+
+@pytest.mark.parametrize("d,exactness", [(2, 9), (2, 32), (3, 10), (3, 32), (4, 16), (5, 6)])
+def test_shell_orbits_split_the_nodes_like_mirror_orbits(d, exactness):
+    rule = build_ball_rule(d, exactness)
+    shells, plain = ShellOrbits(rule), MirrorOrbits(rule)
+    assert shells.axes == plain.axes
+    # the orbit numbers pair one to one: the two index arrays split the nodes
+    # into the same sets
+    pairs = np.unique(np.column_stack([shells.index, plain.index]), axis=0)
+    assert len(pairs) == shells.count == plain.count
+    assert np.array_equal(np.unique(pairs[:, 0]), np.arange(shells.count))
+    assert np.array_equal(np.unique(pairs[:, 1]), np.arange(plain.count))
+    assert np.array_equal(shells.representatives[pairs[:, 0]], plain.representatives[pairs[:, 1]])
+    assert np.allclose(shells.weights[pairs[:, 0]], plain.weights[pairs[:, 1]],
+                       rtol=1e-14, atol=0.0)
+    # and each sphere orbit's summed weight times a radial weight is the
+    # product orbit's, up to rounding
+    radial = shells.radial_weights[:, None] * shells.sphere_weights
+    assert np.allclose(radial.reshape(-1), shells.weights, rtol=1e-14, atol=0.0)
+    # radius-major: node (i, j) lies in orbit i * O + (sphere orbit of j)
+    sphere_count = len(shells.sphere)
+    by_radius = shells.index.reshape(len(shells.radii), -1)
+    shift = np.arange(len(shells.radii))[:, None] * sphere_count
+    assert np.all(by_radius - shift == by_radius[0])
+    assert np.array_equal(shells.node_signs, plain.node_signs)
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["mirrored", "rotated"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_shell_orbits_of_a_rule_without_shells_are_its_mirror_orbits(d, rotate):
+    # no shells: one unit radius over the rule's own nodes
+    rule = build_ball_rule(d, 8)
+    nodes = rule.nodes
+    if rotate:
+        nodes = nodes @ np.linalg.qr(np.random.default_rng(2).standard_normal((d, d)))[0]
+    bare = QuadratureRule("ball", d, nodes, rule.weights, rule.exactness_degree)
+    shells, plain = ShellOrbits(bare), MirrorOrbits(bare)
+    assert shells.radii.tolist() == shells.radial_weights.tolist() == [1.0]
+    assert shells.axes == plain.axes
+    for name in ("index", "representatives", "weights", "node_signs"):
+        assert np.array_equal(getattr(shells, name), getattr(plain, name))
+    assert np.array_equal(shells.sphere, plain.representatives)
